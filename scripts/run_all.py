@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Run every example config through the CLI and report exit codes.
+"""Run every example config through the CLI and report exit codes and
+the sha256 of every CSV/JSON output except manifest.json, so that two
+checkouts can be compared by diffing this script's output.
 
 Usage: python scripts/run_all.py [--out-root OUT]
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -12,6 +15,18 @@ import sys
 from randerslab.cli import main as cli_main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "configs")
+
+
+def print_digests(out):
+    """sha256 of each CSV/JSON file in ``out``; the manifest carries a
+    timestamp, so it is left out."""
+    if not os.path.isdir(out):
+        return
+    for name in sorted(os.listdir(out)):
+        if name.endswith((".csv", ".json")) and name != "manifest.json":
+            with open(os.path.join(out, name), "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            print(f"   {digest}  {os.path.basename(out)}/{name}")
 
 
 def main():
@@ -30,6 +45,7 @@ def main():
         print(f"== {experiment} ({fname}) -> {out}")
         code = cli_main([experiment, "--config", path, "--out", out])
         print(f"   exit code {code}")
+        print_digests(out)
         failures += code != 0
     return 1 if failures else 0
 

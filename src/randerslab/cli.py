@@ -94,8 +94,9 @@ def _validate_dt_period(node, path, violations):
     dt = _need(node, path, "dt", (int, float), violations, check=_positive)
     period = _need(node, path, "period_T", (int, float), violations, check=_positive)
     if dt and period:
-        m = period / dt
-        if abs(m - round(m)) > 1e-12 * max(1.0, m) or round(m) < 1:
+        try:
+            dynamics.steps_per_period(period, dt)
+        except dynamics.GridAlignmentError:
             violations.append(
                 f"{path}dt: dt = {dt} does not divide period_T = {period}")
 

@@ -149,6 +149,17 @@ def _tail_counts(devs: np.ndarray, rho_grid: np.ndarray) -> np.ndarray:
     return devs.size - np.searchsorted(s, rho_grid, side="right")
 
 
+def _ols_slope(x, y):
+    """Least-squares line through (x, y): (slope, intercept, slope stderr)."""
+    xm, ym = x.mean(), y.mean()
+    sxx = float(np.sum((x - xm) ** 2))
+    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+    intercept = ym - slope * xm
+    resid = y - (intercept + slope * x)
+    dof = max(x.size - 2, 1)
+    return slope, intercept, float(np.sqrt(np.sum(resid ** 2) / dof / sxx))
+
+
 def _fit_tail(rho_grid, counts, n, rho_p, min_exceed):
     usable = counts >= min_exceed
     if usable.sum() < 3:
@@ -157,13 +168,7 @@ def _fit_tail(rho_grid, counts, n, rho_p, min_exceed):
     y = -np.log(counts[usable] / n)
     if np.ptp(x) <= 0:
         return None
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
-    dof = max(x.size - 2, 1)
-    stderr = float(np.sqrt(np.sum(resid ** 2) / dof / sxx))
+    slope, intercept, stderr = _ols_slope(x, y)
     return TailFit(C1_hat=float(np.exp(-intercept)), C2_hat=slope,
                    stderr=stderr, n_points=int(x.size))
 

@@ -139,6 +139,71 @@ def _kappa_checked(schedule: CycleSchedule, t: float, tau: float) -> float:
     return min(max(k, 0.0), 1.0)
 
 
+def speed(schedule: CycleSchedule, t: float, raw_ode: bool = False) -> float:
+    """Time factor s(t) = sqrt(1 - kappa(t, tau(t))), or 1 in raw_ode mode;
+    raises ScheduleError when kappa leaves [0, 1]."""
+    if raw_ode:
+        return 1.0
+    return math.sqrt(1.0 - _kappa_checked(schedule, t, tau_of_t(t, schedule)))
+
+
+def steps_per_period(period_T: float, dt: float) -> int:
+    """Number of dt steps in one period T; raises GridAlignmentError unless
+    dt divides T, so that every equilibrium instant lands on the grid."""
+    m = period_T / dt
+    n = round(m) if math.isfinite(m) else 0
+    if n < 1 or abs(m - n) > 1e-12 * max(1.0, m):
+        raise GridAlignmentError(
+            f"dt = {dt!r} does not divide the period T = {period_T!r} "
+            f"(T/dt = {m!r})")
+    return n
+
+
+def equilibrium_cycle(step: int, steps_per_T: int) -> int:
+    """Cycle n whose equilibrium instant t = (2n - 1) T is grid step
+    ``step``, or 0 when that step is no equilibrium instant."""
+    n, rem = divmod(step + steps_per_T, 2 * steps_per_T)
+    return n if rem == 0 else 0
+
+
+def rk4_march(drift: Callable, vjp: Callable | None, u: np.ndarray,
+              p: np.ndarray | None, dt: float, n_steps: int,
+              speed_at: Callable[[float], float]):
+    """Classical RK4 for du/dt = s(t) drift(u), dp/dt = -s(t) vjp(u, p) on
+    the grid t_k = k dt, k = 0..n_steps.
+
+    Updates ``u`` (and ``p`` unless it is None) in place and yields the
+    number of completed steps after each one.  ``drift`` may act on any
+    array shape; ``vjp(u, p)`` returns J(u)^T p without forming J.  The
+    stage arrays stay bound in this frame between steps, so a large batched
+    march reuses their memory instead of returning it to the OS and faulting
+    it back in on the next step.
+    """
+    h = dt / 2
+    for k in range(n_steps):
+        t = k * dt
+        s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
+        k1 = s1 * drift(u)
+        if p is None:
+            k2 = s2 * drift(u + h * k1)
+            k3 = s2 * drift(u + h * k2)
+            k4 = s4 * drift(u + dt * k3)
+        else:
+            m1 = -s1 * vjp(u, p)
+            u2 = u + h * k1
+            k2 = s2 * drift(u2)
+            m2 = -s2 * vjp(u2, p + h * m1)
+            u3 = u + h * k2
+            k3 = s2 * drift(u3)
+            m3 = -s2 * vjp(u3, p + h * m2)
+            u4 = u + dt * k3
+            k4 = s4 * drift(u4)
+            m4 = -s4 * vjp(u4, p + dt * m3)
+            p += (dt / 6) * (m1 + 2 * m2 + 2 * m3 + m4)
+        u += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield k + 1
+
+
 def hamiltonian(field: RandersField, schedule: CycleSchedule,
                 state: FlowState) -> float:
     """H_t(u, p) = sqrt(1 - kappa(t, tau)) * sum_k beta_k(u) p_k."""
@@ -161,70 +226,29 @@ def effective_cycle_hamiltonian(field: RandersField, schedule: CycleSchedule,
     return float(np.asarray(field.beta(state.point.u)) @ state.point.p)
 
 
-def _rhs(field: RandersField, schedule: CycleSchedule, raw_ode: bool,
-         t: float, u: np.ndarray, p: np.ndarray, evolve_p: bool):
-    if raw_ode:
-        s = 1.0
-    else:
-        k = _kappa_checked(schedule, t, tau_of_t(t, schedule))
-        s = math.sqrt(1.0 - k)
-    du = s * np.asarray(field.beta(u), dtype=float)
-    if evolve_p:
-        dp = -s * (field.jacobian_at(u).T @ p)
-    else:
-        dp = None
-    return du, dp
-
-
-def _advance(field, schedule, raw_ode, integrator, t, u, p, dt, evolve_p):
-    """One fixed step from explicit time t; returns (u_new, p_new)."""
-    if integrator == "euler":
-        du, dp = _rhs(field, schedule, raw_ode, t, u, p, evolve_p)
-        u2 = u + dt * du
-        p2 = p + dt * dp if evolve_p else p
-        return u2, p2
-    if integrator != "rk4":
-        raise ValueError(f"unknown integrator {integrator!r}")
-    k1u, k1p = _rhs(field, schedule, raw_ode, t, u, p, evolve_p)
-    if evolve_p:
-        k2u, k2p = _rhs(field, schedule, raw_ode, t + dt / 2,
-                        u + dt / 2 * k1u, p + dt / 2 * k1p, True)
-        k3u, k3p = _rhs(field, schedule, raw_ode, t + dt / 2,
-                        u + dt / 2 * k2u, p + dt / 2 * k2p, True)
-        k4u, k4p = _rhs(field, schedule, raw_ode, t + dt,
-                        u + dt * k3u, p + dt * k3p, True)
-        u2 = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        p2 = p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    else:
-        k2u, _ = _rhs(field, schedule, raw_ode, t + dt / 2, u + dt / 2 * k1u, p, False)
-        k3u, _ = _rhs(field, schedule, raw_ode, t + dt / 2, u + dt / 2 * k2u, p, False)
-        k4u, _ = _rhs(field, schedule, raw_ode, t + dt, u + dt * k3u, p, False)
-        u2 = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        p2 = p
-    return u2, p2
-
-
 def step_flow(field: RandersField, schedule: CycleSchedule, state: FlowState,
-              dt: float, integrator: str = "rk4", raw_ode: bool = False,
+              dt: float, raw_ode: bool = False,
               _step_index: int = 0) -> FlowState:
-    """Advance (u, p, t) one fixed step of the stated integrator.
+    """Advance (u, p, t) one RK4 step, on copies of the state's arrays.
 
     The u-subsystem is autonomous; p follows the linear cotangent equation
-    with the Jacobian evaluated along the u trajectory.  t_tilde accumulates
-    the internal-time element (1 - kappa) dt by the trapezoid rule.
+    through the field's vector-Jacobian product along the u stages.  t_tilde
+    accumulates the internal-time element (1 - kappa) dt by the trapezoid
+    rule.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    u, p = state.point.u, state.point.p
-    evolve_p = bool(np.any(p))
-    u2, p2 = _advance(field, schedule, raw_ode, integrator, state.t, u, p, dt, evolve_p)
-    if not (np.isfinite(u2).all() and np.isfinite(p2).all()):
-        raise BlowUpError(_step_index, state.t + dt)
-    t2 = state.t + dt
-    k0 = _kappa_checked(schedule, state.t, state.tau)
+    u, p = state.point.u.copy(), state.point.p.copy()
+    t0 = state.t
+    next(rk4_march(field.beta, field.vjp_at, u, p if np.any(p) else None, dt,
+                   1, lambda t: speed(schedule, t0 + t, raw_ode)))
+    if not (np.isfinite(u).all() and np.isfinite(p).all()):
+        raise BlowUpError(_step_index, t0 + dt)
+    t2 = t0 + dt
+    k0 = _kappa_checked(schedule, t0, state.tau)
     k1 = _kappa_checked(schedule, t2, tau_of_t(t2, schedule))
     t_tilde2 = state.t_tilde + 0.5 * ((1.0 - k0) + (1.0 - k1)) * dt
-    point2 = PhasePoint(u=u2, p=p2, n_molecules=state.point.n_molecules)
+    point2 = PhasePoint(u=u, p=p, n_molecules=state.point.n_molecules)
     return FlowState(point=point2, t=t2, t_tilde=t_tilde2,
                      tau=tau_of_t(t2, schedule))
 
@@ -251,33 +275,29 @@ class FlowTrajectory:
     n_molecules: int
 
     def to_csv(self, path, stride: int = 1) -> None:
-        dim = self.u.shape[1]
-        header = (["t", "tau", "cycle"]
-                  + [f"u_{i}" for i in range(dim)]
-                  + [f"p_{i}" for i in range(dim)] + ["H"])
         idx = range(0, len(self.t), stride)
         rows = ([self.t[k], self.tau[k], int(self.cycle[k])]
                 + list(self.u[k]) + list(self.p[k]) + [self.h[k]]
                 for k in idx)
-        atomic_write_csv(path, header, rows)
+        atomic_write_csv(path, _phase_header(self.u.shape[1]), rows)
+
+
+def _phase_header(dim: int) -> list:
+    return (["t", "tau", "cycle"] + [f"u_{i}" for i in range(dim)]
+            + [f"p_{i}" for i in range(dim)] + ["H"])
 
 
 def snapshots_to_csv(snapshots, path) -> None:
     if not snapshots:
         raise ValueError("no snapshots to export")
-    dim = snapshots[0].point.dim
-    header = (["t", "tau", "cycle"]
-              + [f"u_{i}" for i in range(dim)]
-              + [f"p_{i}" for i in range(dim)] + ["H"])
     rows = ([s.t, s.tau, s.cycle] + list(s.point.u) + list(s.point.p) + [s.h_value]
             for s in snapshots)
-    atomic_write_csv(path, header, rows)
+    atomic_write_csv(path, _phase_header(snapshots[0].point.dim), rows)
 
 
 def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
-               n_cycles: int, dt: float, integrator: str = "rk4",
-               raw_ode: bool = False, store_trajectory: bool = True,
-               h_bound: float = 1e-9):
+               n_cycles: int, dt: float, raw_ode: bool = False,
+               store_trajectory: bool = True, h_bound: float = 1e-9):
     """Integrate n_cycles fundamental cycles (period 2T each) from t = 0.
 
     Returns ``(trajectory, snapshots)`` where the snapshots sit at the
@@ -289,63 +309,43 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     T = schedule.period_T
-    m = T / dt
-    steps_per_T = round(m)
-    if steps_per_T < 1 or abs(m - steps_per_T) > 1e-12 * max(1.0, m):
-        raise GridAlignmentError(
-            f"dt = {dt!r} does not divide the period T = {T!r} "
-            f"(T/dt = {m!r})")
+    steps_per_T = steps_per_period(T, dt)
     total = 2 * n_cycles * steps_per_T
     dim = initial.point.dim
     n_mol = initial.point.n_molecules
 
     u = initial.point.u.copy()
     p = initial.point.p.copy()
-    evolve_p = bool(np.any(p))
-    t_tilde = initial.t_tilde
+
+    def h_at(t):
+        return float(speed(schedule, t) * (np.asarray(field.beta(u)) @ p))
 
     if store_trajectory:
-        ts = np.empty(total + 1)
+        ts = np.arange(total + 1) * dt
         us = np.empty((total + 1, dim))
         ps = np.empty((total + 1, dim))
         hs = np.empty(total + 1)
-
-    def h_at(t, uu, pp):
-        k = _kappa_checked(schedule, t, tau_of_t(t, schedule))
-        return float(math.sqrt(1.0 - k) * (np.asarray(field.beta(uu)) @ pp))
-
-    if store_trajectory:
-        ts[0] = 0.0
-        us[0] = u
-        ps[0] = p
-        hs[0] = h_at(0.0, u, p)
+        us[0], ps[0], hs[0] = u, p, h_at(0.0)
 
     snapshots = []
-    for k in range(total):
-        t_k = k * dt
-        u, p = _advance(field, schedule, raw_ode, integrator, t_k, u, p, dt, evolve_p)
-        if not (np.isfinite(u).all() and (not evolve_p or np.isfinite(p).all())):
-            raise BlowUpError(k + 1, (k + 1) * dt)
-        t_next = (k + 1) * dt
-        k0 = _kappa_checked(schedule, t_k, tau_of_t(t_k, schedule))
-        k1 = _kappa_checked(schedule, t_next, tau_of_t(t_next, schedule))
-        t_tilde += 0.5 * ((1.0 - k0) + (1.0 - k1)) * dt
+    for step in rk4_march(field.beta, field.vjp_at, u,
+                          p if np.any(p) else None, dt, total,
+                          lambda t: speed(schedule, t, raw_ode)):
+        t = step * dt
+        if not (np.isfinite(u).all() and np.isfinite(p).all()):
+            raise BlowUpError(step, t)
         if store_trajectory:
-            ts[k + 1] = t_next
-            us[k + 1] = u
-            ps[k + 1] = p
-            hs[k + 1] = h_at(t_next, u, p)
-        step_no = k + 1
-        if step_no % steps_per_T == 0 and (step_no // steps_per_T) % 2 == 1:
-            n = (step_no // steps_per_T + 1) // 2
-            h_val = h_at(t_next, u, p)
+            us[step], ps[step], hs[step] = u, p, h_at(t)
+        n = equilibrium_cycle(step, steps_per_T)
+        if n:
+            h_val = h_at(t)
             p_norm = float(np.linalg.norm(p))
             if abs(h_val) > h_bound * (1.0 + p_norm):
                 raise ScheduleError(
                     f"Hamiltonian |H| = {abs(h_val):.3e} at equilibrium "
-                    f"instant t = {t_next!r} exceeds {h_bound:.1e} * (1 + |p|)")
+                    f"instant t = {t!r} exceeds {h_bound:.1e} * (1 + |p|)")
             snapshots.append(EquilibriumSnapshot(
-                cycle=n, t=t_next, tau=float(n),
+                cycle=n, t=t, tau=float(n),
                 point=PhasePoint(u=u.copy(), p=p.copy(), n_molecules=n_mol),
                 h_value=h_val))
 

@@ -67,9 +67,10 @@ class RandersField:
     ``beta`` must accept arrays of shape ``(..., dim)`` and return the same
     shape.  ``eta = None`` means the Euclidean identity without ever
     materializing it (the metric only enters the geometry operations, and
-    flows at large 8N would otherwise pay a dim^2 allocation).  ``jacobian``
-    (optional, analytic) maps a single point to the ``(dim, dim)`` matrix
-    ``J[k, i] = d beta_k / d u_i``.  ``scalar_map`` is set by componentwise
+    flows at large 8N would otherwise pay a dim^2 allocation).  ``vjp``
+    (optional, analytic) maps a single point ``u`` and covector ``p`` to
+    ``J(u)^T p`` with ``J[k, i] = d beta_k / d u_i``, never forming ``J``.
+    ``scalar_map`` is set by componentwise
     families and lets ensemble code apply the drift to arbitrarily shaped
     coordinate arrays.
     """
@@ -78,7 +79,7 @@ class RandersField:
     beta_bound: float
     eta: np.ndarray | None
     dim: int
-    jacobian: Callable | None = None
+    vjp: Callable | None = None
     scalar_map: Callable | None = None
     componentwise: bool = False
     euclidean_eta: bool = True
@@ -98,10 +99,15 @@ class RandersField:
         if self.euclidean_eta and np.linalg.eigvalsh(eta)[0] <= 0.0:
             raise ValueError("Euclidean-signature eta must be positive definite")
 
+    def vjp_at(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """J(u)^T p: the analytic ``vjp`` when available, otherwise through
+        the central-difference Jacobian."""
+        if self.vjp is not None:
+            return self.vjp(u, p)
+        return self.jacobian_at(u).T @ p
+
     def jacobian_at(self, u: np.ndarray, step: float | None = None) -> np.ndarray:
-        """Analytic Jacobian when available, central differences otherwise."""
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(u), dtype=float)
+        """Central-difference Jacobian ``J[k, i] = d beta_k / d u_i``."""
         u = np.asarray(u, dtype=float)
         h = step if step is not None else 1e-6 * (1.0 + np.linalg.norm(u))
         eye = np.eye(self.dim)
@@ -142,7 +148,7 @@ def zero_field(dim: int, eta: np.ndarray | None = None) -> RandersField:
         beta_bound=1e-12,
         eta=eta,
         dim=dim,
-        jacobian=lambda u: np.zeros((dim, dim)),
+        vjp=lambda u, p: np.zeros_like(p),
         scalar_map=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         componentwise=True,
         name="zero",
@@ -164,7 +170,7 @@ def constant_field(value, dim: int, eta: np.ndarray | None = None) -> RandersFie
         beta_bound=max(bound, 1e-12),
         eta=eta,
         dim=dim,
-        jacobian=lambda u: np.zeros((dim, dim)),
+        vjp=lambda u, p: np.zeros_like(p),
         scalar_map=scalar,
         componentwise=scalar is not None,
         name="constant",
@@ -177,16 +183,16 @@ def tanh_field(dim: int, amplitude: float, claimed_bound: float | None = None,
     a = float(amplitude)
     bound = claimed_bound if claimed_bound is not None else abs(a)
 
-    def jac(u):
+    def vjp(u, p):
         t = np.tanh(np.asarray(u, dtype=float))
-        return np.diag(a * (1.0 - t * t))
+        return a * (1.0 - t * t) * p
 
     return RandersField(
         beta=lambda u: a * np.tanh(np.asarray(u, dtype=float)),
         beta_bound=bound,
         eta=eta,
         dim=dim,
-        jacobian=jac,
+        vjp=vjp,
         scalar_map=lambda x: a * np.tanh(np.asarray(x, dtype=float)),
         componentwise=True,
         name="tanh",
@@ -206,7 +212,7 @@ def linear_field(matrix: np.ndarray, claimed_bound: float = 0.9,
         beta_bound=claimed_bound,
         eta=eta,
         dim=dim,
-        jacobian=lambda u: a,
+        vjp=lambda u, p: a.T @ p,
         componentwise=False,
         name="linear",
     )

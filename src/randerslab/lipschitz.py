@@ -296,8 +296,7 @@ class HamiltonianDecomposition:
     """H = lipschitz_part + matter_part with the construction recorded.
 
     The construction is not unique; (box, metric, profile, rho0) identify
-    this instance.  ``theorem_view(z)`` returns the normalized alternate
-    form (H(zbar), matter/R) whose first piece is the clamped Hamiltonian.
+    this instance.
     """
 
     box: CompactBox
@@ -320,12 +319,6 @@ class HamiltonianDecomposition:
     def matter_part(self, z):
         lip, _ = self._parts(z)
         return self.hamiltonian(z) - lip
-
-    def theorem_view(self, z):
-        zbar, rho = project_to_box(z, self.box)
-        r = self.profile(rho)
-        clamped = self.hamiltonian(zbar)
-        return clamped, (self.hamiltonian(z) - r * clamped) / r
 
 
 def _part_estimate(h, box: CompactBox, profile, sample_domain: CompactBox,

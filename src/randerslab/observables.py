@@ -7,14 +7,14 @@ with the guide trajectory M (the preparation-measure mean), and deviations
 are profiled with the concentration machinery.
 """
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
 
-from .concentration import tail_profile_from_deviations
-from .dynamics import CycleSchedule, GridAlignmentError, sin_squared_schedule
+from .concentration import _ols_slope, tail_profile_from_deviations
+from .dynamics import (CycleSchedule, equilibrium_cycle, rk4_march,
+                       sin_squared_schedule, speed, steps_per_period)
 from .geometry import BLOCK_DIM, PhasePoint, RandersField
 from .runio import atomic_write_csv, atomic_write_json, derive_rng
 
@@ -183,17 +183,6 @@ def check_free_evolution(ensemble: Ensemble, trajectory=None) -> FreeEvolutionRe
 # batched evolution of i.i.d. coordinate arrays under componentwise fields
 
 
-def _snapshot_steps(period_T: float, dt: float, n_cycles: int):
-    m = period_T / dt
-    steps_per_t = round(m)
-    if steps_per_t < 1 or abs(m - steps_per_t) > 1e-12 * max(1.0, m):
-        raise GridAlignmentError(
-            f"dt = {dt!r} does not divide the period T = {period_T!r}")
-    total = 2 * n_cycles * steps_per_t
-    snaps = {(2 * n - 1) * steps_per_t: n for n in range(1, n_cycles + 1)}
-    return total, snaps
-
-
 def evolve_coordinates(u0: np.ndarray, field: RandersField,
                        schedule: CycleSchedule, dt: float, n_cycles: int,
                        collect: Callable, raw_ode: bool = False) -> None:
@@ -206,30 +195,15 @@ def evolve_coordinates(u0: np.ndarray, field: RandersField,
     """
     if field.scalar_map is None or not field.componentwise:
         raise ValueError("batched evolution requires a componentwise field")
-    g = field.scalar_map
-    total, snaps = _snapshot_steps(schedule.period_T, dt, n_cycles)
+    steps_per_T = steps_per_period(schedule.period_T, dt)
     u = np.array(u0, dtype=float, copy=True)
     collect(0, u)
-
-    def scale(t):
-        if raw_ode:
-            return 1.0
-        k = schedule.kappa(t, 0.0)
-        return math.sqrt(max(0.0, 1.0 - min(k, 1.0)))
-
-    for k in range(total):
-        t = k * dt
-        s1 = scale(t)
-        s2 = scale(t + dt / 2)
-        s4 = scale(t + dt)
-        k1 = s1 * g(u)
-        k2 = s2 * g(u + (dt / 2) * k1)
-        k3 = s2 * g(u + (dt / 2) * k2)
-        k4 = s4 * g(u + dt * k3)
-        u += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        step = k + 1
-        if step in snaps:
-            collect(snaps[step], u)
+    for step in rk4_march(field.scalar_map, None, u, None, dt,
+                          2 * n_cycles * steps_per_T,
+                          lambda t: speed(schedule, t, raw_ode)):
+        n = equilibrium_cycle(step, steps_per_T)
+        if n:
+            collect(n, u)
 
 
 @dataclass(frozen=True)
@@ -486,12 +460,7 @@ def scale_relation_check(source, n_list=None, threshold: float | None = None,
 
     lx = np.log(np.array(sorted(rho_star)))
     ly = np.log(np.array([rho_star[n] for n in sorted(rho_star)]))
-    xm, ym = lx.mean(), ly.mean()
-    sxx = float(np.sum((lx - xm) ** 2))
-    slope = float(np.sum((lx - xm) * (ly - ym)) / sxx)
-    resid = ly - (ym + slope * (lx - xm))
-    dof = max(lx.size - 2, 1)
-    stderr = float(np.sqrt(np.sum(resid ** 2) / dof / sxx))
+    slope, _, stderr = _ols_slope(lx, ly)
 
     if abs(slope + 0.5) <= 0.15:
         regime = "clt"

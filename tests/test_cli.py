@@ -84,10 +84,12 @@ class TestValidate:
         assert cli.validate_config(flow_config()) == []
 
     def test_dt_not_dividing_period_names_both_fields(self):
-        cfg = flow_config()
-        cfg["parameters"]["dt"] = 0.3
-        violations = cli.validate_config(cfg)
-        assert any("dt" in v and "period_T" in v for v in violations)
+        # 1e-310 makes period_T / dt overflow to infinity
+        for dt in (0.3, 1e-310):
+            cfg = flow_config()
+            cfg["parameters"]["dt"] = dt
+            violations = cli.validate_config(cfg)
+            assert any("dt" in v and "period_T" in v for v in violations)
 
     def test_negative_n_rejected(self):
         cfg = small_configs()["wep"]

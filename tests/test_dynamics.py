@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,6 +28,7 @@ from randerslab.geometry import (
     tanh_field,
     zero_field,
 )
+from randerslab.observables import evolve_coordinates
 
 
 def _point(dim, seed=0, p_scale=1.0):
@@ -157,15 +160,6 @@ class TestStepFlow:
                 for k in range(200):
                     state = step_flow(field, sched, state, dt=1.0, _step_index=k)
 
-    def test_euler_first_order_on_linear_problem(self):
-        field = linear_field(-0.5 * np.eye(8))
-        sched = constant_schedule(1.0, 0.0)
-        pt = PhasePoint(u=np.ones(8), p=np.zeros(8), n_molecules=1)
-        state = make_state(pt, sched)
-        for _ in range(100):
-            state = step_flow(field, sched, state, dt=0.01, integrator="euler")
-        assert np.allclose(state.point.u, np.exp(-0.5) * np.ones(8), rtol=1e-2)
-
 
 class TestRunCycles:
     def test_zero_field_snapshots_identical(self):
@@ -234,6 +228,55 @@ class TestRunCycles:
         assert header[:3] == ["t", "tau", "cycle"]
         assert header[3] == "u_0" and header[11] == "p_0" and header[-1] == "H"
         assert len(out.read_text().splitlines()) == traj.t.size + 1
+
+
+def _tanh_snapshots_run_cycles(field, sched, u0, dt, n_cycles):
+    pt = PhasePoint(u=u0, p=np.linspace(1.0, -1.0, u0.size),
+                    n_molecules=u0.size // 8)
+    _, snaps = run_cycles(field, sched, make_state(pt, sched), n_cycles, dt)
+    return {s.cycle: s.point.u for s in snaps}
+
+
+def _tanh_snapshots_evolve(field, sched, u0, dt, n_cycles):
+    got = {}
+    evolve_coordinates(u0.reshape(-1, 8), field, sched, dt, n_cycles,
+                       lambda tau, u: got.__setitem__(tau, u.reshape(-1).copy()))
+    del got[0]
+    return got
+
+
+class TestClosedFormFlow:
+    # beta_i = a tanh(u_i) under kappa = sin^2(pi t / 2T): d/dt log sinh u
+    # = a s(t) with s = |cos(pi t / 2T)|, so at t_n = (2n - 1) T
+    # sinh u(t_n) = sinh u0 * exp(a (4n - 2) T / pi).
+    @pytest.mark.parametrize("march", [_tanh_snapshots_run_cycles,
+                                       _tanh_snapshots_evolve])
+    def test_rk4_fourth_order_against_exact_tanh_flow(self, march):
+        a, n_cycles = 0.9, 2
+        field = tanh_field(8, a)
+        sched = sin_squared_schedule(1.0)
+        u0 = np.linspace(-1.5, 1.2, 8)
+
+        def error(dt):
+            got = march(field, sched, u0, dt, n_cycles)
+            assert sorted(got) == [1, 2]
+            return max(np.abs(u - np.arcsinh(
+                np.sinh(u0) * math.exp(a * (4 * n - 2) / math.pi))).max()
+                for n, u in got.items())
+
+        ratio = error(0.05) / error(0.025)
+        assert 12.0 <= ratio <= 20.0
+
+    def test_componentwise_products_conserved_along_trajectory(self):
+        # d/dt [beta_k(u) p_k] = s g' g p - s g g' p = 0 for componentwise
+        # fields, so this checks the momentum path through the field's vjp
+        a = 0.8
+        field = tanh_field(16, a)
+        sched = sin_squared_schedule(1.0)
+        initial = make_state(_point(16, seed=18), sched)
+        traj, _ = run_cycles(field, sched, initial, n_cycles=2, dt=0.01)
+        prod = a * np.tanh(traj.u) * traj.p
+        assert np.abs(prod - prod[0]).max() <= 1e-9
 
 
 class TestConservationAndLinearity:

@@ -12,6 +12,7 @@ from randerslab.geometry import (
     StencilError,
     constant_field,
     fundamental_tensor,
+    linear_field,
     randers_function,
     tanh_field,
     validate_randers,
@@ -169,3 +170,26 @@ class TestFieldInvariants:
         with pytest.raises(ValueError):
             RandersField(beta=lambda u: u, beta_bound=0.5,
                          eta=np.diag([1.0, -1.0]), dim=2)
+
+
+class TestVectorJacobianProduct:
+    @pytest.mark.parametrize("make", [
+        lambda: zero_field(16),
+        lambda: constant_field(0.3, 16),
+        lambda: tanh_field(16, -0.7),
+        lambda: linear_field(np.random.default_rng(3).normal(size=(16, 16))),
+    ])
+    def test_analytic_vjp_matches_finite_difference_jacobian(self, make):
+        field = make()
+        rng = np.random.default_rng(4)
+        u, p = rng.normal(size=16), rng.normal(size=16)
+        got = field.vjp_at(u, p)
+        assert got.shape == (16,)
+        assert np.allclose(got, field.jacobian_at(u).T @ p, atol=1e-8)
+
+    def test_custom_field_falls_back_to_finite_differences(self):
+        a = np.random.default_rng(5).normal(size=(8, 8))
+        field = RandersField(beta=lambda u: np.asarray(u) @ a.T,
+                             beta_bound=0.9, eta=None, dim=8)
+        p = np.arange(8.0)
+        assert np.allclose(field.vjp_at(np.ones(8), p), a.T @ p, atol=1e-8)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from randerslab.dynamics import make_state, run_cycles, sin_squared_schedule
+from randerslab.dynamics import (CycleSchedule, ScheduleError, make_state,
+                                 run_cycles, sin_squared_schedule)
 from randerslab.geometry import PhasePoint, constant_field, tanh_field, zero_field
 from randerslab.observables import (
     FlowParams,
@@ -100,6 +101,15 @@ class TestBatchedEvolution:
                            lambda tau, u: got.__setitem__(tau, u.copy()))
         for s in snaps:
             assert np.allclose(got[s.cycle].reshape(-1), s.point.u, atol=1e-12)
+
+    def test_kappa_outside_unit_interval_raises(self):
+        field = tanh_field(8, 0.9)
+        sched = CycleSchedule(
+            period_T=1.0,
+            kappa=lambda t, tau: 1.2 * math.sin(math.pi * t / 2.0) ** 2)
+        with pytest.raises(ScheduleError):
+            evolve_coordinates(np.zeros((1, 8)), field, sched, 0.1, 1,
+                               lambda tau, u: None)
 
     def test_requires_componentwise_field(self):
         from randerslab.geometry import linear_field

@@ -2,9 +2,10 @@
 
 Subcommands: flow, lipschitz, concentration, sphere, wep, gravity,
 validate.  Exit codes: 0 success, 2 validation failure, 3 numeric failure
-(blow-up or unavailable fit), 4 I/O failure.  Rerunning a config with the
-same seed reproduces every CSV/JSON output byte for byte; only the manifest
-timestamp differs.
+(any module's error, a failed fit or sweep expectation), 4 I/O failure.
+Rerunning a config with the same seed reproduces every CSV/JSON output byte
+for byte; only the manifest timestamp differs.  The schema tables below are
+the reference for every config key, its type, its check and its default.
 """
 
 import argparse
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import __version__, concentration as conc, dynamics, gravity_scales as grav
 from . import lipschitz as lip, observables as obs
-from .geometry import (PhasePoint, constant_field, linear_field, tanh_field,
-                       zero_field)
+from .geometry import (GeometryError, PhasePoint, constant_field, linear_field,
+                       tanh_field, zero_field)
 from .runio import atomic_write_json, config_hash, derive_rng
 
 EXPERIMENTS = ("flow", "lipschitz", "concentration", "sphere", "wep", "gravity")
@@ -34,244 +35,244 @@ class NumericRunError(Exception):
     pass
 
 
+# The error bases of the package: a run that fails numerically exits 3.
+NUMERIC_ERRORS = (NumericRunError, GeometryError, dynamics.DynamicsError,
+                  conc.ConcentrationError, lip.LipschitzError,
+                  grav.GravityError, obs.ObservablesError)
+
+
 # ---------------------------------------------------------------------------
-# config validation
+# config schema
+#
+# A table maps each key to (kind, check, default).  A kind is int, float
+# (any finite number; no number kind takes a bool), str, bool, dict (any
+# object), a nested table, [kind] (a list of that kind), Variants, or a tuple
+# of alternatives: the first that matches applies, and the literals None and
+# "..." match themselves and skip the check.  A check is (predicate,
+# message).  default is REQUIRED or the value of an absent key; it is walked
+# like a given value, so the default {} of a nested table fills in that
+# table's defaults.  Keys outside a table are rejected.
+
+REQUIRED = object()
+_INVALID = object()
 
 
-def _check_keys(node: dict, path: str, allowed: set, violations: list) -> None:
-    for key in node:
-        if key not in allowed:
-            violations.append(f"{path}{key}: unknown key")
+class Variants(dict):
+    """Nested tables, of which an object's ``family`` key picks one."""
+    tag = "family"
 
 
-def _need(node, path, key, types, violations, check=None, required=True):
-    if key not in node:
-        if required:
-            violations.append(f"{path}{key}: missing required field")
-        return None
-    value = node[key]
-    if not isinstance(value, types) or isinstance(value, bool) and bool not in (
-            types if isinstance(types, tuple) else (types,)):
-        violations.append(f"{path}{key}: expected {types}, got {type(value).__name__}")
-        return None
-    if check is not None:
-        msg = check(value)
-        if msg:
-            violations.append(f"{path}{key}: {msg}")
-            return None
-    return value
+_SCALARS = {int: (lambda x: isinstance(x, int) and not isinstance(x, bool),
+                  "integer"),
+            # NaN fails the comparison, as do infinities and huge ints
+            float: (lambda x: isinstance(x, (int, float)) and not isinstance(
+                x, bool) and abs(x) <= sys.float_info.max, "finite number"),
+            str: (lambda x: isinstance(x, str), "string"),
+            bool: (lambda x: isinstance(x, bool), "boolean"),
+            dict: (lambda x: isinstance(x, dict), "object"),
+            list: (lambda x: isinstance(x, list), "list")}
+
+POSITIVE = (lambda x: x > 0, "must be positive")
+NONNEGATIVE = (lambda x: x >= 0, "must be >= 0")
 
 
-def _positive(v):
-    return None if v > 0 else "must be positive"
+def _one_of(*choices):
+    return (lambda x: x in choices, f"must be one of {choices}")
 
 
-def _validate_field(node, path, violations,
-                    families=("zero", "constant", "tanh", "linear")):
-    if not isinstance(node, dict):
-        violations.append(f"{path}: field spec must be an object")
-        return
-    family = _need(node, path + ".", "family", str, violations,
-                   check=lambda v: None if v in families
-                   else f"must be one of {families}")
-    allowed = {"family"}
-    if family == "constant":
-        allowed.add("value")
-        _need(node, path + ".", "value", (int, float), violations,
-              check=lambda v: None if abs(v) < 1 else "|value| must be < 1")
-    elif family == "tanh":
-        allowed.add("amplitude")
-        _need(node, path + ".", "amplitude", (int, float), violations,
-              check=lambda v: None if 0 < v < 1 else "amplitude must lie in (0, 1)")
-    elif family == "linear":
-        allowed.add("scale")
-        _need(node, path + ".", "scale", (int, float), violations,
-              check=_positive, required=False)
-    _check_keys(node, path + ".", allowed, violations)
+PERIOD = {"period_T": (float, POSITIVE, REQUIRED),
+          "dt": (float, POSITIVE, REQUIRED),
+          "n_cycles": (int, POSITIVE, REQUIRED)}
+INITIAL = {"u_scale": (float, None, 1.0), "p_scale": (float, None, 1.0)}
+GRID = ([float], (lambda g: g and g[0] > 0 and all(b > a for a, b in zip(g, g[1:])),
+                  "must be a nonempty ascending list of positive numbers"),
+        REQUIRED)
+N_SAMPLES = (int, (lambda n: n >= 100, "need n >= 100"), REQUIRED)
+FIELD = Variants({
+    "zero": {},
+    "constant": {"value": (float, (lambda x: abs(x) < 1, "|value| must be < 1"),
+                           REQUIRED)},
+    "tanh": {"amplitude": (float, (lambda x: 0 < x < 1,
+                                   "amplitude must lie in (0, 1)"), REQUIRED)},
+    "linear": {"scale": (float, POSITIVE, 0.3)},
+})
+# ensemble evolution batches trials, which needs a drift acting coordinate
+# by coordinate
+WEP_FIELD = Variants({k: FIELD[k] for k in ("zero", "constant", "tanh")})
+GRAVITY_CASE = {
+    "name": (str, None, REQUIRED),
+    "m": (float, NONNEGATIVE, REQUIRED),
+    "M_mass": ((None, float), NONNEGATIVE, None),
+    "r2": (float, POSITIVE, REQUIRED),
+    "lambda": (float, POSITIVE, REQUIRED),
+    "density_convention": (str, _one_of("r1", "r2"), "r1"),
+}
+
+SCHEMAS = {
+    "flow": {
+        "n_molecules": (int, POSITIVE, REQUIRED),
+        "field": (FIELD, None, REQUIRED),
+        **PERIOD,
+        "initial": (INITIAL, None, {}),
+        "raw_ode": (bool, None, False),
+        "store_stride": (int, POSITIVE, 1),
+    },
+    "lipschitz": {
+        "n_molecules": (int, POSITIVE, REQUIRED),
+        "field": (FIELD, None, REQUIRED),
+        "box_half_width": (float, POSITIVE, REQUIRED),
+        "metric": ({"kind": (str, _one_of("euclidean", "weighted"), "euclidean"),
+                    "u_scale": (float, POSITIVE, 1.0),
+                    "p_scale": (float, POSITIVE, 1.0)}, None, {}),
+        "n_pairs": (int, POSITIVE, REQUIRED),
+        "profile": ({"family": (str, _one_of("inverse_linear"), "inverse_linear"),
+                     "rho0": (("auto", float), POSITIVE, "auto")}, None, {}),
+        # absent or null: no flow, hence no constraint split
+        "flow": ((None, {**PERIOD, **INITIAL}), None, None),
+    },
+    "concentration": {
+        "space": ({"kind": (str, _one_of("sphere", "gaussian", "product_uniform"),
+                            REQUIRED),
+                   "dimension": (int, POSITIVE, REQUIRED),
+                   "sigma": (float, POSITIVE, 1.0),
+                   "bounds": ([float], (lambda b: len(b) == 2 and b[0] < b[1],
+                                        "must be [low, high] with low < high"),
+                              [0.0, 1.0])}, None, REQUIRED),
+        "function": ({"name": (str, _one_of("coordinate", "norm", "coordinate_mean"),
+                               REQUIRED),
+                      "index": (int, NONNEGATIVE, 0)}, None, REQUIRED),
+        "rho_grid": GRID,
+        "n": N_SAMPLES,
+        "sigma_f": (float, POSITIVE, 1.0),
+        "rho_p": ((None, float), POSITIVE, None),
+    },
+    "sphere": {
+        "sphere_dimension": (int, (lambda n: n >= 2, "must be >= 2"), REQUIRED),
+        "epsilon_grid": GRID,
+        "n": N_SAMPLES,
+        "method": (str, _one_of("cap_exact", "sample_distance"), "cap_exact"),
+    },
+    "wep": {
+        "n_list": ([int], (lambda ns: ns and min(ns) >= 2,
+                           "every N must be an integer >= 2"), REQUIRED),
+        "n_trials": (int, POSITIVE, REQUIRED),
+        "field": (WEP_FIELD, None, REQUIRED),
+        "preparation": ({"mean": ((float, [float]),
+                                  (lambda m: not isinstance(m, list) or len(m) == 8,
+                                   "list must have 8 entries"), 0.0),
+                         "scale": (float, POSITIVE, 1.0)}, None, REQUIRED),
+        **PERIOD,
+        "rho_grid": GRID,
+        "n_reference": (int, POSITIVE, 100_000),
+    },
+    "gravity": {
+        "cases": (("default", [GRAVITY_CASE]),
+                  (bool, "must be 'default' or a nonempty list"), "default"),
+        "both_conventions": (bool, None, True),
+    },
+}
+ROOT = {
+    "experiment": (str, _one_of(*EXPERIMENTS), REQUIRED),
+    "seed": (int, NONNEGATIVE, REQUIRED),
+    "output_dir": (str, None, ""),  # "" or absent: --out or out/<experiment>
+}
 
 
-def _validate_dt_period(node, path, violations):
-    dt = _need(node, path, "dt", (int, float), violations, check=_positive)
-    period = _need(node, path, "period_T", (int, float), violations, check=_positive)
-    if dt and period:
-        try:
-            dynamics.steps_per_period(period, dt)
-        except dynamics.GridAlignmentError:
-            violations.append(
-                f"{path}dt: dt = {dt} does not divide period_T = {period}")
+def _json_type(kind):
+    """(predicate, name) of the JSON type that kind takes, not looking into
+    containers."""
+    if isinstance(kind, list):
+        return _SCALARS[list][0], f"list of {_json_type(kind[0])[1]}s"
+    if isinstance(kind, dict):
+        return _SCALARS[dict]
+    if isinstance(kind, type):
+        return _SCALARS[kind]
+    return (lambda x: type(x) is type(kind) and x == kind), json.dumps(kind)
 
 
-def _validate_preparation(node, path, violations):
-    if not isinstance(node, dict):
-        violations.append(f"{path}: preparation must be an object")
-        return
-    _check_keys(node, path + ".", {"mean", "scale"}, violations)
-    mean = node.get("mean", 0.0)
-    if not isinstance(mean, (int, float, list)):
-        violations.append(f"{path}.mean: expected number or list of 8 numbers")
-    elif isinstance(mean, list) and len(mean) != 8:
-        violations.append(f"{path}.mean: list must have 8 entries")
-    _need(node, path + ".", "scale", (int, float), violations,
-          check=_positive, required=False)
+def _walk(kind, check, x, path, v):
+    """Check x against kind and check, appending violations to v; returns x
+    with the defaults filled in and float kinds as floats, or _INVALID."""
+    alternatives = kind if isinstance(kind, tuple) else (kind,)
+    kind = next((k for k in alternatives if _json_type(k)[0](x)), _INVALID)
+    if kind is _INVALID:
+        names = " or ".join(_json_type(k)[1] for k in alternatives)
+        v.append(f"{path}: expected {names}, got {x!r:.40}")
+        return _INVALID
+    if isinstance(kind, list):
+        x = [_walk(kind[0], None, item, f"{path}[{i}]", v)
+             for i, item in enumerate(x)]
+        if any(item is _INVALID for item in x):
+            return _INVALID
+    elif isinstance(kind, Variants):
+        tag = x.get(kind.tag)
+        table = kind.get(tag, {}) if isinstance(tag, str) else {}
+        x = _walk_table({kind.tag: (str, _one_of(*kind), REQUIRED), **table},
+                        x, path, v)
+    elif isinstance(kind, dict):
+        x = _walk_table(kind, x, path, v)
+    elif not isinstance(kind, type):
+        return x  # a literal
+    if check and not check[0](x):
+        v.append(f"{path}: {check[1]}")
+        return _INVALID
+    return float(x) if kind is float else x
 
 
-def _validate_rho_grid(node, path, violations, key="rho_grid"):
-    grid = _need(node, path, key, list, violations)
-    if grid is not None:
-        arr = [g for g in grid if isinstance(g, (int, float))]
-        if len(arr) != len(grid) or len(grid) < 1:
-            violations.append(f"{path}{key}: must be a nonempty list of numbers")
-        elif any(g <= 0 for g in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-            violations.append(f"{path}{key}: must be ascending and positive")
+def _walk_table(table, node, path, v):
+    prefix = path + "." if path else ""
+    v.extend(f"{prefix}{key}: unknown key" for key in node if key not in table)
+    out = {}
+    for key, (kind, check, default) in table.items():
+        if key not in node and default is REQUIRED:
+            v.append(f"{prefix}{key}: missing required field")
+            continue
+        x = _walk(kind, check, node.get(key, default), prefix + key, v)
+        if x is not _INVALID:
+            out[key] = x
+    return out
+
+
+def _cross_check(params, v):
+    """Checks that span keys; a key that failed its own check is absent
+    from ``params`` and skips the checks it takes part in."""
+    for path, node in (("parameters.", params),
+                       ("parameters.flow.", params.get("flow"))):
+        if isinstance(node, dict) and "dt" in node and "period_T" in node:
+            try:
+                dynamics.steps_per_period(node["period_T"], node["dt"])
+            except dynamics.GridAlignmentError:
+                v.append(f"{path}dt: dt = {node['dt']} does not divide "
+                         f"period_T = {node['period_T']}")
+    space, fn = params.get("space", {}), params.get("function", {})
+    if "kind" in space and "dimension" in space:
+        sphere = space["kind"] == "sphere"
+        ambient = space["dimension"] + 1 if sphere else space["dimension"]
+        if sphere and space["dimension"] < 2:
+            v.append("parameters.space.dimension: sphere dimension must be >= 2")
+        elif "index" in fn and fn["index"] >= ambient:
+            v.append(f"parameters.function.index: must be < {ambient}, "
+                     "the ambient dimension")
+
+
+def _walk_config(config):
+    """(config with every default filled in, violations); the config
+    itself is left as it is."""
+    if not isinstance(config, dict):
+        return None, ["config: top level must be an object"]
+    v, exp = [], config.get("experiment")
+    # an unknown experiment leaves its parameters unchecked
+    schema = SCHEMAS.get(exp, dict) if isinstance(exp, str) else dict
+    filled = _walk_table({**ROOT, "parameters": (schema, None, REQUIRED)},
+                         config, "", v)
+    if schema is not dict and "parameters" in filled:
+        _cross_check(filled["parameters"], v)
+    return filled, v
 
 
 def validate_config(config: dict) -> list:
     """Full strict schema check; returns a list of violation strings."""
-    v = []
-    if not isinstance(config, dict):
-        return ["config: top level must be an object"]
-    _check_keys(config, "", {"experiment", "seed", "output_dir", "parameters"}, v)
-    exp = _need(config, "", "experiment", str, v,
-                check=lambda s: None if s in EXPERIMENTS else
-                f"must be one of {EXPERIMENTS}")
-    _need(config, "", "seed", int, v)
-    _need(config, "", "output_dir", str, v, required=False)
-    params = config.get("parameters")
-    if not isinstance(params, dict):
-        v.append("parameters: missing required object")
-        return v
-    p = "parameters."
-
-    if exp == "flow":
-        _check_keys(params, p, {"n_molecules", "field", "period_T", "dt",
-                                "n_cycles", "initial", "raw_ode",
-                                "store_stride"}, v)
-        _need(params, p, "n_molecules", int, v, check=_positive)
-        _need(params, p, "n_cycles", int, v, check=_positive)
-        _validate_dt_period(params, p, v)
-        if "field" in params:
-            _validate_field(params["field"], p + "field", v)
-        else:
-            v.append(p + "field: missing required field")
-        init = params.get("initial", {})
-        if isinstance(init, dict):
-            _check_keys(init, p + "initial.", {"u_scale", "p_scale"}, v)
-        _need(params, p, "store_stride", int, v, check=_positive, required=False)
-    elif exp == "lipschitz":
-        _check_keys(params, p, {"n_molecules", "field", "box_half_width",
-                                "metric", "n_pairs", "profile", "flow"}, v)
-        _need(params, p, "n_molecules", int, v, check=_positive)
-        _need(params, p, "box_half_width", (int, float), v, check=_positive)
-        _need(params, p, "n_pairs", int, v, check=_positive)
-        if "field" in params:
-            _validate_field(params["field"], p + "field", v)
-        else:
-            v.append(p + "field: missing required field")
-        prof = params.get("profile")
-        if prof is not None:
-            if not isinstance(prof, dict):
-                v.append(p + "profile: must be an object")
-            else:
-                _check_keys(prof, p + "profile.", {"family", "rho0"}, v)
-                rho0 = prof.get("rho0", "auto")
-                if rho0 != "auto" and (not isinstance(rho0, (int, float)) or rho0 <= 0):
-                    v.append(p + "profile.rho0: must be 'auto' or a positive number")
-        flow = params.get("flow")
-        if flow is not None:
-            if not isinstance(flow, dict):
-                v.append(p + "flow: must be an object")
-            else:
-                _check_keys(flow, p + "flow.", {"period_T", "dt", "n_cycles",
-                                                "p_scale", "u_scale"}, v)
-                _validate_dt_period(flow, p + "flow.", v)
-                _need(flow, p + "flow.", "n_cycles", int, v, check=_positive)
-    elif exp == "concentration":
-        _check_keys(params, p, {"space", "function", "rho_grid", "n",
-                                "sigma_f", "rho_p"}, v)
-        space = params.get("space")
-        if not isinstance(space, dict):
-            v.append(p + "space: missing required object")
-        else:
-            _check_keys(space, p + "space.", {"kind", "dimension", "sigma",
-                                              "bounds"}, v)
-            kind = _need(space, p + "space.", "kind", str, v,
-                         check=lambda s: None if s in ("sphere", "gaussian",
-                                                       "product_uniform")
-                         else "unknown mm-space kind")
-            dim = _need(space, p + "space.", "dimension", int, v, check=_positive)
-            if kind == "sphere" and dim is not None and dim < 2:
-                v.append(p + "space.dimension: sphere dimension must be >= 2")
-        fn = params.get("function")
-        if not isinstance(fn, dict):
-            v.append(p + "function: missing required object")
-        else:
-            _check_keys(fn, p + "function.", {"name", "index"}, v)
-            _need(fn, p + "function.", "name", str, v,
-                  check=lambda s: None if s in ("coordinate", "norm",
-                                                "coordinate_mean")
-                  else "unknown observable")
-        _validate_rho_grid(params, p, v)
-        _need(params, p, "n", int, v,
-              check=lambda n: None if n >= 100 else "need n >= 100")
-        _need(params, p, "sigma_f", (int, float), v, check=_positive,
-              required=False)
-        if "rho_p" in params and params["rho_p"] is not None:
-            _need(params, p, "rho_p", (int, float), v, check=_positive)
-    elif exp == "sphere":
-        _check_keys(params, p, {"sphere_dimension", "epsilon_grid", "n",
-                                "method"}, v)
-        _need(params, p, "sphere_dimension", int, v,
-              check=lambda n: None if n >= 2 else "must be >= 2")
-        _validate_rho_grid(params, p, v, key="epsilon_grid")
-        _need(params, p, "n", int, v,
-              check=lambda n: None if n >= 100 else "need n >= 100")
-        _need(params, p, "method", str, v, required=False,
-              check=lambda s: None if s in ("cap_exact", "sample_distance")
-              else "unknown method")
-    elif exp == "wep":
-        _check_keys(params, p, {"n_list", "n_trials", "field", "preparation",
-                                "period_T", "dt", "n_cycles", "rho_grid",
-                                "n_reference"}, v)
-        n_list = _need(params, p, "n_list", list, v)
-        if n_list is not None:
-            if not n_list or any(not isinstance(n, int) or n < 2 for n in n_list):
-                v.append(p + "n_list: every N must be an integer >= 2")
-        _need(params, p, "n_trials", int, v, check=_positive)
-        _need(params, p, "n_cycles", int, v, check=_positive)
-        _need(params, p, "n_reference", int, v, check=_positive, required=False)
-        _validate_dt_period(params, p, v)
-        _validate_rho_grid(params, p, v)
-        if "field" in params:
-            # ensemble evolution batches trials, which needs a drift acting
-            # coordinate by coordinate
-            _validate_field(params["field"], p + "field", v,
-                            families=("zero", "constant", "tanh"))
-        else:
-            v.append(p + "field: missing required field")
-        if "preparation" in params:
-            _validate_preparation(params["preparation"], p + "preparation", v)
-        else:
-            v.append(p + "preparation: missing required object")
-    elif exp == "gravity":
-        _check_keys(params, p, {"cases", "both_conventions"}, v)
-        cases = params.get("cases", "default")
-        if cases != "default":
-            if not isinstance(cases, list) or not cases:
-                v.append(p + "cases: must be 'default' or a nonempty list")
-            else:
-                for i, case in enumerate(cases):
-                    cp = f"{p}cases[{i}]."
-                    if not isinstance(case, dict):
-                        v.append(cp[:-1] + ": must be an object")
-                        continue
-                    _check_keys(case, cp, {"name", "m", "M_mass", "r2",
-                                           "lambda", "density_convention"}, v)
-                    _need(case, cp, "name", str, v)
-                    _need(case, cp, "m", (int, float), v,
-                          check=lambda x: None if x >= 0 else "must be >= 0")
-                    _need(case, cp, "r2", (int, float), v, check=_positive)
-                    _need(case, cp, "lambda", (int, float), v, check=_positive)
-    return v
+    return _walk_config(config)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +288,7 @@ def build_field(spec: dict, dim: int, seed: int):
     if family == "tanh":
         return tanh_field(dim, float(spec["amplitude"]))
     if family == "linear":
-        scale = float(spec.get("scale", 0.3))
+        scale = float(spec["scale"])
         rng = derive_rng(seed, "field-matrix")
         w = rng.standard_normal((dim, dim))
         skew = 0.5 * (w - w.T)
@@ -297,31 +298,30 @@ def build_field(spec: dict, dim: int, seed: int):
 
 
 def build_preparation(spec: dict, seed: int) -> obs.Preparation:
-    mean = spec.get("mean", 0.0)
-    scale = float(spec.get("scale", 1.0))
-    return obs.Preparation(mean=np.asarray(mean, dtype=float),
-                           covariance=scale**2 * np.eye(8), seed=seed)
+    return obs.Preparation(mean=np.asarray(spec["mean"], dtype=float),
+                           covariance=spec["scale"]**2 * np.eye(8), seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# experiment runners; each returns (output file names, summary dict)
+# experiment runners; each takes parameters with every default filled in
+# and returns (output file names, summary dict)
 
 
 def run_flow(params, seed, outdir):
     dim = 8 * params["n_molecules"]
     field = build_field(params["field"], dim, seed)
-    schedule = dynamics.sin_squared_schedule(float(params["period_T"]))
-    init = params.get("initial", {})
+    schedule = dynamics.sin_squared_schedule(params["period_T"])
+    init = params["initial"]
     rng = derive_rng(seed, "flow-initial")
-    u0 = float(init.get("u_scale", 1.0)) * rng.standard_normal(dim)
-    p0 = float(init.get("p_scale", 1.0)) * rng.standard_normal(dim)
+    u0 = init["u_scale"] * rng.standard_normal(dim)
+    p0 = init["p_scale"] * rng.standard_normal(dim)
     point = PhasePoint(u=u0, p=p0, n_molecules=params["n_molecules"])
     state = dynamics.make_state(point, schedule)
     traj, snaps = dynamics.run_cycles(
-        field, schedule, state, params["n_cycles"], float(params["dt"]),
-        raw_ode=bool(params.get("raw_ode", False)))
-    stride = int(params.get("store_stride", 1))
-    traj.to_csv(os.path.join(outdir, "trajectory.csv"), stride=stride)
+        field, schedule, state, params["n_cycles"], params["dt"],
+        raw_ode=params["raw_ode"])
+    traj.to_csv(os.path.join(outdir, "trajectory.csv"),
+                stride=params["store_stride"])
     dynamics.snapshots_to_csv(snaps, os.path.join(outdir, "snapshots.csv"))
     summary = {
         "n_steps": int(traj.t.size - 1),
@@ -341,33 +341,27 @@ def run_lipschitz(params, seed, outdir):
         z = np.asarray(z, dtype=float)
         return np.sum(field.beta(z[..., :dim_u]) * z[..., dim_u:], axis=-1)
 
-    metric_spec = params.get("metric", {"kind": "euclidean"})
-    metric = lip.BoxMetric(kind=metric_spec.get("kind", "euclidean"),
-                           u_scale=float(metric_spec.get("u_scale", 1.0)),
-                           p_scale=float(metric_spec.get("p_scale", 1.0)))
-    box = lip.CompactBox.cube(2 * dim_u, float(params["box_half_width"]),
-                              metric=metric)
+    box = lip.CompactBox.cube(2 * dim_u, params["box_half_width"],
+                              metric=lip.BoxMetric(**params["metric"]))
     n_pairs = params["n_pairs"]
     est = lip.estimate_lipschitz(h, box, n_pairs=n_pairs, seed=seed)
     normalized = lip.normalize_to_one_lipschitz(h, box, est)
-    prof_spec = params.get("profile", {"rho0": "auto"})
-    rho0 = prof_spec.get("rho0", "auto")
-    profile = None if rho0 == "auto" else lip.ScaleProfile(rho0=float(rho0))
+    prof = params["profile"]
+    profile = None if prof["rho0"] == "auto" else lip.ScaleProfile(**prof)
     decomp = lip.radial_decomposition(normalized, box, scale_profile=profile,
                                       n_pairs=n_pairs, seed=seed)
 
     split = None
-    flow_spec = params.get("flow")
+    flow_spec = params["flow"]
     if flow_spec is not None:
-        schedule = dynamics.sin_squared_schedule(float(flow_spec["period_T"]))
+        schedule = dynamics.sin_squared_schedule(flow_spec["period_T"])
         rng = derive_rng(seed, "lipschitz-flow-initial")
-        u0 = float(flow_spec.get("u_scale", 1.0)) * rng.standard_normal(dim_u)
-        p0 = float(flow_spec.get("p_scale", 1.0)) * rng.standard_normal(dim_u)
+        u0 = flow_spec["u_scale"] * rng.standard_normal(dim_u)
+        p0 = flow_spec["p_scale"] * rng.standard_normal(dim_u)
         state = dynamics.make_state(
             PhasePoint(u=u0, p=p0, n_molecules=n_mol), schedule)
         _, snaps = dynamics.run_cycles(field, schedule, state,
-                                       flow_spec["n_cycles"],
-                                       float(flow_spec["dt"]),
+                                       flow_spec["n_cycles"], flow_spec["dt"],
                                        store_trajectory=False)
         split = lip.check_constraint_split(decomp, snaps)
 
@@ -387,28 +381,21 @@ def run_lipschitz(params, seed, outdir):
 
 
 def _observable(fn_spec):
-    name = fn_spec["name"]
-    index = int(fn_spec.get("index", 0))
-    if name == "coordinate":
-        return lambda x: x[:, index]
-    if name == "norm":
-        return lambda x: np.linalg.norm(x, axis=1)
-    if name == "coordinate_mean":
-        return lambda x: x.mean(axis=1)
-    raise ValueError(f"unknown observable {name!r}")
+    index = fn_spec["index"]
+    return {"coordinate": lambda x: x[:, index],
+            "norm": lambda x: np.linalg.norm(x, axis=1),
+            "coordinate_mean": lambda x: x.mean(axis=1)}[fn_spec["name"]]
 
 
 def run_concentration(params, seed, outdir):
     space = params["space"]
     sampler = conc.MMSpaceSampler(
         kind=space["kind"], dimension=space["dimension"], seed=seed,
-        sigma=float(space.get("sigma", 1.0)),
-        bounds=tuple(space.get("bounds", (0.0, 1.0))))
+        sigma=space["sigma"], bounds=tuple(space["bounds"]))
     f = _observable(params["function"])
     profile = conc.concentration_profile(
         f, sampler, np.asarray(params["rho_grid"], dtype=float), params["n"],
-        sigma_f=float(params.get("sigma_f", 1.0)),
-        rho_p=params.get("rho_p"))
+        sigma_f=params["sigma_f"], rho_p=params["rho_p"])
     conc.profile_to_csv(profile, os.path.join(outdir, "profile.csv"))
     conc.fit_summary_json(profile, os.path.join(outdir, "fit_summary.json"))
     if profile.fit is None:
@@ -426,7 +413,7 @@ def run_sphere(params, seed, outdir):
     report = conc.sphere_isoperimetric_check(
         params["sphere_dimension"],
         np.asarray(params["epsilon_grid"], dtype=float),
-        params["n"], seed, method=params.get("method", "cap_exact"))
+        params["n"], seed, method=params["method"])
     conc.isoperimetric_to_csv(report, os.path.join(outdir, "isoperimetric.csv"))
     summary = {
         "median_hat": report.median_hat,
@@ -442,13 +429,13 @@ def run_wep(params, seed, outdir):
     config = obs.WepConfig(
         n_list=n_list,
         n_trials=params["n_trials"],
-        flow=obs.FlowParams(field=field, period_T=float(params["period_T"]),
-                            dt=float(params["dt"])),
+        flow=obs.FlowParams(field=field, period_T=params["period_T"],
+                            dt=params["dt"]),
         preparation=prep,
         n_cycles=params["n_cycles"],
         rho_grid=np.asarray(params["rho_grid"], dtype=float),
         seed=seed,
-        n_reference=int(params.get("n_reference", 100_000)),
+        n_reference=params["n_reference"],
     )
     report = obs.wep_experiment(config)
     obs.wep_to_csv(report, os.path.join(outdir, "wep_trajectories.csv"))
@@ -462,16 +449,14 @@ def run_wep(params, seed, outdir):
 
 def run_gravity(params, seed, outdir):
     constants = grav.codata2018()
-    spec = params.get("cases", "default")
+    spec = params["cases"]
     if spec == "default":
         cases = grav.default_sweep_cases(
-            constants, both_conventions=bool(params.get("both_conventions", True)))
+            constants, both_conventions=params["both_conventions"])
     else:
         cases = [grav.GravityScaleCase.from_lambda(
-            name=c["name"], m=float(c["m"]), r2=float(c["r2"]),
-            lam=float(c["lambda"]),
-            M_mass=None if c.get("M_mass") is None else float(c["M_mass"]),
-            density_convention=c.get("density_convention", "r1"))
+            name=c["name"], m=c["m"], r2=c["r2"], lam=c["lambda"],
+            M_mass=c["M_mass"], density_convention=c["density_convention"])
             for c in spec]
     table = grav.scale_sweep(cases, constants)
     table.to_csv(os.path.join(outdir, "sweep.csv"))
@@ -498,11 +483,12 @@ def run(config: dict, outdir: str | None = None, threads: int = 1) -> dict:
     violations = validate_config(config)
     if violations:
         raise ValidationFailure(violations)
-    experiment = config["experiment"]
-    seed = config["seed"]
-    outdir = outdir or config.get("output_dir") or f"out/{experiment}"
+    filled, _ = _walk_config(config)
+    experiment = filled["experiment"]
+    seed = filled["seed"]
+    outdir = outdir or filled["output_dir"] or f"out/{experiment}"
     os.makedirs(outdir, exist_ok=True)
-    outputs, summary = RUNNERS[experiment](config["parameters"], seed, outdir)
+    outputs, summary = RUNNERS[experiment](filled["parameters"], seed, outdir)
     manifest = {
         "experiment": experiment,
         "config_hash": config_hash(config),
@@ -515,11 +501,6 @@ def run(config: dict, outdir: str | None = None, threads: int = 1) -> dict:
     }
     atomic_write_json(os.path.join(outdir, "manifest.json"), manifest)
     return manifest
-
-
-def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def main(argv=None) -> int:
@@ -540,16 +521,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = _load_config(args.config)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
     except OSError as exc:
         print(f"I/O failure reading config: {exc}", file=sys.stderr)
         return 4
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
         print(f"validation failure: config is not valid JSON: {exc}",
               file=sys.stderr)
         return 2
 
-    if args.seed is not None:
+    if args.seed is not None and isinstance(config, dict):
         config["seed"] = args.seed
 
     if args.command == "validate":
@@ -564,7 +546,7 @@ def main(argv=None) -> int:
     if args.threads is not None and args.threads < 1:
         print("validation failure: --threads must be >= 1", file=sys.stderr)
         return 2
-    if config.get("experiment") != args.command:
+    if isinstance(config, dict) and config.get("experiment") != args.command:
         print(f"validation failure: config experiment "
               f"{config.get('experiment')!r} does not match subcommand "
               f"{args.command!r}", file=sys.stderr)
@@ -576,8 +558,7 @@ def main(argv=None) -> int:
         for item in exc.violations:
             print(f"violation: {item}", file=sys.stderr)
         return 2
-    except (NumericRunError, dynamics.BlowUpError,
-            conc.FitUnavailableError) as exc:
+    except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

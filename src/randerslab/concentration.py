@@ -20,7 +20,8 @@ class ConcentrationError(Exception):
 
 
 class EvaluationError(ConcentrationError):
-    """Observable returned a non-finite value on a sample."""
+    """Observable returned a non-finite value on a sample, or an output
+    whose shape is not one value per sample."""
 
 
 class FitUnavailableError(ConcentrationError):
@@ -96,7 +97,8 @@ def product_uniform(dim: int, bounds, seed: int) -> MMSpaceSampler:
 def _eval_observable(f: Callable, x: np.ndarray) -> np.ndarray:
     v = np.asarray(f(x), dtype=float)
     if v.shape != (x.shape[0],):
-        v = np.array([float(f(row)) for row in x])
+        raise EvaluationError(f"observable returned shape {v.shape} for "
+                              f"samples {x.shape}; expected ({len(x)},)")
     bad = ~np.isfinite(v)
     if bad.any():
         k = int(np.argmax(bad))

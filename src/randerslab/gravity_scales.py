@@ -17,7 +17,8 @@ class GravityError(Exception):
 
 
 class SingularCaseError(GravityError):
-    """r1 = r2: the finite-difference ratio is undefined."""
+    """r1 = r2, or a case whose forces leave the range of a double: the
+    finite-difference ratio is undefined."""
 
 
 @dataclass(frozen=True)
@@ -219,9 +220,13 @@ def scale_sweep(cases, constants: PhysicalConstants) -> SweepTable:
     """Evaluate formula and oracle for each case and check expectations."""
     rows = []
     for case in cases:
-        a_oracle = alpha_oracle(case, constants)
-        a_formula = (alpha_closed_form(case, constants)
-                     if case.m == case.M_mass else math.nan)
+        try:
+            a_oracle = alpha_oracle(case, constants)
+            a_formula = (alpha_closed_form(case, constants)
+                         if case.m == case.M_mass else math.nan)
+        except ArithmeticError as exc:  # r**2 overflows, or underflows to 0
+            raise SingularCaseError(
+                f"case {case.name!r} leaves the range of a double: {exc}") from exc
         ratio = a_formula / a_oracle if a_oracle > 0 else math.nan
         ok = True
         if case.expect is not None:

@@ -27,17 +27,16 @@ class ProfileError(LipschitzError):
 
 
 def _batch(f: Callable) -> Callable:
-    """Wrap f so it accepts (n, d) arrays; falls back to a row loop."""
+    """Wrap f, which maps (n, d) arrays to (n,) arrays, so that it also
+    takes a single 1-d point; any other output shape raises LipschitzError."""
     def call(z):
         z = np.asarray(z, dtype=float)
         single = z.ndim == 1
         pts = z[None, :] if single else z
-        try:
-            out = np.asarray(f(pts), dtype=float)
-            if out.shape != (pts.shape[0],):
-                raise TypeError
-        except (TypeError, ValueError):
-            out = np.array([float(f(row)) for row in pts])
+        out = np.asarray(f(pts), dtype=float)
+        if out.shape != (pts.shape[0],):
+            raise LipschitzError(f"function returned shape {out.shape} for "
+                                 f"points {pts.shape}; expected ({len(pts)},)")
         return float(out[0]) if single else out
     return call
 

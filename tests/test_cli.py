@@ -1,11 +1,19 @@
+import copy
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randerslab import cli
-from randerslab.runio import atomic_write_csv, atomic_write_text, fmt_float
+from randerslab.runio import (atomic_write_csv, atomic_write_text, config_hash,
+                              fmt_float)
+
+EXAMPLE_CONFIGS = sorted(
+    (Path(__file__).parent.parent / "scripts" / "configs").glob("*.json"))
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -108,6 +116,21 @@ class TestValidate:
         del cfg["seed"]
         assert any("seed" in v for v in cli.validate_config(cfg))
 
+    @pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_example_config_validates(self, path):
+        assert cli.validate_config(json.loads(path.read_text())) == []
+
+    def test_example_configs_found(self):
+        assert len(EXAMPLE_CONFIGS) == 6
+
+    def test_defaults_fill_a_copy(self):
+        cfg = flow_config()
+        before = copy.deepcopy(cfg)
+        filled, violations = cli._walk_config(cfg)
+        assert violations == [] and cfg == before
+        assert filled["parameters"]["raw_ode"] is False
+        assert filled["parameters"]["store_stride"] == 1
+
     def test_validate_subcommand_exit_codes(self, tmp_path):
         good = write_config(tmp_path, flow_config(), "good.json")
         assert cli.main(["validate", "--config", good]) == 0
@@ -166,6 +189,13 @@ class TestRunners:
         assert (out / "profile.csv").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_manifest_hashes_the_config_as_given(self, tmp_path):
+        cfg = write_config(tmp_path, flow_config())
+        out = tmp_path / "out"
+        assert cli.main(["flow", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_hash"] == config_hash(flow_config())
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_config(tmp_path, flow_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -174,6 +204,64 @@ class TestRunners:
                          "--seed", "999"]) == 0
         assert ((out1 / "trajectory.csv").read_bytes()
                 != (out2 / "trajectory.csv").read_bytes())
+
+
+def gravity_case(**over):
+    case = {"name": "probe", "m": 1.0, "r2": 1.0, "lambda": 2.0}
+    case.update(over)
+    return {"cases": [case]}
+
+
+# One-key changes of the small configs that used to end in a traceback or
+# run with a wrong meaning: experiment, parameter overrides, and the key path
+# the violation names (exit 2), or None for a numeric failure (exit 3).
+PROBES = [
+    pytest.param("flow", {"initial": 5}, "parameters.initial", id="initial"),
+    pytest.param("flow", {"raw_ode": "false"}, "parameters.raw_ode",
+                 id="raw_ode"),
+    pytest.param("lipschitz", {"metric": {"kind": "bogus"}},
+                 "parameters.metric.kind", id="metric-kind"),
+    pytest.param("lipschitz", {"box_half_width": float("inf")},
+                 "parameters.box_half_width", id="box_half_width"),
+    pytest.param("lipschitz", {"profile": {"family": "nonsense"}},
+                 "parameters.profile.family", id="profile-family"),
+    pytest.param("concentration", {"function": {"name": "coordinate",
+                                                "index": 1000}},
+                 "parameters.function.index", id="function-index"),
+    pytest.param("concentration", {"space": {"kind": "product_uniform",
+                                             "dimension": 16, "bounds": [1]}},
+                 "parameters.space.bounds", id="space-bounds"),
+    pytest.param("wep", {"preparation": {"mean": ["a"] * 8}},
+                 "parameters.preparation.mean[0]", id="preparation-mean"),
+    pytest.param("gravity", {"both_conventions": "no"},
+                 "parameters.both_conventions", id="both_conventions"),
+    pytest.param("gravity", gravity_case(density_convention="zzz"),
+                 "parameters.cases[0].density_convention",
+                 id="density_convention"),
+    # singular cases: r1 = r2 at lambda = 1, whatever the masses; r1**2
+    # underflowing to zero; lambda**3 overflowing
+    pytest.param("gravity", gravity_case(m=0, **{"lambda": 1.0}), None,
+                 id="m-0-equal-radii"),
+    pytest.param("gravity", gravity_case(M_mass=0, **{"lambda": 1.0}), None,
+                 id="M_mass-0-equal-radii"),
+    pytest.param("gravity", gravity_case(r2=1e-300), None, id="r2-underflow"),
+    pytest.param("gravity", gravity_case(**{"lambda": 1e300}), None,
+                 id="lambda-overflow"),
+]
+
+
+@pytest.mark.parametrize("name, over, key", PROBES)
+def test_bad_config_exits_with_documented_code(tmp_path, capsys, name, over,
+                                               key):
+    cfg = small_configs()[name]
+    cfg["parameters"].update(over)
+    path = write_config(tmp_path, cfg)
+    code = cli.main([name, "--config", path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if key is None:
+        assert code == 3 and "numeric failure" in err
+    else:
+        assert code == 2 and f"violation: {key}:" in err
 
 
 class TestDeterminism:
@@ -215,3 +303,52 @@ class TestAtomicity:
         for line, v in zip(lines, values):
             assert float(line) == float(v)
         assert fmt_float(0.1) == "0.1"
+
+
+def _paths(node, path=()):
+    """Key paths of every value nested in objects of node."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _paths(value, path + (key,))
+
+
+# object keys are mostly config keys, so that values reach nested tables
+CONFIG_KEYS = sorted({p[-1] for cfg in [*small_configs().values(),
+                                        *(json.loads(f.read_text())
+                                          for f in EXAMPLE_CONFIGS)]
+                      for p in _paths(cfg)} | {"value", "scale", "bounds"})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(CONFIG_KEYS)
+                                     | st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12)
+
+
+@pytest.mark.parametrize("name", [None, *cli.EXPERIMENTS])
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES, data=st.data())
+def test_any_json_value_is_validated_without_raising(tmp_path_factory, name,
+                                                     value, data):
+    """Any JSON value, as the whole config (name None) or in place of any
+    value nested in a small config (its parameters among them), gives a list
+    of violation strings and exit code 0 or 2, and leaves the config as it
+    was."""
+    if name is None:
+        cfg = value
+    else:
+        cfg = small_configs()[name]
+        path = data.draw(st.sampled_from(list(_paths(cfg))))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    text = json.dumps(cfg)
+    violations = cli.validate_config(cfg)
+    assert isinstance(violations, list)
+    assert all(isinstance(v, str) for v in violations)
+    assert json.dumps(cfg) == text  # defaults go into a copy
+    fname = tmp_path_factory.getbasetemp() / "fuzz.json"
+    fname.write_text(text)
+    assert cli.main(["validate", "--config", str(fname)]) in (0, 2)

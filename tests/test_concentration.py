@@ -96,6 +96,12 @@ class TestLevyMedian:
         with pytest.raises(EvaluationError):
             levy_median(f, gaussian(2, 1.0, 15), 200)
 
+    def test_wrong_shape_observable_raises(self):
+        # one value per row is the contract; there is no row-loop retry
+        with pytest.raises(EvaluationError,
+                           match=r"shape \(200, 2\).*expected \(200,\)"):
+            levy_median(lambda x: x, gaussian(2, 1.0, 15), 200)
+
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError):
             levy_median(first_coord, gaussian(2, 1.0, 0), 50)

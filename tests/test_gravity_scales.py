@@ -95,6 +95,13 @@ class TestOracle:
         with pytest.raises(SingularCaseError):
             alpha_oracle(case, C)
 
+    @pytest.mark.parametrize("r2, lam", [(1e-300, 2.0), (1.0, 1e300)])
+    def test_case_beyond_double_range_singular(self, r2, lam):
+        # r1**2 underflows to 0 (division by zero) or lambda**3 overflows
+        case = GravityScaleCase.from_lambda("far", 1.0, r2, lam)
+        with pytest.raises(SingularCaseError, match="range of a double"):
+            scale_sweep([case], C)
+
 
 class TestSweep:
     def test_default_sweep_expectations_pass(self):

@@ -9,6 +9,7 @@ from randerslab.lipschitz import (
     BoxMetric,
     CompactBox,
     EstimationError,
+    LipschitzError,
     ProfileError,
     ScaleProfile,
     check_constraint_split,
@@ -35,6 +36,20 @@ class TestEstimate:
         est = estimate_lipschitz(lambda z: z @ a, box, n_pairs=10_000, seed=7)
         assert est.constant_hat == pytest.approx(np.linalg.norm(a), rel=0.02)
         assert est.constant_hat <= np.linalg.norm(a) * (1 + 1e-9)
+
+    def test_wrong_output_shape_raises(self):
+        # a function of one point, not of an (n, d) batch, returns a scalar
+        box = CompactBox.cube(4, 1.0)
+        with pytest.raises(LipschitzError, match=r"shape \(\).*expected \(10,\)"):
+            estimate_lipschitz(lambda z: float(np.sum(z)), box, n_pairs=10,
+                               seed=0, refine_points=0)
+
+    def test_single_point_is_batched(self):
+        box = CompactBox.cube(4, 1.0)
+        h = normalize_to_one_lipschitz(lambda z: z.sum(axis=1), box,
+                                       estimate_lipschitz(lambda z: z.sum(axis=1),
+                                                          box, n_pairs=10, seed=0))
+        assert isinstance(h(np.ones(4)), float)
 
     def test_constant_function_gives_zero(self):
         box = CompactBox.cube(8, 1.0)

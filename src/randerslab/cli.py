@@ -72,6 +72,11 @@ _SCALARS = {int: (lambda x: isinstance(x, int) and not isinstance(x, bool),
             dict: (lambda x: isinstance(x, dict), "object"),
             list: (lambda x: isinstance(x, list), "list")}
 
+# Every RK4 march takes at most MAX_RK4_STEPS steps; the flow trajectory,
+# which stores u and p as doubles at every step, at most this many bytes.
+MAX_RK4_STEPS = 10**7
+MAX_TRAJECTORY_BYTES = 2**30
+
 POSITIVE = (lambda x: x > 0, "must be positive")
 NONNEGATIVE = (lambda x: x >= 0, "must be >= 0")
 
@@ -240,10 +245,20 @@ def _cross_check(params, v):
                        ("parameters.flow.", params.get("flow"))):
         if isinstance(node, dict) and "dt" in node and "period_T" in node:
             try:
-                dynamics.steps_per_period(node["period_T"], node["dt"])
+                steps = dynamics.steps_per_period(node["period_T"], node["dt"])
             except dynamics.GridAlignmentError:
                 v.append(f"{path}dt: dt = {node['dt']} does not divide "
                          f"period_T = {node['period_T']}")
+                continue
+            steps *= 2 * node.get("n_cycles", 1)
+            # only flow has n_molecules beside dt; it stores 2 x 8N doubles a step
+            stored = (steps + 1) * 128 * node.get("n_molecules", 0)
+            if steps > MAX_RK4_STEPS:
+                v.append(f"{path}dt: 2 * n_cycles * period_T / dt exceeds "
+                         f"{MAX_RK4_STEPS} RK4 steps")
+            elif stored > MAX_TRAJECTORY_BYTES:
+                v.append(f"{path}dt: the stored trajectory exceeds "
+                         f"{MAX_TRAJECTORY_BYTES} bytes")
     space, fn = params.get("space", {}), params.get("function", {})
     if "kind" in space and "dimension" in space:
         sphere = space["kind"] == "sphere"

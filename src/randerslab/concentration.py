@@ -14,6 +14,12 @@ import numpy as np
 
 from .runio import atomic_write_csv, atomic_write_json
 
+# A tail fit uses only grid points with at least this many exceedances.
+MIN_EXCEED = 10
+# Most A-sample points the 'sample_distance' isoperimetric method compares
+# each outside point against.
+A_SAMPLE_CAP = 20000
+
 
 class ConcentrationError(Exception):
     pass
@@ -134,7 +140,6 @@ class ConcentrationProfile:
     sigma_f: float
     rho_p: float
     fit: TailFit | None
-    kind: str = ""
     dimension: int = 0
     seed: int = 0
 
@@ -162,8 +167,8 @@ def _ols_slope(x, y):
     return slope, intercept, float(np.sqrt(np.sum(resid ** 2) / dof / sxx))
 
 
-def _fit_tail(rho_grid, counts, n, rho_p, min_exceed):
-    usable = counts >= min_exceed
+def _fit_tail(rho_grid, counts, n, rho_p):
+    usable = counts >= MIN_EXCEED
     if usable.sum() < 3:
         return None
     x = rho_grid[usable] ** 2 / (2.0 * rho_p ** 2)
@@ -177,7 +182,6 @@ def _fit_tail(rho_grid, counts, n, rho_p, min_exceed):
 
 def tail_profile_from_deviations(devs: np.ndarray, rho_grid, *, rho_p: float,
                                  sigma_f: float = 1.0, median_hat: float = 0.0,
-                                 min_exceed: int = 10, kind: str = "",
                                  dimension: int = 0,
                                  seed: int = 0) -> ConcentrationProfile:
     """Profile from precomputed nonnegative deviations (already centered)."""
@@ -192,36 +196,33 @@ def tail_profile_from_deviations(devs: np.ndarray, rho_grid, *, rho_p: float,
     return ConcentrationProfile(
         rho_grid=rho_grid, tail_prob=counts / n, exceed_counts=counts,
         median_hat=median_hat, n_samples=n, sigma_f=sigma_f, rho_p=rho_p,
-        fit=_fit_tail(rho_grid, counts, n, rho_p, min_exceed),
-        kind=kind, dimension=dimension, seed=seed)
+        fit=_fit_tail(rho_grid, counts, n, rho_p),
+        dimension=dimension, seed=seed)
 
 
 def concentration_profile(f: Callable, sampler: MMSpaceSampler, rho_grid, n: int,
-                          sigma_f: float = 1.0, rho_p: float | None = None,
-                          min_exceed: int = 10) -> ConcentrationProfile:
+                          sigma_f: float = 1.0,
+                          rho_p: float | None = None) -> ConcentrationProfile:
     """Empirical tail P(|f - M_f|/sigma_f > rho) over the grid.
 
     The median is estimated on an independent half-size substream to avoid
     selection bias; the decay fit uses only grid points with at least
-    ``min_exceed`` exceedances and is marked unavailable otherwise.
+    ``MIN_EXCEED`` exceedances and is marked unavailable otherwise.
     """
     if rho_p is None:
         rho_p = sampler.default_rho_p(sigma_f)
     med = levy_median(f, sampler, max(n // 2, 100), stream=1)
     v = _eval_observable(f, sampler.sample(n, stream=2))
     devs = np.abs(v - med) / sigma_f
-    prof = tail_profile_from_deviations(
+    return tail_profile_from_deviations(
         devs, rho_grid, rho_p=rho_p, sigma_f=sigma_f, median_hat=med,
-        min_exceed=min_exceed, kind=sampler.kind, dimension=sampler.dimension,
-        seed=sampler.seed)
-    return prof
+        dimension=sampler.dimension, seed=sampler.seed)
 
 
-def fit_decay_constant(profile: ConcentrationProfile,
-                       min_exceed: int = 10) -> TailFit:
+def fit_decay_constant(profile: ConcentrationProfile) -> TailFit:
     """Slope of -log tail against rho^2 / (2 rho_p^2), with standard error."""
     fit = _fit_tail(profile.rho_grid, profile.exceed_counts,
-                    profile.n_samples, profile.rho_p, min_exceed)
+                    profile.n_samples, profile.rho_p)
     if fit is None:
         raise FitUnavailableError(
             "need >= 3 grid points with enough exceedances and a "
@@ -278,8 +279,7 @@ class IsoperimetricReport:
 
 def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int, seed: int,
                                method: str = "cap_exact",
-                               f: Callable | None = None,
-                               a_sample_cap: int = 20000) -> IsoperimetricReport:
+                               f: Callable | None = None) -> IsoperimetricReport:
     """Empirical measure of the eps-neighborhood of A = {f <= median}
     against the isoperimetric lower bound; mu(A) >= 1/2 by construction.
 
@@ -312,7 +312,7 @@ def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int, seed: int,
         theta = np.arccos(np.clip(f_x, -1.0, 1.0))
         dist_to_a = np.maximum(theta_m - theta, 0.0)
     elif method == "sample_distance":
-        a_pts = ref[f_ref <= med][:a_sample_cap]
+        a_pts = ref[f_ref <= med][:A_SAMPLE_CAP]
         dist_to_a = np.empty(n)
         in_a = f_x <= med
         dist_to_a[in_a] = 0.0

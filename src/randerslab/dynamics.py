@@ -47,12 +47,10 @@ class SingularReparameterizationError(DynamicsError):
 
 @dataclass(frozen=True)
 class CycleSchedule:
-    """Period T, conformal factor kappa(t, tau) in [0, 1], and cycle label."""
+    """Period T and conformal factor kappa(t, tau) in [0, 1]."""
 
     period_T: float
     kappa: Callable[[float, float], float]
-    tau_index: int = 0
-    name: str = "custom"
 
     def __post_init__(self):
         if self.period_T <= 0.0:
@@ -70,7 +68,6 @@ def sin_squared_schedule(period_T: float) -> CycleSchedule:
     return CycleSchedule(
         period_T=T,
         kappa=lambda t, tau: 0.5 * (1.0 - math.cos(math.pi * t / T)),
-        name="sin_squared",
     )
 
 
@@ -78,9 +75,7 @@ def constant_schedule(period_T: float, value: float) -> CycleSchedule:
     """Frozen kappa; used for conservation studies, not for cycle runs."""
     if not 0.0 <= value <= 1.0:
         raise ValueError("kappa value must lie in [0, 1]")
-    return CycleSchedule(period_T=float(period_T),
-                         kappa=lambda t, tau: value,
-                         name=f"constant({value})")
+    return CycleSchedule(period_T=float(period_T), kappa=lambda t, tau: value)
 
 
 def check_schedule(schedule: CycleSchedule, n_cycles: int = 3,
@@ -204,12 +199,16 @@ def rk4_march(drift: Callable, vjp: Callable | None, u: np.ndarray,
         yield k + 1
 
 
+def _hamiltonian(field, schedule, t, tau, u, p) -> float:
+    k = _kappa_checked(schedule, t, tau)
+    return float(math.sqrt(1.0 - k) * (np.asarray(field.beta(u)) @ p))
+
+
 def hamiltonian(field: RandersField, schedule: CycleSchedule,
                 state: FlowState) -> float:
     """H_t(u, p) = sqrt(1 - kappa(t, tau)) * sum_k beta_k(u) p_k."""
-    k = _kappa_checked(schedule, state.t, state.tau)
-    u, p = state.point.u, state.point.p
-    return float(math.sqrt(1.0 - k) * (np.asarray(field.beta(u)) @ p))
+    return _hamiltonian(field, schedule, state.t, state.tau,
+                        state.point.u, state.point.p)
 
 
 def effective_cycle_hamiltonian(field: RandersField, schedule: CycleSchedule,
@@ -316,16 +315,13 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
 
     u = initial.point.u.copy()
     p = initial.point.p.copy()
-
-    def h_at(t):
-        return float(speed(schedule, t) * (np.asarray(field.beta(u)) @ p))
-
     if store_trajectory:
         ts = np.arange(total + 1) * dt
         us = np.empty((total + 1, dim))
         ps = np.empty((total + 1, dim))
         hs = np.empty(total + 1)
-        us[0], ps[0], hs[0] = u, p, h_at(0.0)
+        us[0], ps[0] = u, p
+        hs[0] = _hamiltonian(field, schedule, 0.0, tau_of_t(0.0, schedule), u, p)
 
     snapshots = []
     for step in rk4_march(field.beta, field.vjp_at, u,
@@ -334,11 +330,12 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
         t = step * dt
         if not (np.isfinite(u).all() and np.isfinite(p).all()):
             raise BlowUpError(step, t)
-        if store_trajectory:
-            us[step], ps[step], hs[step] = u, p, h_at(t)
         n = equilibrium_cycle(step, steps_per_T)
+        if store_trajectory or n:
+            h_val = _hamiltonian(field, schedule, t, tau_of_t(t, schedule), u, p)
+        if store_trajectory:
+            us[step], ps[step], hs[step] = u, p, h_val
         if n:
-            h_val = h_at(t)
             p_norm = float(np.linalg.norm(p))
             if abs(h_val) > h_bound * (1.0 + p_norm):
                 raise ScheduleError(
@@ -352,22 +349,20 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     trajectory = None
     if store_trajectory:
         cyc = np.minimum(np.floor(ts / (2 * T)).astype(int) + 1, n_cycles)
-        tau = (ts + T) / (2 * T)
-        trajectory = FlowTrajectory(t=ts, tau=tau, cycle=cyc, u=us, p=ps,
-                                    h=hs, n_molecules=n_mol)
+        trajectory = FlowTrajectory(t=ts, tau=tau_of_t(ts, schedule), cycle=cyc,
+                                    u=us, p=ps, h=hs, n_molecules=n_mol)
     return trajectory, snapshots
 
 
 def reparameterize_time(t_tilde: float, schedule: CycleSchedule,
-                        tau: float | None = None) -> float:
+                        tau: float = 0.0) -> float:
     """External time t = t_tilde / (1 - kappa(t_tilde, tau)).
 
     Singular exactly where kappa reaches 1 (an equilibrium instant); the
     differential relation dt = (1 - kappa) dt_tilde is meaningful on the
     homogeneity region where kappa is stationary and small.
     """
-    tau_val = tau if tau is not None else float(schedule.tau_index)
-    k = _kappa_checked(schedule, t_tilde, tau_val)
+    k = _kappa_checked(schedule, t_tilde, tau)
     if 1.0 - k <= 1e-12:
         raise SingularReparameterizationError(
             f"kappa({t_tilde!r}) = {k!r}: equilibrium instant reached")

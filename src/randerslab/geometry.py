@@ -70,9 +70,9 @@ class RandersField:
     flows at large 8N would otherwise pay a dim^2 allocation).  ``vjp``
     (optional, analytic) maps a single point ``u`` and covector ``p`` to
     ``J(u)^T p`` with ``J[k, i] = d beta_k / d u_i``, never forming ``J``.
-    ``scalar_map`` is set by componentwise
-    families and lets ensemble code apply the drift to arbitrarily shaped
-    coordinate arrays.
+    ``scalar_map`` is set exactly by the componentwise families (drift
+    acting coordinate by coordinate) and lets ensemble code apply the drift
+    to arbitrarily shaped coordinate arrays.
     """
 
     beta: Callable
@@ -81,9 +81,7 @@ class RandersField:
     dim: int
     vjp: Callable | None = None
     scalar_map: Callable | None = None
-    componentwise: bool = False
     euclidean_eta: bool = True
-    name: str = "custom"
 
     def __post_init__(self):
         if not 0.0 < self.beta_bound < 1.0:
@@ -150,8 +148,6 @@ def zero_field(dim: int, eta: np.ndarray | None = None) -> RandersField:
         dim=dim,
         vjp=lambda u, p: np.zeros_like(p),
         scalar_map=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        componentwise=True,
-        name="zero",
     )
 
 
@@ -172,8 +168,6 @@ def constant_field(value, dim: int, eta: np.ndarray | None = None) -> RandersFie
         dim=dim,
         vjp=lambda u, p: np.zeros_like(p),
         scalar_map=scalar,
-        componentwise=scalar is not None,
-        name="constant",
     )
 
 
@@ -194,8 +188,6 @@ def tanh_field(dim: int, amplitude: float, claimed_bound: float | None = None,
         dim=dim,
         vjp=vjp,
         scalar_map=lambda x: a * np.tanh(np.asarray(x, dtype=float)),
-        componentwise=True,
-        name="tanh",
     )
 
 
@@ -213,8 +205,6 @@ def linear_field(matrix: np.ndarray, claimed_bound: float = 0.9,
         eta=eta,
         dim=dim,
         vjp=lambda u, p: a.T @ p,
-        componentwise=False,
-        name="linear",
     )
 
 

@@ -13,13 +13,19 @@ from typing import Callable
 
 import numpy as np
 
+# Profile tuning: see tune_profile.
+TUNE_TARGET = 1.0
+TUNE_SLACK = 0.05
+MAX_BISECTIONS = 40
+N_IDENTITY_CHECK = 2000  # sample points checking the decomposition identity
+
 
 class LipschitzError(Exception):
     pass
 
 
 class EstimationError(LipschitzError):
-    """All sampled pairs were degenerate."""
+    """All sampled pairs were degenerate, or the estimate is not finite."""
 
 
 class ProfileError(LipschitzError):
@@ -228,6 +234,9 @@ def estimate_lipschitz(f, domain: CompactBox, n_pairs: int, seed: int,
     if not quotients:
         raise EstimationError("all sampled pairs were degenerate")
     best = float(np.max(np.concatenate(quotients)))
+    if not math.isfinite(best):
+        raise EstimationError(f"largest difference quotient is {best}; the "
+                              "box or the function overflows the double range")
     return LipschitzEstimate(
         constant_hat=best,
         method="pair_sampling",
@@ -340,16 +349,16 @@ def _part_estimate(h, box: CompactBox, profile, sample_domain: CompactBox,
 
 
 def tune_profile(h, box: CompactBox, sample_domain: CompactBox,
-                 n_pairs: int = 4000, seed: int = 0, target: float = 1.0,
-                 slack: float = 0.05, max_iter: int = 40):
-    """Smallest rho0 (by bisection) whose global sampled constant of the
-    decomposed Lipschitz piece drops below ``target``.
+                 n_pairs: int = 4000, seed: int = 0):
+    """Smallest rho0 (by at most ``MAX_BISECTIONS`` bisection steps) whose
+    global sampled constant of the decomposed Lipschitz piece drops below
+    ``TUNE_TARGET``.
 
     The predicate uses a fixed seed so the search is deterministic.  When
     even a flat profile cannot reach the target (the input was normalized
     against its own sampled estimate, so fresh samples may sit a few percent
-    above it), the statistical ``slack`` is allowed before the tuning is
-    reported as failed.
+    above it), the statistical ``TUNE_SLACK`` is allowed before the tuning
+    is reported as failed.
     """
     diam = box.diameter
 
@@ -371,7 +380,7 @@ def tune_profile(h, box: CompactBox, sample_domain: CompactBox,
             grow += 1
             if grow > 12:
                 return hi, est_hi, False
-        for _ in range(max_iter):
+        for _ in range(MAX_BISECTIONS):
             mid = math.sqrt(lo * hi)
             if global_est(mid) <= level:
                 hi = mid
@@ -381,18 +390,18 @@ def tune_profile(h, box: CompactBox, sample_domain: CompactBox,
                 break
         return hi, global_est(hi), True
 
-    rho0, est, ok = attempt(target)
-    if not ok and est <= target + slack:
+    rho0, est, ok = attempt(TUNE_TARGET)
+    if not ok and est <= TUNE_TARGET + TUNE_SLACK:
         # the strict target is statistically unreachable (h was normalized
         # against its own sampled estimate); tune at the slack level instead
-        rho0, est, ok = attempt(target + slack)
+        rho0, est, ok = attempt(TUNE_TARGET + TUNE_SLACK)
     return rho0, est, ok
 
 
 def radial_decomposition(h, box: CompactBox, scale_profile: ScaleProfile | None = None,
                          sample_domain: CompactBox | None = None,
-                         n_pairs: int = 4000, seed: int = 0,
-                         n_identity_check: int = 2000) -> HamiltonianDecomposition:
+                         n_pairs: int = 4000,
+                         seed: int = 0) -> HamiltonianDecomposition:
     """Split h into R(rho) h(clamp(z)) plus a remainder vanishing on the box.
 
     ``h`` should already be 1-Lipschitz on the box (normalize first).  With
@@ -409,7 +418,7 @@ def radial_decomposition(h, box: CompactBox, scale_profile: ScaleProfile | None 
         if not converged:
             note = ("auto-tuning failed to reach a sampled constant <= 1; "
                     f"best estimate {est:.4f} at rho0 = {rho0:.4g}")
-        elif est > 1.0:
+        elif est > TUNE_TARGET:
             note = (f"tuned within statistical slack: sampled constant "
                     f"{est:.4f} against fresh samples")
         else:
@@ -419,7 +428,7 @@ def radial_decomposition(h, box: CompactBox, scale_profile: ScaleProfile | None 
         if abs(profile(0.0) - 1.0) > 1e-12:
             raise ProfileError("scale profile must satisfy R(0) = 1")
         est = _part_estimate(hb, box, profile, sample_domain, n_pairs, seed)
-        converged = est <= 1.0 + 0.05
+        converged = est <= TUNE_TARGET + TUNE_SLACK
         note = "" if converged else (
             f"declared profile leaves a sampled global constant {est:.4f}")
 
@@ -429,7 +438,7 @@ def radial_decomposition(h, box: CompactBox, scale_profile: ScaleProfile | None 
         identity_max_abs_residual=0.0, note=note)
 
     rng = np.random.default_rng(seed + 1)
-    z = sample_domain.sample(n_identity_check, rng)
+    z = sample_domain.sample(N_IDENTITY_CHECK, rng)
     resid = np.abs(hb(z) - (decomp.lipschitz_part(z) + decomp.matter_part(z)))
     decomp.identity_max_abs_residual = float(resid.max())
     return decomp

@@ -19,6 +19,8 @@ from .geometry import BLOCK_DIM, PhasePoint, RandersField
 from .runio import atomic_write_csv, atomic_write_json, derive_rng
 
 SYSTEMS = ("A", "B", "S")
+# Trials of one size march together in batches of about this many coordinates.
+CHUNK_ELEMS = 4_000_000
 
 
 class ObservablesError(Exception):
@@ -167,8 +169,12 @@ class FreeEvolutionReport:
 
 def check_free_evolution(ensemble: Ensemble, trajectory=None) -> FreeEvolutionReport:
     """True iff no molecule was added, removed or re-weighted in the run."""
-    events = tuple(ensemble.events)
-    uniform = bool(np.all(ensemble.weights == ensemble.weights[0]))
+    return _free_evolution_report(
+        tuple(ensemble.events),
+        bool(np.all(ensemble.weights == ensemble.weights[0])))
+
+
+def _free_evolution_report(events: tuple, uniform: bool = True):
     if events:
         first = events[0]
         note = f"event {first['kind']!r} recorded (first at {first})"
@@ -185,7 +191,7 @@ def check_free_evolution(ensemble: Ensemble, trajectory=None) -> FreeEvolutionRe
 
 def evolve_coordinates(u0: np.ndarray, field: RandersField,
                        schedule: CycleSchedule, dt: float, n_cycles: int,
-                       collect: Callable, raw_ode: bool = False) -> None:
+                       collect: Callable) -> None:
     """March an arbitrarily shaped coordinate array through n_cycles.
 
     Valid only for componentwise fields (the drift acts coordinate by
@@ -193,14 +199,14 @@ def evolve_coordinates(u0: np.ndarray, field: RandersField,
     ``collect(tau, u)`` is invoked at tau = 0 and at every equilibrium
     instant tau = 1..n_cycles.
     """
-    if field.scalar_map is None or not field.componentwise:
+    if field.scalar_map is None:
         raise ValueError("batched evolution requires a componentwise field")
     steps_per_T = steps_per_period(schedule.period_T, dt)
     u = np.array(u0, dtype=float, copy=True)
     collect(0, u)
     for step in rk4_march(field.scalar_map, None, u, None, dt,
                           2 * n_cycles * steps_per_T,
-                          lambda t: speed(schedule, t, raw_ode)):
+                          lambda t: speed(schedule, t)):
         n = equilibrium_cycle(step, steps_per_T)
         if n:
             collect(n, u)
@@ -213,7 +219,6 @@ class FlowParams:
     field: RandersField
     period_T: float
     dt: float
-    raw_ode: bool = False
 
 
 def mean_guide(preparation: Preparation, flow: FlowParams, n_cycles: int,
@@ -234,8 +239,7 @@ def mean_guide(preparation: Preparation, flow: FlowParams, n_cycles: int,
     def collect(tau, u):
         m[tau] = u[:, :4].mean(axis=0)
 
-    evolve_coordinates(u0, flow.field, schedule, flow.dt, n_cycles, collect,
-                       raw_ode=flow.raw_ode)
+    evolve_coordinates(u0, flow.field, schedule, flow.dt, n_cycles, collect)
     return np.arange(n_cycles + 1), m
 
 
@@ -253,8 +257,8 @@ class WepConfig:
     rho_grid: np.ndarray
     seed: int
     n_reference: int = 100_000
-    chunk_elems: int = 4_000_000
-    min_exceed: int = 10
+    # event_injector(n_molecules) returns the exchange or reweighting events
+    # (dicts with a "kind") to record for that size; any event aborts the run.
     event_injector: Callable | None = None
 
     def __post_init__(self):
@@ -302,13 +306,6 @@ class WepReport:
             normalization="per_tag")
 
 
-def _trial_chunks(n_trials, chunk):
-    start = 0
-    while start < n_trials:
-        yield start, min(start + chunk, n_trials)
-        start = start + chunk
-
-
 def wep_experiment(config: WepConfig) -> WepReport:
     """Evolve S = A | B ensembles over the cycle schedule for every N and
     trial; record center-of-mass separations and guide deviations, their
@@ -323,28 +320,22 @@ def wep_experiment(config: WepConfig) -> WepReport:
                                  n_reference=config.n_reference,
                                  seed=config.seed)
 
-    free_report = FreeEvolutionReport(ok=True, events=(),
-                                      note="no exchange or reweighting events")
     per_size = {}
     for n_mol in config.n_list:
         n_a = n_mol // 2
         n_tau = config.n_cycles + 1
         x_obs = np.empty((config.n_trials, n_tau, 3, 4))
 
-        # Free-evolution bookkeeping on a representative ensemble: the
-        # batched march has no exchange mechanism, so events can only come
-        # from an injector.
-        rng0 = derive_rng(config.seed, f"wep-N{n_mol}-trial", 0)
-        rep = make_ensemble(config.preparation, n_mol, rng0, n_a=n_a)
+        # The batched march has no exchange mechanism, so events can only
+        # come from the injector.
         if config.event_injector is not None:
-            config.event_injector(rep, n_mol, 0)
-        free_report = check_free_evolution(rep)
-        if not free_report.ok:
-            raise FreeEvolutionViolation(free_report)
+            report = _free_evolution_report(tuple(config.event_injector(n_mol)))
+            if not report.ok:
+                raise FreeEvolutionViolation(report)
 
-        chunk = max(1, min(config.n_trials,
-                           config.chunk_elems // (n_mol * BLOCK_DIM)))
-        for lo, hi in _trial_chunks(config.n_trials, chunk):
+        chunk = max(1, min(config.n_trials, CHUNK_ELEMS // (n_mol * BLOCK_DIM)))
+        for lo in range(0, config.n_trials, chunk):
+            hi = min(lo + chunk, config.n_trials)
             u0 = np.empty((hi - lo, n_mol, BLOCK_DIM))
             for k in range(lo, hi):
                 rng = derive_rng(config.seed, f"wep-N{n_mol}-trial", k)
@@ -356,7 +347,7 @@ def wep_experiment(config: WepConfig) -> WepReport:
                 x_obs[lo:hi, tau, 2, :] = u[:, :, :4].mean(axis=1)
 
             evolve_coordinates(u0, flow.field, schedule, flow.dt,
-                               config.n_cycles, collect, raw_ode=flow.raw_ode)
+                               config.n_cycles, collect)
 
         sigma_x = float(np.sqrt(np.mean(np.var(x_obs[:, 0, 2, :], axis=0))))
         d_ab = np.abs(x_obs[:, :, 0, :] - x_obs[:, :, 1, :]).max(axis=2)
@@ -367,8 +358,7 @@ def wep_experiment(config: WepConfig) -> WepReport:
             d_to_guide[tag] = d
             profiles[tag] = tail_profile_from_deviations(
                 (d / sigma_x).reshape(-1), config.rho_grid, rho_p=1.0,
-                sigma_f=sigma_x, min_exceed=config.min_exceed,
-                kind="wep-deviation", dimension=n_mol, seed=config.seed)
+                sigma_f=sigma_x, dimension=n_mol, seed=config.seed)
         sup_d_ab = d_ab.max(axis=1)
         x_steps = np.abs(np.diff(x_obs, axis=1)).max()
         per_size[n_mol] = PerSizeResult(
@@ -395,7 +385,7 @@ def wep_experiment(config: WepConfig) -> WepReport:
         monotonicity=monotonicity,
         monotonic_ok=inversions <= allowed,
         inversions=inversions,
-        free_evolution=free_report,
+        free_evolution=_free_evolution_report(()),
     )
 
 

@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -206,15 +208,67 @@ class TestRunners:
                 != (out2 / "trajectory.csv").read_bytes())
 
 
+# Binds perfbench/tracing.install in a fresh interpreter, runs each
+# (name, config, out) job and prints the recorded span names and counts.
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from randerslab import cli
+for name, cfg, out in json.loads(sys.argv[2]):
+    assert cli.main([name, "--config", cfg, "--out", out]) == 0, name
+print(json.dumps({"spans": sorted({s[0] for s in tracer.spans}),
+                  "counts": tracer.counts}))
+"""
+
+
+def test_benchmark_tracing_keeps_outputs_and_records_spans(tmp_path):
+    """The benchmark's tracing hooks bind names, argument names and fields
+    of the package; a traced run must still find them all and write the
+    same bytes as an untraced one."""
+    root = Path(__file__).parent.parent
+    jobs, untraced = [], []
+    for name in ("wep", "flow", "concentration"):
+        cfg = write_config(tmp_path, small_configs()[name], f"{name}.json")
+        jobs.append((name, cfg, str(tmp_path / "traced" / name)))
+        untraced.append(tmp_path / "plain" / name)
+        assert cli.main([name, "--config", cfg, "--out",
+                         str(untraced[-1])]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(root / "perfbench"),
+         json.dumps(jobs)], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    for span in ("observables.evolve_coordinates", "dynamics.run_cycles",
+                 "concentration.tail_profile_from_deviations"):
+        assert span in report["spans"]
+    assert report["counts"]["geometry.drift.calls"] > 0
+    assert report["counts"]["cli.ops_failed"] == 0
+    for (_, _, traced), plain in zip(jobs, untraced):
+        files = sorted(f for f in os.listdir(plain) if f != "manifest.json")
+        assert files == sorted(f for f in os.listdir(traced)
+                               if f != "manifest.json")
+        for fname in files:
+            assert (Path(traced, fname).read_bytes()
+                    == (plain / fname).read_bytes()), fname
+
+
 def gravity_case(**over):
     case = {"name": "probe", "m": 1.0, "r2": 1.0, "lambda": 2.0}
     case.update(over)
     return {"cases": [case]}
 
 
-# One-key changes of the small configs that used to end in a traceback or
-# run with a wrong meaning: experiment, parameter overrides, and the key path
-# the violation names (exit 2), or None for a numeric failure (exit 3).
+# One-key changes of the small configs that used to end in a traceback, run
+# with a wrong meaning or run away: experiment, parameter overrides, and the
+# key path the violation names (exit 2), or None for a numeric failure
+# (exit 3).
 PROBES = [
     pytest.param("flow", {"initial": 5}, "parameters.initial", id="initial"),
     pytest.param("flow", {"raw_ode": "false"}, "parameters.raw_ode",
@@ -247,6 +301,18 @@ PROBES = [
     pytest.param("gravity", gravity_case(r2=1e-300), None, id="r2-underflow"),
     pytest.param("gravity", gravity_case(**{"lambda": 1e300}), None,
                  id="lambda-overflow"),
+    # marches beyond cli.MAX_RK4_STEPS, and a stored flow trajectory of
+    # 2 GiB within that step bound
+    pytest.param("flow", {"period_T": 1e300}, "parameters.dt",
+                 id="period_T-1e300"),
+    pytest.param("flow", {"period_T": 1000000}, "parameters.dt",
+                 id="period_T-1e6"),
+    pytest.param("wep", {"dt": 1e-300}, "parameters.dt", id="wep-dt-1e-300"),
+    pytest.param("flow", {"period_T": 100000}, "parameters.dt",
+                 id="trajectory-bytes"),
+    # difference quotients overflow to a non-finite estimate
+    pytest.param("lipschitz", {"box_half_width": 1e300, "flow": None}, None,
+                 id="box_half_width-1e300"),
 ]
 
 

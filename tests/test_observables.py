@@ -215,13 +215,28 @@ class TestWepExperiment:
         assert traj.max_step_ratio(1.0) <= 0.9 * (1 + 1e-6)
 
     def test_injected_event_aborts(self):
-        def injector(ens, n, trial):
-            ens.inject_exchange_event(0)
+        def injector(n):
+            return [{"kind": "exchange", "index": 0}]
 
         config = _wep_config(zero_field(8), [16], 3, n_cycles=1,
                              n_reference=500, event_injector=injector)
         with pytest.raises(FreeEvolutionViolation):
             wep_experiment(config)
+
+    def test_draws_only_the_guide_and_the_trials(self, monkeypatch):
+        sizes = []
+        draw = Preparation.draw
+
+        def counted(self, n, rng):
+            sizes.append(n)
+            return draw(self, n, rng)
+
+        monkeypatch.setattr(Preparation, "draw", counted)
+        config = _wep_config(zero_field(8), [16, 32], 3, n_cycles=1,
+                             n_reference=500)
+        wep_experiment(config)
+        # 1 + n_trials * len(n_list) draws: the guide, then each trial
+        assert sizes == [500] + [16] * 3 + [32] * 3
 
 
 class TestScaleRelation:

@@ -360,7 +360,7 @@ def run_lipschitz(params, seed, outdir):
                               metric=lip.BoxMetric(**params["metric"]))
     n_pairs = params["n_pairs"]
     est = lip.estimate_lipschitz(h, box, n_pairs=n_pairs, seed=seed)
-    normalized = lip.normalize_to_one_lipschitz(h, box, est)
+    normalized = lip.normalize_to_one_lipschitz(h, est)
     prof = params["profile"]
     profile = None if prof["rho0"] == "auto" else lip.ScaleProfile(**prof)
     decomp = lip.radial_decomposition(normalized, box, scale_profile=profile,

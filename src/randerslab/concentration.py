@@ -64,10 +64,6 @@ class MMSpaceSampler:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.dimension + 1 if self.kind == "sphere" else self.dimension
-
     def sample(self, n: int, stream: int = 0) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, stream]))
         if self.kind == "sphere":

@@ -274,7 +274,7 @@ class ScaledFunction:
         return np.asarray(out, dtype=float) / self.scale
 
 
-def normalize_to_one_lipschitz(f, domain: CompactBox,
+def normalize_to_one_lipschitz(f,
                                estimate: LipschitzEstimate) -> ScaledFunction:
     m = max(1.0, estimate.constant_hat)
     return ScaledFunction(base=_batch(f), scale=m)

@@ -7,7 +7,7 @@ with the guide trajectory M (the preparation-measure mean), and deviations
 are profiled with the concentration machinery.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from .concentration import _ols_slope, tail_profile_from_deviations
 from .dynamics import (CycleSchedule, equilibrium_cycle, rk4_march,
                        sin_squared_schedule, speed, steps_per_period)
-from .geometry import BLOCK_DIM, PhasePoint, RandersField
+from .geometry import BLOCK_DIM, RandersField
 from .runio import atomic_write_csv, atomic_write_json, derive_rng
 
 SYSTEMS = ("A", "B", "S")
@@ -25,10 +25,6 @@ CHUNK_ELEMS = 4_000_000
 
 class ObservablesError(Exception):
     pass
-
-
-class SubsetError(ObservablesError):
-    """Requested tag subset is empty."""
 
 
 class FreeEvolutionViolation(ObservablesError):
@@ -66,98 +62,11 @@ class Preparation:
                                        method="cholesky")
 
 
-@dataclass
-class Ensemble:
-    """N tagged molecules with uniform weights and an event ledger."""
-
-    n_molecules: int
-    labels: np.ndarray  # bool, True = subsystem A
-    state: PhasePoint
-    preparation: Preparation
-    weights: np.ndarray = None
-    events: list = dc_field(default_factory=list)
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=bool)
-        if self.labels.shape != (self.n_molecules,):
-            raise ValueError("labels must tag every molecule exactly once")
-        n_a = int(self.labels.sum())
-        if n_a < 1 or n_a >= self.n_molecules:
-            raise ValueError("need N_A >= 1 and N_B >= 1")
-        if self.weights is None:
-            self.weights = np.full(self.n_molecules, 1.0 / self.n_molecules)
-
-    @property
-    def n_a(self) -> int:
-        return int(self.labels.sum())
-
-    @property
-    def n_b(self) -> int:
-        return self.n_molecules - self.n_a
-
-    def inject_exchange_event(self, molecule_index: int) -> None:
-        self.events.append({"kind": "exchange", "index": int(molecule_index)})
-
-    def apply_reweighting(self, weights) -> None:
-        self.weights = np.asarray(weights, dtype=float)
-        self.events.append({"kind": "reweight"})
-
-
-def make_ensemble(preparation: Preparation, n_molecules: int,
-                  rng: np.random.Generator, n_a: int | None = None) -> Ensemble:
-    if n_molecules < 2:
-        raise ValueError("need at least 2 molecules to split into A and B")
-    blocks = preparation.draw(n_molecules, rng)
-    u = blocks.reshape(-1)
-    p = np.zeros_like(u)
-    if n_a is None:
-        n_a = n_molecules // 2
-    labels = np.zeros(n_molecules, dtype=bool)
-    labels[:n_a] = True
-    point = PhasePoint(u=u, p=p, n_molecules=n_molecules)
-    return Ensemble(n_molecules=n_molecules, labels=labels, state=point,
-                    preparation=preparation)
-
-
-def center_of_mass(ensemble: Ensemble, snapshot: PhasePoint, tag: str,
-                   normalization: str = "per_tag") -> np.ndarray:
-    """Average of the position blocks (first 4 coordinates per molecule)
-    over the tagged subset; velocities never enter."""
-    if tag not in SYSTEMS:
-        raise ValueError(f"tag must be one of {SYSTEMS}")
-    if normalization not in ("per_tag", "per_total"):
-        raise ValueError("normalization must be 'per_tag' or 'per_total'")
-    blocks = snapshot.u.reshape(snapshot.n_molecules, BLOCK_DIM)
-    if tag == "A":
-        sel = ensemble.labels
-    elif tag == "B":
-        sel = ~ensemble.labels
-    else:
-        sel = np.ones(snapshot.n_molecules, dtype=bool)
-    count = int(sel.sum())
-    if count == 0:
-        raise SubsetError(f"tag subset {tag!r} is empty")
-    total = blocks[sel, :4].sum(axis=0)
-    denom = count if normalization == "per_tag" else snapshot.n_molecules
-    return total / denom
-
-
-@dataclass(frozen=True)
-class ObservableTrajectory:
-    """Per-tau observable coordinates of one tagged system, with the guide."""
-
-    tau_grid: np.ndarray
-    X: np.ndarray       # (len(tau_grid), 4)
-    M_mean: np.ndarray  # (len(tau_grid), 4)
-    system_tag: str
-    normalization: str
-
-    def max_step_ratio(self, period_T: float) -> float:
-        """max over tau steps of |Delta X| / T (componentwise sup)."""
-        if len(self.tau_grid) < 2:
-            return 0.0
-        steps = np.abs(np.diff(self.X, axis=0)).max()
-        return float(steps / period_T)
+def center_of_mass(blocks: np.ndarray) -> np.ndarray:
+    """Center-of-mass 4-vector of molecule blocks shaped (..., n, 8): the
+    mean of the position coordinates over the molecule axis; velocities
+    never enter."""
+    return blocks[..., :4].mean(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -167,22 +76,16 @@ class FreeEvolutionReport:
     note: str
 
 
-def check_free_evolution(ensemble: Ensemble, trajectory=None) -> FreeEvolutionReport:
-    """True iff no molecule was added, removed or re-weighted in the run."""
-    return _free_evolution_report(
-        tuple(ensemble.events),
-        bool(np.all(ensemble.weights == ensemble.weights[0])))
-
-
-def _free_evolution_report(events: tuple, uniform: bool = True):
+def check_free_evolution(events) -> FreeEvolutionReport:
+    """ok iff no molecule was added, removed or re-weighted, i.e. no
+    exchange or reweighting event (a dict with a "kind") was recorded."""
+    events = tuple(events)
     if events:
         first = events[0]
         note = f"event {first['kind']!r} recorded (first at {first})"
-    elif not uniform:
-        note = "weights are not constant across molecules"
     else:
         note = "no exchange or reweighting events"
-    return FreeEvolutionReport(ok=not events and uniform, events=events, note=note)
+    return FreeEvolutionReport(ok=not events, events=events, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +140,7 @@ def mean_guide(preparation: Preparation, flow: FlowParams, n_cycles: int,
     m = np.empty((n_cycles + 1, 4))
 
     def collect(tau, u):
-        m[tau] = u[:, :4].mean(axis=0)
+        m[tau] = center_of_mass(u)
 
     evolve_coordinates(u0, flow.field, schedule, flow.dt, n_cycles, collect)
     return np.arange(n_cycles + 1), m
@@ -295,16 +198,6 @@ class WepReport:
     inversions: int
     free_evolution: FreeEvolutionReport
 
-    def observable_trajectory(self, n_molecules: int, trial: int,
-                              tag: str) -> ObservableTrajectory:
-        res = self.per_size[n_molecules]
-        return ObservableTrajectory(
-            tau_grid=self.tau_grid,
-            X=res.x_obs[trial, :, SYSTEMS.index(tag), :],
-            M_mean=self.guide,
-            system_tag=tag,
-            normalization="per_tag")
-
 
 def wep_experiment(config: WepConfig) -> WepReport:
     """Evolve S = A | B ensembles over the cycle schedule for every N and
@@ -329,7 +222,7 @@ def wep_experiment(config: WepConfig) -> WepReport:
         # The batched march has no exchange mechanism, so events can only
         # come from the injector.
         if config.event_injector is not None:
-            report = _free_evolution_report(tuple(config.event_injector(n_mol)))
+            report = check_free_evolution(config.event_injector(n_mol))
             if not report.ok:
                 raise FreeEvolutionViolation(report)
 
@@ -342,9 +235,9 @@ def wep_experiment(config: WepConfig) -> WepReport:
                 u0[k - lo] = config.preparation.draw(n_mol, rng)
 
             def collect(tau, u, lo=lo, hi=hi):
-                x_obs[lo:hi, tau, 0, :] = u[:, :n_a, :4].mean(axis=1)
-                x_obs[lo:hi, tau, 1, :] = u[:, n_a:, :4].mean(axis=1)
-                x_obs[lo:hi, tau, 2, :] = u[:, :, :4].mean(axis=1)
+                x_obs[lo:hi, tau, 0, :] = center_of_mass(u[:, :n_a])
+                x_obs[lo:hi, tau, 1, :] = center_of_mass(u[:, n_a:])
+                x_obs[lo:hi, tau, 2, :] = center_of_mass(u)
 
             evolve_coordinates(u0, flow.field, schedule, flow.dt,
                                config.n_cycles, collect)
@@ -385,7 +278,7 @@ def wep_experiment(config: WepConfig) -> WepReport:
         monotonicity=monotonicity,
         monotonic_ok=inversions <= allowed,
         inversions=inversions,
-        free_evolution=_free_evolution_report(()),
+        free_evolution=check_free_evolution(()),
     )
 
 

@@ -1,10 +1,11 @@
 """Seed derivation, deterministic formatting and atomic file output.
 
-Every random draw in the package flows from one root seed through
-``derive_rng(root, tag, index)``.  The derivation is
-``SeedSequence([root, sha256(tag)[:8], index])``, so independent tasks
+``derive_rng(root, tag, index)`` derives a generator from one root seed
+as ``SeedSequence([root, sha256(tag)[:8], index])``, so independent tasks
 (experiments, trials, parallel workers) get independent streams while a
-rerun with the same root reproduces every stream bit-exactly.
+rerun with the same root reproduces every stream bit-exactly.  The
+mm-space samplers, the Lipschitz estimators and ``validate_randers`` seed
+``default_rng`` directly instead (README, "Seeding").
 """
 
 import hashlib

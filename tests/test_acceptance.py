@@ -213,7 +213,7 @@ def test_criterion_5_lipschitz_estimator_calibration(acceptance_report):
     f = lambda z: z @ a
     est = estimate_lipschitz(f, box, n_pairs=10_000, seed=36)
     target = np.linalg.norm(a)
-    g = normalize_to_one_lipschitz(f, box, est)
+    g = normalize_to_one_lipschitz(f, est)
     re_est = estimate_lipschitz(g, box, n_pairs=10_000, seed=37)
     record(acceptance_report, 5, "Lipschitz estimator calibration", {
         "pair-sampling estimate within 2% of |a|":
@@ -232,7 +232,7 @@ def test_criterion_6_radial_decomposition(acceptance_report):
         return np.sum(field.beta(z[..., :dim_u]) * z[..., dim_u:], axis=-1)
 
     est = estimate_lipschitz(h_raw, box, n_pairs=6000, seed=38)
-    h = normalize_to_one_lipschitz(h_raw, box, est)
+    h = normalize_to_one_lipschitz(h_raw, est)
     decomp = radial_decomposition(h, box, seed=39)
 
     rng = np.random.default_rng(40)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -345,6 +346,56 @@ class TestDeterminism:
                 continue  # carries a timestamp by design
             assert ((out1 / fname).read_bytes()
                     == (out2 / fname).read_bytes()), fname
+
+
+# sha256 of every CSV/JSON output of the small configs except manifest.json.
+# A change to any of these values changes what the CLI writes for the same
+# seed; it must be deliberate and explained in CHANGES.md.
+PINNED_DIGESTS = {
+    "flow": {
+        "snapshots.csv": "a43987fae3d439f62f5245e843d477e7"
+                         "f96a822e93228b1a53e6e29680c48e4d",
+        "trajectory.csv": "9e1255505a48fbe9870f3b6e030c34cd"
+                          "8c2340dc1bb9990e4dd9ebe2de002d05",
+    },
+    "lipschitz": {
+        "decomposition_report.json": "f82395316d22562e34cefc63390da1ee"
+                                     "8fa44cd920727f975427646b8dc96bde",
+    },
+    "concentration": {
+        "fit_summary.json": "5e6d3372a8f264e0b3c93cf9c5afdbdc"
+                            "6edb3a255d853bf468e2afd417c52e96",
+        "profile.csv": "e590a1cf596ff699d147fde729dbd548"
+                       "a247a16386f50b6393f18646ecc5fa35",
+    },
+    "sphere": {
+        "isoperimetric.csv": "4d3322d378c373fb4d2a032ee00a5d03"
+                             "93e8699fccba860168d153becf4e9542",
+    },
+    "wep": {
+        "wep_summary.json": "f214a19482fed0df3066963b87763b1a"
+                            "88cc91635067cd3d406edf222fef1cd4",
+        "wep_trajectories.csv": "f1b600a208daba7ce549746970f74293"
+                                "a6d0e330c2c8596c5075a996cbe532cd",
+    },
+    "gravity": {
+        "constants.json": "72b99b5dec924a8750f6d9e46c31b6ea"
+                          "8df686a16c6988fdefbb7eb09c8b23da",
+        "sweep.csv": "4b5c2780c3efbf65c1c1aa77f23b978b"
+                     "4857e3951f3e80b904c3f9dbf0a48a2c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(small_configs()))
+def test_outputs_match_pinned_digests(tmp_path, name):
+    cfg = write_config(tmp_path, small_configs()[name])
+    out = tmp_path / "out"
+    assert cli.main([name, "--config", cfg, "--out", str(out)]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted(out.iterdir())
+               if f.suffix in (".csv", ".json") and f.name != "manifest.json"}
+    assert digests == PINNED_DIGESTS[name]
 
 
 class TestAtomicity:

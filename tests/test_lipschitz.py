@@ -46,7 +46,7 @@ class TestEstimate:
 
     def test_single_point_is_batched(self):
         box = CompactBox.cube(4, 1.0)
-        h = normalize_to_one_lipschitz(lambda z: z.sum(axis=1), box,
+        h = normalize_to_one_lipschitz(lambda z: z.sum(axis=1),
                                        estimate_lipschitz(lambda z: z.sum(axis=1),
                                                           box, n_pairs=10, seed=0))
         assert isinstance(h(np.ones(4)), float)
@@ -104,7 +104,7 @@ class TestNormalize:
         f = lambda z: z @ a
         est = estimate_lipschitz(f, box, n_pairs=8000, seed=8)
         assert est.constant_hat == pytest.approx(4.0, rel=0.02)
-        g = normalize_to_one_lipschitz(f, box, est)
+        g = normalize_to_one_lipschitz(f, est)
         est2 = estimate_lipschitz(g, box, n_pairs=8000, seed=9)
         assert est2.constant_hat <= 1.02
 
@@ -113,7 +113,7 @@ class TestNormalize:
         f = lambda z: 0.25 * z[:, 0]
         est = estimate_lipschitz(f, box, n_pairs=2000, seed=10)
         assert est.constant_hat <= 1.0
-        g = normalize_to_one_lipschitz(f, box, est)
+        g = normalize_to_one_lipschitz(f, est)
         assert g.scale == 1.0
         z = box.sample(50, np.random.default_rng(0))
         assert np.array_equal(g(z), f(z))
@@ -192,7 +192,7 @@ class TestRadialDecomposition:
         box = CompactBox.cube(16, 1.0)
         h_raw = randers_hamiltonian(field, 8)
         est = estimate_lipschitz(h_raw, box, n_pairs=4000, seed=0)
-        h = normalize_to_one_lipschitz(h_raw, box, est)
+        h = normalize_to_one_lipschitz(h_raw, est)
         decomp = radial_decomposition(h, box, seed=1)
         rng = np.random.default_rng(2)
         z_in = box.sample(2000, rng)
@@ -207,7 +207,7 @@ class TestRadialDecomposition:
         box = CompactBox.cube(16, 1.0)
         h_raw = randers_hamiltonian(field, 8)
         est = estimate_lipschitz(h_raw, box, n_pairs=4000, seed=3)
-        h = normalize_to_one_lipschitz(h_raw, box, est)
+        h = normalize_to_one_lipschitz(h_raw, est)
         decomp = radial_decomposition(h, box, seed=4)
         assert decomp.tuning_converged
         fresh = estimate_lipschitz(decomp.lipschitz_part, box.enlarge(3.0),
@@ -219,7 +219,7 @@ class TestRadialDecomposition:
         box = CompactBox.cube(16, 1.0)
         h_raw = randers_hamiltonian(field, 8)
         est = estimate_lipschitz(h_raw, box, n_pairs=4000, seed=6)
-        h = normalize_to_one_lipschitz(h_raw, box, est)
+        h = normalize_to_one_lipschitz(h_raw, est)
         domain = box.enlarge(3.0)
 
         def sampled_constant(rho0):
@@ -251,7 +251,7 @@ class TestConstraintSplit:
         box = CompactBox.from_snapshots(snaps)
         h_raw = randers_hamiltonian(field, 16)
         est = estimate_lipschitz(h_raw, box, n_pairs=2000, seed=seed)
-        h = normalize_to_one_lipschitz(h_raw, box, est)
+        h = normalize_to_one_lipschitz(h_raw, est)
         decomp = radial_decomposition(h, box, seed=seed)
         return decomp, snaps
 

@@ -7,6 +7,7 @@ from randerslab.dynamics import (CycleSchedule, ScheduleError, make_state,
                                  run_cycles, sin_squared_schedule)
 from randerslab.geometry import PhasePoint, constant_field, tanh_field, zero_field
 from randerslab.observables import (
+    SYSTEMS,
     FlowParams,
     FreeEvolutionViolation,
     Preparation,
@@ -14,7 +15,6 @@ from randerslab.observables import (
     center_of_mass,
     check_free_evolution,
     evolve_coordinates,
-    make_ensemble,
     mean_guide,
     scale_relation_check,
     wep_experiment,
@@ -40,33 +40,27 @@ class TestCenterOfMass:
     def test_all_molecules_at_same_point(self):
         n = 10
         block = np.array([1.0, -2.0, 0.5, 3.0, 9, 9, 9, 9])
-        u = np.tile(block, n)
-        pt = PhasePoint(u=u, p=np.zeros(8 * n), n_molecules=n)
-        ens = make_ensemble(_prep(), n, derive_rng(0, "t"))
-        x = center_of_mass(ens, pt, "S", "per_tag")
+        x = center_of_mass(np.tile(block, (n, 1)))
         assert np.allclose(x, block[:4])
 
     def test_antipodal_pair_averages_to_zero(self):
         block = np.arange(8.0)
-        u = np.concatenate([block, -block])
-        pt = PhasePoint(u=u, p=np.zeros(16), n_molecules=2)
-        ens = make_ensemble(_prep(), 2, derive_rng(1, "t"))
-        assert np.array_equal(center_of_mass(ens, pt, "S"), np.zeros(4))
+        blocks = np.stack([block, -block])
+        assert np.array_equal(center_of_mass(blocks), np.zeros(4))
 
     def test_clt_accuracy_of_sample_mean(self):
         n = 1000
         mean = np.array([0.5, -1.0, 2.0, 0.0, 0, 0, 0, 0])
         prep = Preparation(mean=mean, covariance=np.eye(8), seed=3)
-        ens = make_ensemble(prep, n, derive_rng(2, "t"))
-        x = center_of_mass(ens, ens.state, "S")
+        x = center_of_mass(prep.draw(n, derive_rng(2, "t")))
         assert np.all(np.abs(x - mean[:4]) < 4.0 / math.sqrt(n))
 
     def test_embedding_consistency(self):
         n = 257
-        ens = make_ensemble(_prep(seed=5), n, derive_rng(3, "t"), n_a=100)
-        xa = center_of_mass(ens, ens.state, "A", "per_tag")
-        xb = center_of_mass(ens, ens.state, "B", "per_tag")
-        xs = center_of_mass(ens, ens.state, "S", "per_total")
+        blocks = _prep(seed=5).draw(n, derive_rng(3, "t"))
+        xa = center_of_mass(blocks[:100])
+        xb = center_of_mass(blocks[100:])
+        xs = center_of_mass(blocks)
         combined = (100 * xa + 157 * xb) / n
         assert np.allclose(xs, combined, rtol=1e-13, atol=1e-13)
 
@@ -74,17 +68,14 @@ class TestCenterOfMass:
         n = 4
         rng = np.random.default_rng(9)
         blocks = rng.normal(size=(n, 8))
-        pt1 = PhasePoint(u=blocks.reshape(-1), p=np.zeros(8 * n), n_molecules=n)
         blocks2 = blocks.copy()
         blocks2[:, 4:] = 99.0
-        pt2 = PhasePoint(u=blocks2.reshape(-1), p=np.zeros(8 * n), n_molecules=n)
-        ens = make_ensemble(_prep(), n, derive_rng(4, "t"))
-        assert np.array_equal(center_of_mass(ens, pt1, "S"),
-                              center_of_mass(ens, pt2, "S"))
+        assert np.array_equal(center_of_mass(blocks), center_of_mass(blocks2))
 
     def test_tags_must_be_nonempty(self):
+        # N = 1 leaves subsystem B empty
         with pytest.raises(ValueError):
-            make_ensemble(_prep(), 4, derive_rng(5, "t"), n_a=0)
+            _wep_config(zero_field(8), [1], 2)
 
 
 class TestBatchedEvolution:
@@ -156,21 +147,19 @@ class TestMeanGuide:
 
 class TestFreeEvolution:
     def test_closed_run_is_free(self):
-        ens = make_ensemble(_prep(), 10, derive_rng(6, "t"))
-        report = check_free_evolution(ens)
+        report = check_free_evolution([])
         assert report.ok
+        assert report.events == ()
 
     def test_exchange_event_detected(self):
-        ens = make_ensemble(_prep(), 10, derive_rng(7, "t"))
-        ens.inject_exchange_event(3)
-        report = check_free_evolution(ens)
+        report = check_free_evolution([{"kind": "exchange", "index": 3}])
         assert not report.ok
         assert report.events[0]["index"] == 3
 
     def test_reweighting_detected(self):
-        ens = make_ensemble(_prep(), 10, derive_rng(8, "t"))
-        ens.apply_reweighting(np.linspace(0.5, 1.5, 10))
-        assert not check_free_evolution(ens).ok
+        report = check_free_evolution([{"kind": "reweight"}])
+        assert not report.ok
+        assert "reweight" in report.note
 
 
 class TestWepExperiment:
@@ -209,10 +198,12 @@ class TestWepExperiment:
         config = _wep_config(tanh_field(8, 0.9), [20], 5, n_cycles=2,
                              n_reference=1000)
         report = wep_experiment(config)
-        traj = report.observable_trajectory(20, 3, "A")
-        assert traj.X.shape == (3, 4)
-        assert traj.system_tag == "A"
-        assert traj.max_step_ratio(1.0) <= 0.9 * (1 + 1e-6)
+        res = report.per_size[20]
+        x_a = res.x_obs[3, :, SYSTEMS.index("A")]
+        assert x_a.shape == (3, 4)
+        step_ratio = np.abs(np.diff(x_a, axis=0)).max() / 1.0
+        assert step_ratio <= 0.9 * (1 + 1e-6)
+        assert step_ratio <= res.x_step_max_ratio
 
     def test_injected_event_aborts(self):
         def injector(n):
@@ -237,6 +228,23 @@ class TestWepExperiment:
         wep_experiment(config)
         # 1 + n_trials * len(n_list) draws: the guide, then each trial
         assert sizes == [500] + [16] * 3 + [32] * 3
+
+    def test_x_obs_are_centers_of_mass_of_the_seeded_draws(self):
+        n_list, n_trials = [16, 33], 3
+        config = _wep_config(zero_field(8), n_list, n_trials, n_cycles=1,
+                             n_reference=500)
+        report = wep_experiment(config)
+        for n in n_list:
+            for k in range(n_trials):
+                u = config.preparation.draw(
+                    n, derive_rng(config.seed, f"wep-N{n}-trial", k))
+                want = np.stack([center_of_mass(u[:n // 2]),
+                                 center_of_mass(u[n // 2:]),
+                                 center_of_mass(u)])
+                assert np.array_equal(report.per_size[n].x_obs[k, 0], want)
+        reference = config.preparation.draw(
+            500, derive_rng(config.seed, "mean-guide", config.preparation.seed))
+        assert np.array_equal(report.guide[0], center_of_mass(reference))
 
 
 class TestScaleRelation:
@@ -277,14 +285,20 @@ class TestScaleRelation:
 
 class TestEnsembleInvariants:
     def test_disjoint_union_structure(self):
-        ens = make_ensemble(_prep(), 11, derive_rng(9, "t"), n_a=4)
-        assert ens.n_a == 4 and ens.n_b == 7
-        assert ens.n_a + ens.n_b == ens.n_molecules
+        # N = 11 splits into N_A = 5 and N_B = 6; S is their disjoint union
+        config = _wep_config(tanh_field(8, 0.9), [11], 4, n_cycles=2,
+                             n_reference=500)
+        x_obs = wep_experiment(config).per_size[11].x_obs
+        x_a, x_b, x_s = (x_obs[:, :, SYSTEMS.index(t)] for t in "ABS")
+        assert np.allclose(x_s, (5 * x_a + 6 * x_b) / 11,
+                           rtol=1e-13, atol=1e-13)
 
     def test_iid_draws_reproducible(self):
-        e1 = make_ensemble(_prep(seed=5), 20, derive_rng(10, "t"))
-        e2 = make_ensemble(_prep(seed=5), 20, derive_rng(10, "t"))
-        assert np.array_equal(e1.state.u, e2.state.u)
+        prep = _prep(seed=5)
+        u1 = prep.draw(20, derive_rng(10, "t"))
+        u2 = prep.draw(20, derive_rng(10, "t"))
+        assert u1.shape == (20, 8)
+        assert np.array_equal(u1, u2)
 
     def test_preparation_validates_covariance(self):
         with pytest.raises(ValueError):

@@ -493,7 +493,7 @@ RUNNERS = {
 }
 
 
-def run(config: dict, outdir: str | None = None, threads: int = 1) -> dict:
+def run(config: dict, outdir: str | None = None) -> dict:
     """Validate, dispatch and persist one experiment; returns the manifest."""
     violations = validate_config(config)
     if violations:
@@ -510,7 +510,6 @@ def run(config: dict, outdir: str | None = None, threads: int = 1) -> dict:
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seeds_used": [seed],
-        "threads": threads,
         "output_files": outputs,
         "summary": summary,
     }
@@ -531,8 +530,6 @@ def main(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results are independent of it")
     args = parser.parse_args(argv)
 
     try:
@@ -558,9 +555,6 @@ def main(argv=None) -> int:
         print("config ok")
         return 0
 
-    if args.threads is not None and args.threads < 1:
-        print("validation failure: --threads must be >= 1", file=sys.stderr)
-        return 2
     if isinstance(config, dict) and config.get("experiment") != args.command:
         print(f"validation failure: config experiment "
               f"{config.get('experiment')!r} does not match subcommand "
@@ -568,7 +562,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        manifest = run(config, outdir=args.out, threads=args.threads or 1)
+        manifest = run(config, outdir=args.out)
     except ValidationFailure as exc:
         for item in exc.violations:
             print(f"violation: {item}", file=sys.stderr)

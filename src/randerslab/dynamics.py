@@ -163,19 +163,20 @@ def equilibrium_cycle(step: int, steps_per_T: int) -> int:
 
 def rk4_march(drift: Callable, vjp: Callable | None, u: np.ndarray,
               p: np.ndarray | None, dt: float, n_steps: int,
-              speed_at: Callable[[float], float]):
+              speed_at: Callable[[float], float], start: int = 0):
     """Classical RK4 for du/dt = s(t) drift(u), dp/dt = -s(t) vjp(u, p) on
-    the grid t_k = k dt, k = 0..n_steps.
+    the grid t_k = k dt, k = start..start + n_steps.
 
     Updates ``u`` (and ``p`` unless it is None) in place and yields the
-    number of completed steps after each one.  ``drift`` may act on any
-    array shape; ``vjp(u, p)`` returns J(u)^T p without forming J.  The
-    stage arrays stay bound in this frame between steps, so a large batched
-    march reuses their memory instead of returning it to the OS and faulting
-    it back in on the next step.
+    grid index k + 1 reached after each step; a march resumed with
+    ``start`` at an earlier march's last index continues it bit for bit.
+    ``drift`` may act on any array shape; ``vjp(u, p)`` returns J(u)^T p
+    without forming J.  The stage arrays stay bound in this frame between
+    steps, so a large batched march reuses their memory instead of
+    returning it to the OS and faulting it back in on the next step.
     """
     h = dt / 2
-    for k in range(n_steps):
+    for k in range(start, start + n_steps):
         t = k * dt
         s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
         k1 = s1 * drift(u)

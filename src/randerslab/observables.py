@@ -13,14 +13,16 @@ from typing import Callable
 import numpy as np
 
 from .concentration import _ols_slope, tail_profile_from_deviations
-from .dynamics import (CycleSchedule, equilibrium_cycle, rk4_march,
-                       sin_squared_schedule, speed, steps_per_period)
+from .dynamics import (CycleSchedule, rk4_march, sin_squared_schedule, speed,
+                       steps_per_period)
 from .geometry import BLOCK_DIM, RandersField
 from .runio import atomic_write_csv, atomic_write_json, derive_rng
 
 SYSTEMS = ("A", "B", "S")
-# Trials of one size march together in batches of about this many coordinates.
-CHUNK_ELEMS = 4_000_000
+# The batched march advances slices of this many coordinates (256 KiB of
+# doubles, so the RK4 stage arrays of a slice stay in cache), and trials of
+# one size march together in chunks of about this many positions.
+BLOCK_ELEMS = 2**15
 
 
 class ObservablesError(Exception):
@@ -99,20 +101,30 @@ def evolve_coordinates(u0: np.ndarray, field: RandersField,
 
     Valid only for componentwise fields (the drift acts coordinate by
     coordinate, so molecules and trials decouple and batch together).
-    ``collect(tau, u)`` is invoked at tau = 0 and at every equilibrium
-    instant tau = 1..n_cycles.
+    ``collect(tau, u)`` is invoked with the whole array at tau = 0 and at
+    every equilibrium instant tau = 1..n_cycles.  Cycle by cycle, each
+    ``BLOCK_ELEMS`` slice of the array marches on its own from one
+    equilibrium instant to the next, so its stage arrays stay in cache; the
+    march stops at the last equilibrium instant.  Every step is the same
+    arithmetic on the same values as one march of the whole array.
     """
     if field.scalar_map is None:
         raise ValueError("batched evolution requires a componentwise field")
     steps_per_T = steps_per_period(schedule.period_T, dt)
-    u = np.array(u0, dtype=float, copy=True)
+    u = np.array(u0, dtype=float, order="C")
+    flat = u.reshape(-1)
     collect(0, u)
-    for step in rk4_march(field.scalar_map, None, u, None, dt,
-                          2 * n_cycles * steps_per_T,
-                          lambda t: speed(schedule, t)):
-        n = equilibrium_cycle(step, steps_per_T)
-        if n:
-            collect(n, u)
+    speed_at = lambda t: speed(schedule, t)
+    done = 0
+    for n in range(1, n_cycles + 1):
+        end = (2 * n - 1) * steps_per_T
+        for lo in range(0, flat.size, BLOCK_ELEMS):
+            block = flat[lo:lo + BLOCK_ELEMS]
+            for _ in rk4_march(field.scalar_map, None, block, None, dt,
+                               end - done, speed_at, start=done):
+                pass
+        done = end
+        collect(n, u)
 
 
 @dataclass(frozen=True)
@@ -131,8 +143,10 @@ def mean_guide(preparation: Preparation, flow: FlowParams, n_cycles: int,
     reference ensemble evolved under the same field.
 
     Depends only on the preparation and the field, never on subsystem tags.
-    Returns (tau_grid, M) with M of shape (n_cycles + 1, 4); the continuous
-    tau view is linear interpolation between integer snapshots.
+    All 8 coordinates are drawn, which keeps the random stream of whole
+    molecule blocks, but only the positions march.  Returns (tau_grid, M)
+    with M of shape (n_cycles + 1, 4); the continuous tau view is linear
+    interpolation between integer snapshots.
     """
     rng = derive_rng(seed, "mean-guide", preparation.seed)
     u0 = preparation.draw(n_reference, rng)
@@ -142,7 +156,8 @@ def mean_guide(preparation: Preparation, flow: FlowParams, n_cycles: int,
     def collect(tau, u):
         m[tau] = center_of_mass(u)
 
-    evolve_coordinates(u0, flow.field, schedule, flow.dt, n_cycles, collect)
+    evolve_coordinates(u0[:, :4], flow.field, schedule, flow.dt, n_cycles,
+                       collect)
     return np.arange(n_cycles + 1), m
 
 
@@ -220,13 +235,14 @@ def wep_experiment(config: WepConfig) -> WepReport:
         x_obs = np.empty((config.n_trials, n_tau, 3, 4))
 
         # The batched march has no exchange mechanism, so events can only
-        # come from the injector.
+        # come from the injector.  Whole molecule blocks are drawn (one
+        # random stream per trial), but only their positions march.
         if config.event_injector is not None:
             report = check_free_evolution(config.event_injector(n_mol))
             if not report.ok:
                 raise FreeEvolutionViolation(report)
 
-        chunk = max(1, min(config.n_trials, CHUNK_ELEMS // (n_mol * BLOCK_DIM)))
+        chunk = max(1, min(config.n_trials, BLOCK_ELEMS // (4 * n_mol)))
         for lo in range(0, config.n_trials, chunk):
             hi = min(lo + chunk, config.n_trials)
             u0 = np.empty((hi - lo, n_mol, BLOCK_DIM))
@@ -239,7 +255,7 @@ def wep_experiment(config: WepConfig) -> WepReport:
                 x_obs[lo:hi, tau, 1, :] = center_of_mass(u[:, n_a:])
                 x_obs[lo:hi, tau, 2, :] = center_of_mass(u)
 
-            evolve_coordinates(u0, flow.field, schedule, flow.dt,
+            evolve_coordinates(u0[..., :4], flow.field, schedule, flow.dt,
                                config.n_cycles, collect)
 
         sigma_x = float(np.sqrt(np.mean(np.var(x_obs[:, 0, 2, :], axis=0))))

@@ -469,3 +469,40 @@ def test_any_json_value_is_validated_without_raising(tmp_path_factory, name,
     fname = tmp_path_factory.getbasetemp() / "fuzz.json"
     fname.write_text(text)
     assert cli.main(["validate", "--config", str(fname)]) in (0, 2)
+
+
+WEP_FIELDS = st.one_of(
+    st.just({"family": "zero"}),
+    st.builds(lambda v: {"family": "constant", "value": v},
+              st.floats(-0.95, 0.95)),
+    st.builds(lambda a: {"family": "tanh", "amplitude": a},
+              st.floats(0.05, 0.95)))
+# dt = T / k divides the period; the other values do not divide T = 1
+WEP_TIMING = st.one_of(
+    st.builds(lambda T, k: (T, T / k), st.sampled_from([0.5, 1.0, 2.0]),
+              st.integers(1, 6)),
+    st.tuples(st.just(1.0), st.sampled_from([0.3, 0.35, 0.7, 1.5])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_list=st.lists(st.integers(2, 64), min_size=1, max_size=3),
+       n_trials=st.integers(1, 3), n_cycles=st.integers(1, 3),
+       field=WEP_FIELDS, timing=WEP_TIMING,
+       mean=st.floats(-2.0, 2.0), scale=st.floats(0.1, 3.0),
+       n_reference=st.integers(1, 500), seed=st.integers(0, 2**32 - 1))
+def test_legal_wep_configs_run_to_a_documented_exit(
+        tmp_path_factory, n_list, n_trials, n_cycles, field, timing, mean,
+        scale, n_reference, seed):
+    """Every legal small wep config runs through main to exit 0, 2 or 3;
+    an uncaught exception would fail the test with its traceback."""
+    period_T, dt = timing
+    cfg = {"experiment": "wep", "seed": seed, "parameters": {
+        "n_list": n_list, "n_trials": n_trials, "field": field,
+        "preparation": {"mean": mean, "scale": scale},
+        "period_T": period_T, "dt": dt, "n_cycles": n_cycles,
+        "rho_grid": [0.5, 1.0, 2.0, 4.0], "n_reference": n_reference}}
+    tmp = tmp_path_factory.mktemp("wep-fuzz")
+    path = write_config(tmp, cfg)
+    code = cli.main(["wep", "--config", path, "--out", str(tmp / "out")])
+    assert code in (0, 2, 3)
+    assert (tmp / "out" / "manifest.json").exists() == (code == 0)

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from randerslab.dynamics import (CycleSchedule, ScheduleError, make_state,
-                                 run_cycles, sin_squared_schedule)
+from randerslab.dynamics import (CycleSchedule, ScheduleError,
+                                 equilibrium_cycle, make_state, rk4_march,
+                                 run_cycles, sin_squared_schedule, speed)
 from randerslab.geometry import PhasePoint, constant_field, tanh_field, zero_field
 from randerslab.observables import (
+    BLOCK_ELEMS,
     SYSTEMS,
     FlowParams,
     FreeEvolutionViolation,
@@ -92,6 +95,40 @@ class TestBatchedEvolution:
                            lambda tau, u: got.__setitem__(tau, u.copy()))
         for s in snaps:
             assert np.allclose(got[s.cycle].reshape(-1), s.point.u, atol=1e-12)
+
+    def test_blocked_march_equals_one_whole_march(self):
+        # Three full blocks and a partial one: every snapshot must equal, bit
+        # for bit, that of one march of the whole array on the global grid.
+        field = tanh_field(8, 0.9)
+        sched = sin_squared_schedule(1.0)
+        dt, n_cycles, steps_per_T = 0.1, 3, 10
+        u0 = np.random.default_rng(5).normal(size=3 * BLOCK_ELEMS + 17)
+        got = {}
+        evolve_coordinates(u0, field, sched, dt, n_cycles,
+                           lambda tau, u: got.__setitem__(tau, u.copy()))
+        assert sorted(got) == list(range(n_cycles + 1))
+        assert np.array_equal(got[0], u0)
+        u = u0.copy()
+        for step in rk4_march(field.scalar_map, None, u, None, dt,
+                              (2 * n_cycles - 1) * steps_per_T,
+                              lambda t: speed(sched, t)):
+            n = equilibrium_cycle(step, steps_per_T)
+            if n:
+                assert np.array_equal(got[n], u), n
+
+    def test_resumed_march_continues_bit_identically(self):
+        field = tanh_field(8, 0.9)
+        sched = sin_squared_schedule(1.0)
+        speed_at = lambda t: speed(sched, t)
+        u0 = np.linspace(-2.0, 2.0, 40)
+        whole, split = u0.copy(), u0.copy()
+        assert list(rk4_march(field.scalar_map, None, whole, None, 0.1, 23,
+                              speed_at)) == list(range(1, 24))
+        assert list(rk4_march(field.scalar_map, None, split, None, 0.1, 7,
+                              speed_at)) == list(range(1, 8))
+        assert list(rk4_march(field.scalar_map, None, split, None, 0.1, 16,
+                              speed_at, start=7)) == list(range(8, 24))
+        assert np.array_equal(split, whole)
 
     def test_kappa_outside_unit_interval_raises(self):
         field = tanh_field(8, 0.9)
@@ -228,6 +265,25 @@ class TestWepExperiment:
         wep_experiment(config)
         # 1 + n_trials * len(n_list) draws: the guide, then each trial
         assert sizes == [500] + [16] * 3 + [32] * 3
+
+    def test_marches_only_positions_up_to_the_last_instant(self):
+        # Only the positions [..., :4] are read, and nothing after the last
+        # equilibrium instant t = (2 n_cycles - 1) T.
+        field = tanh_field(8, 0.9)
+        seen = []
+
+        def counted(x):
+            seen.append(x.size)
+            return field.scalar_map(x)
+
+        n_list, n_trials, n_cycles, n_reference = [6, 11], 3, 2, 50
+        config = _wep_config(dataclasses.replace(field, scalar_map=counted),
+                             n_list, n_trials, n_cycles=n_cycles, dt=0.25,
+                             n_reference=n_reference)
+        wep_experiment(config)
+        steps = (2 * n_cycles - 1) * 4
+        assert sum(seen) == (4 * 4 * (n_reference + n_trials * sum(n_list))
+                             * steps)
 
     def test_x_obs_are_centers_of_mass_of_the_seeded_draws(self):
         n_list, n_trials = [16, 33], 3

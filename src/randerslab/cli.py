@@ -160,7 +160,8 @@ SCHEMAS = {
     "wep": {
         "n_list": ([int], (lambda ns: ns and min(ns) >= 2,
                            "every N must be an integer >= 2"), REQUIRED),
-        "n_trials": (int, POSITIVE, REQUIRED),
+        # sigma_x is the spread over trials: zero for a single trial
+        "n_trials": (int, (lambda n: n >= 2, "must be >= 2"), REQUIRED),
         "field": (WEP_FIELD, None, REQUIRED),
         "preparation": ({"mean": ((float, [float]),
                                   (lambda m: not isinstance(m, list) or len(m) == 8,

@@ -19,6 +19,11 @@ MIN_EXCEED = 10
 # Most A-sample points the 'sample_distance' isoperimetric method compares
 # each outside point against.
 A_SAMPLE_CAP = 20000
+# Samplers draw and evaluate rows in blocks of at most this many doubles (at
+# least one row), and 'sample_distance' compares outside points against the
+# A-sample in tiles of at most this many dot products, so memory does not
+# grow with n * dimension.
+SAMPLE_CHUNK_ELEMS = 2**16
 
 
 class ConcentrationError(Exception):
@@ -45,7 +50,10 @@ class MMSpaceSampler:
     kind 'sphere' draws uniform points on S^dimension inside
     R^{dimension+1}; 'gaussian' draws N(0, sigma^2 I) in R^dimension;
     'product_uniform' draws uniform coordinates in ``bounds``.  The same
-    (seed, stream) pair always reproduces the same array.
+    (seed, stream) pair always reproduces the same array.  Rows are drawn
+    in blocks of at most ``SAMPLE_CHUNK_ELEMS`` doubles from the one
+    generator of the stream, so a row does not depend on n or on the
+    block size.
     """
 
     kind: str
@@ -64,16 +72,40 @@ class MMSpaceSampler:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
-    def sample(self, n: int, stream: int = 0) -> np.ndarray:
+    @property
+    def width(self) -> int:
+        """Coordinates per sample: dimension + 1 on the sphere."""
+        return self.dimension + 1 if self.kind == "sphere" else self.dimension
+
+    def _row_blocks(self, n: int, stream: int):
+        """Yield (first row, block) over the n rows of ``stream`` in order."""
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, stream]))
-        if self.kind == "sphere":
-            x = rng.standard_normal((n, self.dimension + 1))
-            norms = np.linalg.norm(x, axis=1, keepdims=True)
-            return x / norms
-        if self.kind == "gaussian":
-            return self.sigma * rng.standard_normal((n, self.dimension))
-        lo, hi = self.bounds
-        return rng.uniform(lo, hi, size=(n, self.dimension))
+        rows = max(1, SAMPLE_CHUNK_ELEMS // self.width)
+        for lo in range(0, n, rows):
+            shape = (min(rows, n - lo), self.width)
+            if self.kind == "sphere":
+                x = rng.standard_normal(shape)
+                x /= np.linalg.norm(x, axis=1, keepdims=True)
+            elif self.kind == "gaussian":
+                x = self.sigma * rng.standard_normal(shape)
+            else:
+                x = rng.uniform(*self.bounds, size=shape)
+            yield lo, x
+
+    def sample(self, n: int, stream: int = 0) -> np.ndarray:
+        out = np.empty((n, self.width))
+        for lo, x in self._row_blocks(n, stream):
+            out[lo:lo + len(x)] = x
+        return out
+
+    def observe(self, f: Callable, n: int, stream: int = 0) -> np.ndarray:
+        """f over the n samples of ``stream``, one value per row, evaluated
+        block by block: equal to f(self.sample(n, stream)) for an f acting
+        row by row, without holding the (n, width) array."""
+        v = np.empty(n)
+        for lo, x in self._row_blocks(n, stream):
+            v[lo:lo + len(x)] = _eval_observable(f, x, lo)
+        return v
 
     def default_rho_p(self, sigma_f: float = 1.0) -> float:
         """Per-degree-of-freedom distance scale making the fitted decay
@@ -96,7 +128,8 @@ def product_uniform(dim: int, bounds, seed: int) -> MMSpaceSampler:
                           bounds=tuple(bounds))
 
 
-def _eval_observable(f: Callable, x: np.ndarray) -> np.ndarray:
+def _eval_observable(f: Callable, x: np.ndarray, first: int) -> np.ndarray:
+    """f on the block x, whose first row is sample ``first``."""
     v = np.asarray(f(x), dtype=float)
     if v.shape != (x.shape[0],):
         raise EvaluationError(f"observable returned shape {v.shape} for "
@@ -104,7 +137,7 @@ def _eval_observable(f: Callable, x: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(v)
     if bad.any():
         k = int(np.argmax(bad))
-        raise EvaluationError(f"observable non-finite at sample {k}")
+        raise EvaluationError(f"observable non-finite at sample {first + k}")
     return v
 
 
@@ -114,8 +147,7 @@ def levy_median(f: Callable, sampler: MMSpaceSampler, n: int,
     and 1/2 below, up to 2/sqrt(n))."""
     if n < 100:
         raise ValueError("n must be >= 100 for a stable median")
-    v = _eval_observable(f, sampler.sample(n, stream=stream))
-    return float(np.median(v))
+    return float(np.median(sampler.observe(f, n, stream=stream)))
 
 
 @dataclass(frozen=True)
@@ -208,8 +240,7 @@ def concentration_profile(f: Callable, sampler: MMSpaceSampler, rho_grid, n: int
     if rho_p is None:
         rho_p = sampler.default_rho_p(sigma_f)
     med = levy_median(f, sampler, max(n // 2, 100), stream=1)
-    v = _eval_observable(f, sampler.sample(n, stream=2))
-    devs = np.abs(v - med) / sigma_f
+    devs = np.abs(sampler.observe(f, n, stream=2) - med) / sigma_f
     return tail_profile_from_deviations(
         devs, rho_grid, rho_p=rho_p, sigma_f=sigma_f, median_hat=med,
         dimension=sampler.dimension, seed=sampler.seed)
@@ -273,6 +304,34 @@ class IsoperimetricReport:
         return all(r.passed for r in self.rows)
 
 
+def _distance_to_a_sample(sampler, n, in_a_ref, outside):
+    """Geodesic distance from each stream-2 point to the nearest of the
+    first ``A_SAMPLE_CAP`` stream-1 points with ``in_a_ref``; 0 where not
+    ``outside``.  Both streams are redrawn block by block."""
+    a_pts = np.empty((min(int(in_a_ref.sum()), A_SAMPLE_CAP), sampler.width))
+    kept = 0
+    for lo, ref in sampler._row_blocks(n, 1):
+        pick = ref[in_a_ref[lo:lo + len(ref)]][:len(a_pts) - kept]
+        a_pts[kept:kept + len(pick)] = pick
+        kept += len(pick)
+        if kept == len(a_pts):
+            break
+    # square tiles of dot products; a tile of the A-sample stays in cache
+    side = math.isqrt(SAMPLE_CHUNK_ELEMS)
+    dist = np.zeros(n)
+    for lo, x in sampler._row_blocks(n, 2):
+        out = lo + np.flatnonzero(outside[lo:lo + len(x)])
+        for k in range(0, out.size, side):
+            idx = out[k:k + side]
+            pts = x[idx - lo]
+            best = np.full(idx.size, -np.inf)
+            for c in range(0, len(a_pts), side):
+                np.maximum(best, (pts @ a_pts[c:c + side].T).max(axis=1),
+                           out=best)
+            dist[idx] = np.arccos(np.clip(best, -1.0, 1.0))
+    return dist
+
+
 def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int, seed: int,
                                method: str = "cap_exact",
                                f: Callable | None = None) -> IsoperimetricReport:
@@ -295,12 +354,9 @@ def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int, seed: int,
                          "observable; use method='sample_distance'")
     obs = (lambda pts: pts[:, 0]) if f is None else f
     sampler = sphere(n_dim, seed)
-    ref = sampler.sample(n, stream=1)
-    f_ref = _eval_observable(obs, ref)
+    f_ref = sampler.observe(obs, n, stream=1)
     med = float(np.median(f_ref))
-
-    x = sampler.sample(n, stream=2)
-    f_x = _eval_observable(obs, x)
+    f_x = sampler.observe(obs, n, stream=2)
     eps_grid = np.asarray(epsilon_grid, dtype=float)
 
     if method == "cap_exact":
@@ -308,14 +364,7 @@ def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int, seed: int,
         theta = np.arccos(np.clip(f_x, -1.0, 1.0))
         dist_to_a = np.maximum(theta_m - theta, 0.0)
     elif method == "sample_distance":
-        a_pts = ref[f_ref <= med][:A_SAMPLE_CAP]
-        dist_to_a = np.empty(n)
-        in_a = f_x <= med
-        dist_to_a[in_a] = 0.0
-        out = ~in_a
-        if out.any():
-            dots = x[out] @ a_pts.T
-            dist_to_a[out] = np.arccos(np.clip(dots.max(axis=1), -1.0, 1.0))
+        dist_to_a = _distance_to_a_sample(sampler, n, f_ref <= med, f_x > med)
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -183,8 +183,11 @@ class WepConfig:
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "rho_grid",
                            np.asarray(self.rho_grid, dtype=float))
-        if self.n_trials < 1 or self.n_cycles < 1:
-            raise ValueError("n_trials and n_cycles must be >= 1")
+        if self.n_trials < 2:
+            raise ValueError("n_trials must be >= 2: sigma_x is the spread "
+                             "over trials")
+        if self.n_cycles < 1:
+            raise ValueError("n_cycles must be >= 1")
         if any(n < 2 for n in self.n_list):
             raise ValueError("every N must be >= 2")
 

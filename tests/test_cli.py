@@ -288,6 +288,9 @@ PROBES = [
                  "parameters.space.bounds", id="space-bounds"),
     pytest.param("wep", {"preparation": {"mean": ["a"] * 8}},
                  "parameters.preparation.mean[0]", id="preparation-mean"),
+    # one trial has sigma_x = 0: every d / sigma_x divides by zero
+    pytest.param("wep", {"n_trials": 1, "n_list": [10, 20, 40], "dt": 0.25},
+                 "parameters.n_trials", id="wep-one-trial"),
     pytest.param("gravity", {"both_conventions": "no"},
                  "parameters.both_conventions", id="both_conventions"),
     pytest.param("gravity", gravity_case(density_convention="zzz"),

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from randerslab import cli, concentration
 from randerslab.concentration import (
     ConcentrationProfile,
     DimensionError,
@@ -51,6 +53,68 @@ class TestSamplers:
     def test_sphere_needs_dimension_two(self):
         with pytest.raises(DimensionError):
             sphere(1, 0)
+
+
+SAMPLERS = [sphere(16, 3), gaussian(16, 1.7, 3),
+            product_uniform(16, (-1.0, 2.0), 3)]
+
+
+def _one_shot(sampler, n, stream):
+    """The sample drawn by one call per stream, as before row blocks."""
+    rng = np.random.default_rng(np.random.SeedSequence([sampler.seed, stream]))
+    if sampler.kind == "sphere":
+        x = rng.standard_normal((n, sampler.width))
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+    if sampler.kind == "gaussian":
+        return sampler.sigma * rng.standard_normal((n, sampler.width))
+    return rng.uniform(*sampler.bounds, size=(n, sampler.width))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: s.kind)
+    def test_blocks_cross_into_the_same_stream(self, sampler):
+        # five full blocks and a remainder
+        n = 5 * (concentration.SAMPLE_CHUNK_ELEMS // sampler.width) + 17
+        x = sampler.sample(n, stream=2)
+        assert np.array_equal(x, _one_shot(sampler, n, 2))
+        for name in ("coordinate", "norm", "coordinate_mean"):
+            f = cli._observable({"name": name, "index": 3})
+            assert np.array_equal(sampler.observe(f, n, stream=2), f(x)), name
+
+    def test_nonfinite_names_the_sample_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(concentration, "SAMPLE_CHUNK_ELEMS", 16)
+        sampler = gaussian(4, 1.0, 5)
+        bad = sampler.sample(50)[37]
+        f = lambda x: np.where((x == bad).all(axis=1), np.nan, x[:, 0])
+        with pytest.raises(EvaluationError, match="at sample 37$"):
+            sampler.observe(f, 50)
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while fn runs; numpy reports its array buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    # about 40 blocks; one (N, N_DIM + 1) array is 20.8 MB
+    N, N_DIM = 40_000, 64
+    ARRAY_BYTES = N * (N_DIM + 1) * 8
+
+    def test_sphere_check_holds_no_sample(self):
+        peak = _traced_peak(lambda: sphere_isoperimetric_check(
+            self.N_DIM, [0.1, 0.2], self.N, 30))
+        assert peak < self.ARRAY_BYTES / 4
+
+    def test_profile_holds_no_sample(self):
+        grid = np.linspace(0.25, 3.0, 12) / math.sqrt(self.N_DIM - 1)
+        peak = _traced_peak(lambda: concentration_profile(
+            first_coord, sphere(self.N_DIM, 21), grid, self.N))
+        assert peak < self.ARRAY_BYTES / 4
 
 
 class TestLevyMedian:
@@ -232,6 +296,25 @@ class TestIsoperimetric:
                                              method="sample_distance")
         for r_exact, r_sampled in zip(exact.rows, sampled.rows):
             assert abs(r_exact.empirical - r_sampled.empirical) < 0.02
+
+    def test_sample_distance_in_tiles_equals_one_shot(self, monkeypatch):
+        # 16-row blocks, 8 x 8 tiles of dot products, and an A-sample cap
+        # reached inside a block
+        monkeypatch.setattr(concentration, "SAMPLE_CHUNK_ELEMS", 64)
+        monkeypatch.setattr(concentration, "A_SAMPLE_CAP", 101)
+        n, grid = 600, [0.1, 0.3, 0.6]
+        report = sphere_isoperimetric_check(3, grid, n, 31,
+                                            method="sample_distance")
+        s = sphere(3, 31)
+        ref, x = s.sample(n, stream=1), s.sample(n, stream=2)
+        med = np.median(ref[:, 0])
+        a_pts = ref[ref[:, 0] <= med][:101]
+        out = x[:, 0] > med
+        dist = np.zeros(n)
+        dist[out] = np.arccos(np.clip((x[out] @ a_pts.T).max(axis=1), -1, 1))
+        assert report.median_hat == med
+        assert [r.empirical for r in report.rows] == [
+            float((dist <= eps).mean()) for eps in grid]
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):

@@ -80,6 +80,11 @@ class TestCenterOfMass:
         with pytest.raises(ValueError):
             _wep_config(zero_field(8), [1], 2)
 
+    def test_one_trial_is_rejected(self):
+        # sigma_x, the spread over trials, would be 0
+        with pytest.raises(ValueError, match="n_trials"):
+            _wep_config(zero_field(8), [10], 1)
+
 
 class TestBatchedEvolution:
     def test_matches_flow_integrator_on_componentwise_field(self):

@@ -7,6 +7,7 @@ box-Lipschitz Hamiltonian into a globally 1-Lipschitz piece
 ``R(rho) H(clamp(z))`` and a remainder supported off the box.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -75,8 +76,12 @@ class BoxMetric:
     def distance(self, z1, z2) -> np.ndarray:
         z1 = np.asarray(z1, dtype=float)
         z2 = np.asarray(z2, dtype=float)
-        w = self.scales(z1.shape[-1])
-        return np.sqrt(np.sum((w * (z1 - z2)) ** 2, axis=-1))
+        # scaled and squared in place: the expression form held one more
+        # temporary of the points' size, which set a pair draw's peak
+        t = z1 - z2
+        t *= self.scales(z1.shape[-1])
+        t *= t
+        return np.sqrt(np.sum(t, axis=-1))
 
 
 EUCLIDEAN = BoxMetric()
@@ -184,12 +189,13 @@ def estimate_lipschitz(f, domain: CompactBox, n_pairs: int, seed: int,
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     fb = _batch(f)
-    rng = np.random.default_rng(seed)
-    w = domain.metric.scales(domain.dim)
 
     if method == "gradient_norm":
+        rng = np.random.default_rng(seed)
         pts = domain.sample(n_pairs, rng)
-        g = _fd_gradients(fb, pts, domain)
+        h = 1e-6 * (1.0 + domain.diameter)
+        g = _fd_gradients(_probes(fb, pts, h), lambda v: v, h)
+        w = domain.metric.scales(domain.dim)
         dual = np.sqrt(np.sum((g / w) ** 2, axis=1))
         return LipschitzEstimate(
             constant_hat=float(dual.max()),
@@ -201,44 +207,10 @@ def estimate_lipschitz(f, domain: CompactBox, n_pairs: int, seed: int,
     if method != "pair_sampling":
         raise ValueError(f"unknown method {method!r}")
 
-    z1 = domain.sample(n_pairs, rng)
-    z2 = domain.sample(n_pairs, rng)
-    d = domain.metric.distance(z1, z2)
-    keep = d > 0.0
-    quotients = []
-    if keep.any():
-        quotients.append(np.abs(fb(z1[keep]) - fb(z2[keep])) / d[keep])
-
-    # Short-separation refinement: walk a small step along the estimated
-    # steepest direction so aligned pairs probe the local slope.
-    n_ref = refine_points if refine_points is not None else min(256, n_pairs)
-    if n_ref > 0:
-        delta = 1e-4 * domain.diameter
-        inner = CompactBox(lower=domain.lower + delta, upper=domain.upper - delta,
-                           metric=domain.metric) \
-            if np.all(domain.upper - domain.lower > 2 * delta) else domain
-        pts = inner.sample(n_ref, rng)
-        g = _fd_gradients(fb, pts, domain, step=delta / 8.0)
-        dirs = g / (w ** 2)
-        norms = domain.metric.distance(dirs, 0.0 * dirs)
-        ok = norms > 0.0
-        if ok.any():
-            v = dirs[ok] / norms[ok, None]
-            za = pts[ok] - 0.5 * delta * v
-            zb = pts[ok] + 0.5 * delta * v
-            dd = domain.metric.distance(za, zb)
-            good = dd > 0.0
-            if good.any():
-                quotients.append(np.abs(fb(za[good]) - fb(zb[good])) / dd[good])
-
-    if not quotients:
-        raise EstimationError("all sampled pairs were degenerate")
-    best = float(np.max(np.concatenate(quotients)))
-    if not math.isfinite(best):
-        raise EstimationError(f"largest difference quotient is {best}; the "
-                              "box or the function overflows the double range")
+    sample = _PairSample.draw(fb, domain, n_pairs, seed, refine_points)
+    n_ref = len(sample.pts)
     return LipschitzEstimate(
-        constant_hat=best,
+        constant_hat=sample.estimate(lambda v: v),
         method="pair_sampling",
         pairs_or_points=int(n_pairs + n_ref),
         confidence_note=(f"lower bound from {n_pairs} random pairs and "
@@ -246,16 +218,101 @@ def estimate_lipschitz(f, domain: CompactBox, n_pairs: int, seed: int,
     )
 
 
-def _fd_gradients(fb, pts: np.ndarray, domain: CompactBox,
-                  step: float | None = None) -> np.ndarray:
-    n, d = pts.shape
-    h = step if step is not None else 1e-6 * (1.0 + domain.diameter)
-    grads = np.empty((n, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        grads[:, i] = (fb(pts + e) - fb(pts - e)) / (2 * h)
-    return grads
+def _probes(g, pts: np.ndarray, step: float) -> list:
+    """g at pts + step e_i and at pts - step e_i, for each coordinate i."""
+    return [(g(pts + e), g(pts - e)) for e in step * np.eye(pts.shape[1])]
+
+
+def _fd_gradients(probes: list, combine: Callable, step: float) -> np.ndarray:
+    """Central differences of combine(g) from the values of ``_probes``."""
+    return np.stack([(combine(plus) - combine(minus)) / (2 * step)
+                     for plus, minus in probes], axis=1)
+
+
+@dataclass(frozen=True)
+class _PairSample:
+    """What one ``(domain, n_pairs, seed)`` pair-sampling draw fixes, with a
+    point map ``g`` evaluated once at its points.
+
+    ``estimate(combine)`` is the pair-sampling estimate of ``combine(g(z))``.
+    Only the gradient-aligned short pairs, whose direction depends on that
+    function, are evaluated anew, so one draw serves many functions that
+    share ``g``.  The sample keeps values, the refinement points and no
+    ``(n_pairs, dim)`` point array.
+    """
+
+    domain: CompactBox
+    g: Callable
+    d: np.ndarray        # distances of the kept (non-degenerate) pairs
+    ends: tuple | None   # g at the first and second ends of the kept pairs
+    pts: np.ndarray      # refinement points, (n_ref, dim)
+    delta: float         # short-pair length
+    probes: list         # g at the finite-difference probes of pts
+
+    @classmethod
+    def draw(cls, g, domain: CompactBox, n_pairs: int, seed: int,
+             refine_points: int | None = None) -> "_PairSample":
+        rng = np.random.default_rng(seed)
+        # each end is evaluated before the next array is drawn and dropped
+        # after its last use, so at most two point arrays are alive at once
+        z1 = domain.sample(n_pairs, rng)
+        a = g(z1)
+        z2 = domain.sample(n_pairs, rng)
+        d = domain.metric.distance(z1, z2)
+        del z1
+        b = g(z2)
+        del z2
+        keep = d > 0.0
+        ends = None
+        if keep.any():
+            ends = (a, b) if keep.all() else (a[..., keep], b[..., keep])
+        # short-separation refinement points, kept off the faces so the
+        # aligned pairs stay inside the domain
+        n_ref = refine_points if refine_points is not None else min(256, n_pairs)
+        delta = 1e-4 * domain.diameter
+        pts, probes = np.empty((0, domain.dim)), []
+        if n_ref > 0:
+            inner = CompactBox(lower=domain.lower + delta,
+                               upper=domain.upper - delta,
+                               metric=domain.metric) \
+                if np.all(domain.upper - domain.lower > 2 * delta) else domain
+            pts = inner.sample(n_ref, rng)
+            probes = _probes(g, pts, delta / 8.0)
+        return cls(domain=domain, g=g, d=d[keep], ends=ends, pts=pts,
+                   delta=delta, probes=probes)
+
+    def estimate(self, combine: Callable) -> float:
+        quotients = []
+        if self.ends is not None:
+            a, b = self.ends
+            quotients.append(np.abs(combine(a) - combine(b)) / self.d)
+
+        # Short-separation refinement: walk a small step along the estimated
+        # steepest direction so aligned pairs probe the local slope.
+        if len(self.pts):
+            metric, delta = self.domain.metric, self.delta
+            grads = _fd_gradients(self.probes, combine, delta / 8.0)
+            dirs = grads / (metric.scales(self.domain.dim) ** 2)
+            norms = metric.distance(dirs, 0.0 * dirs)
+            ok = norms > 0.0
+            if ok.any():
+                v = dirs[ok] / norms[ok, None]
+                za = self.pts[ok] - 0.5 * delta * v
+                zb = self.pts[ok] + 0.5 * delta * v
+                dd = metric.distance(za, zb)
+                good = dd > 0.0
+                if good.any():
+                    quotients.append(np.abs(combine(self.g(za[good]))
+                                            - combine(self.g(zb[good])))
+                                     / dd[good])
+
+        if not quotients:
+            raise EstimationError("all sampled pairs were degenerate")
+        best = float(np.max(np.concatenate(quotients)))
+        if not math.isfinite(best):
+            raise EstimationError(f"largest difference quotient is {best}; the "
+                                  "box or the function overflows the double range")
+        return best
 
 
 @dataclass(frozen=True)
@@ -329,23 +386,30 @@ class HamiltonianDecomposition:
         return self.hamiltonian(z) - lip
 
 
-def _part_estimate(h, box: CompactBox, profile, sample_domain: CompactBox,
-                   n_pairs: int, seed: int) -> float:
-    """Global sampled constant of R(rho) h(clamp(z)).
+def _part_estimate(h, box: CompactBox, sample_domain: CompactBox,
+                   n_pairs: int, seed: int) -> Callable:
+    """Global sampled constant of R(rho) h(clamp(z)), as a function of the
+    profile R.
 
     Estimates over the far domain, over a thin shell around the box (where
     the radial slope of the profile lives; far samples in high dimension
-    never land there), and over the box itself, and takes the max.
+    never land there), and over the box itself, and takes the max.  The
+    three pair samples, with rho and h(clamp(z)) at their points, are drawn
+    once; each profile then only forms R(rho) h and evaluates its own
+    gradient-aligned short pairs.
     """
-    def lip_part(z):
-        zbar, rho = project_to_box(z, box)
-        return profile(rho) * h(zbar)
+    hb = _batch(h)
 
-    shell = box.enlarge(1.15)
-    domains = (sample_domain, shell, box)
-    return max(estimate_lipschitz(lip_part, dom, n_pairs=n_pairs,
-                                  seed=seed).constant_hat
-               for dom in domains)
+    def split(z):
+        zbar, rho = project_to_box(z, box)
+        return np.stack((rho, hb(zbar)))
+
+    samples = [_PairSample.draw(split, dom, n_pairs, seed)
+               for dom in (sample_domain, box.enlarge(1.15), box)]
+
+    def estimate(profile) -> float:
+        return max(s.estimate(lambda v: profile(v[0]) * v[1]) for s in samples)
+    return estimate
 
 
 def tune_profile(h, box: CompactBox, sample_domain: CompactBox,
@@ -354,17 +418,19 @@ def tune_profile(h, box: CompactBox, sample_domain: CompactBox,
     global sampled constant of the decomposed Lipschitz piece drops below
     ``TUNE_TARGET``.
 
-    The predicate uses a fixed seed so the search is deterministic.  When
-    even a flat profile cannot reach the target (the input was normalized
-    against its own sampled estimate, so fresh samples may sit a few percent
-    above it), the statistical ``TUNE_SLACK`` is allowed before the tuning
-    is reported as failed.
+    The predicate uses one fixed set of samples, drawn once from the seed,
+    for every rho0, so the search is deterministic, and each rho0 is
+    estimated at most once.  When even a flat profile cannot reach the
+    target (the input was normalized against its own sampled estimate, so
+    fresh samples may sit a few percent above it), the statistical
+    ``TUNE_SLACK`` is allowed before the tuning is reported as failed.
     """
     diam = box.diameter
+    part = _part_estimate(h, box, sample_domain, n_pairs, seed)
 
+    @functools.cache
     def global_est(rho0):
-        return _part_estimate(h, box, ScaleProfile(rho0=rho0), sample_domain,
-                              n_pairs, seed)
+        return part(ScaleProfile(rho0=rho0))
 
     def attempt(level):
         lo = 1e-3 * diam
@@ -427,7 +493,7 @@ def radial_decomposition(h, box: CompactBox, scale_profile: ScaleProfile | None 
         profile = scale_profile
         if abs(profile(0.0) - 1.0) > 1e-12:
             raise ProfileError("scale profile must satisfy R(0) = 1")
-        est = _part_estimate(hb, box, profile, sample_domain, n_pairs, seed)
+        est = _part_estimate(hb, box, sample_domain, n_pairs, seed)(profile)
         converged = est <= TUNE_TARGET + TUNE_SLACK
         note = "" if converged else (
             f"declared profile leaves a sampled global constant {est:.4f}")

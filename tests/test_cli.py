@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randerslab import cli
+from randerslab import cli, lipschitz
 from randerslab.runio import (atomic_write_csv, atomic_write_text, config_hash,
                               fmt_float)
 
@@ -509,3 +510,46 @@ def test_legal_wep_configs_run_to_a_documented_exit(
     code = cli.main(["wep", "--config", path, "--out", str(tmp / "out")])
     assert code in (0, 2, 3)
     assert (tmp / "out" / "manifest.json").exists() == (code == 0)
+
+
+LIPSCHITZ_METRICS = st.one_of(
+    st.just({"kind": "euclidean"}),
+    st.builds(lambda u, p: {"kind": "weighted", "u_scale": u, "p_scale": p},
+              st.floats(0.1, 10.0), st.floats(0.1, 10.0)))
+# dt = T / k divides the period; 0.3 does not divide T = 1
+LIPSCHITZ_FLOWS = st.one_of(
+    st.none(),
+    st.builds(lambda k, n, u, p: {"period_T": 1.0, "dt": 1.0 / k,
+                                  "n_cycles": n, "u_scale": u, "p_scale": p},
+              st.integers(2, 20), st.integers(1, 2), st.floats(0.0, 2.0),
+              st.floats(0.0, 2.0)),
+    st.just({"period_T": 1.0, "dt": 0.3, "n_cycles": 1}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.one_of(WEP_FIELDS, st.builds(
+           lambda s: {"family": "linear", "scale": s}, st.floats(0.05, 2.0))),
+       metric=LIPSCHITZ_METRICS, half_width=st.floats(0.05, 10.0),
+       n_pairs=st.integers(1, 200),
+       rho0=st.one_of(st.just("auto"), st.floats(0.01, 100.0)),
+       flow=LIPSCHITZ_FLOWS, seed=st.integers(0, 2**32 - 1))
+def test_legal_lipschitz_configs_run_to_a_documented_exit(
+        tmp_path_factory, field, metric, half_width, n_pairs, rho0, flow,
+        seed):
+    """Every legal small lipschitz config runs through main to exit 0, 2 or
+    3, and a run that reaches the decomposition writes its report, also
+    when the tuning fails."""
+    cfg = {"experiment": "lipschitz", "seed": seed, "parameters": {
+        "n_molecules": 1, "field": field, "box_half_width": half_width,
+        "metric": metric, "n_pairs": n_pairs,
+        "profile": {"family": "inverse_linear", "rho0": rho0}, "flow": flow}}
+    tmp = tmp_path_factory.mktemp("lipschitz-fuzz")
+    path = write_config(tmp, cfg)
+    out = tmp / "out"
+    with mock.patch.object(lipschitz, "radial_decomposition",
+                           wraps=lipschitz.radial_decomposition) as spy:
+        code = cli.main(["lipschitz", "--config", path, "--out", str(out)])
+    assert code in (0, 2, 3)
+    assert (out / "manifest.json").exists() == (code == 0)
+    if spy.called:
+        assert (out / "decomposition_report.json").exists()

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,29 +89,19 @@ class TestRowBlocks:
             sampler.observe(f, 50)
 
 
-def _traced_peak(fn):
-    """Peak bytes traced while fn runs; numpy reports its array buffers."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestBoundedMemory:
     # about 40 blocks; one (N, N_DIM + 1) array is 20.8 MB
     N, N_DIM = 40_000, 64
     ARRAY_BYTES = N * (N_DIM + 1) * 8
 
-    def test_sphere_check_holds_no_sample(self):
-        peak = _traced_peak(lambda: sphere_isoperimetric_check(
+    def test_sphere_check_holds_no_sample(self, traced_peak):
+        peak = traced_peak(lambda: sphere_isoperimetric_check(
             self.N_DIM, [0.1, 0.2], self.N, 30))
         assert peak < self.ARRAY_BYTES / 4
 
-    def test_profile_holds_no_sample(self):
+    def test_profile_holds_no_sample(self, traced_peak):
         grid = np.linspace(0.25, 3.0, 12) / math.sqrt(self.N_DIM - 1)
-        peak = _traced_peak(lambda: concentration_profile(
+        peak = traced_peak(lambda: concentration_profile(
             first_coord, sphere(self.N_DIM, 21), grid, self.N))
         assert peak < self.ARRAY_BYTES / 4
 

@@ -3,21 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randerslab import lipschitz
 from randerslab.dynamics import make_state, run_cycles, sin_squared_schedule
 from randerslab.geometry import PhasePoint, tanh_field
 from randerslab.lipschitz import (
+    N_IDENTITY_CHECK,
     BoxMetric,
     CompactBox,
     EstimationError,
     LipschitzError,
     ProfileError,
     ScaleProfile,
+    _PairSample,
+    _part_estimate,
     check_constraint_split,
     decomposition_report,
     estimate_lipschitz,
     normalize_to_one_lipschitz,
     project_to_box,
     radial_decomposition,
+    tune_profile,
 )
 
 
@@ -237,6 +242,101 @@ class TestRadialDecomposition:
             ScaleProfile(rho0=-1.0)
         with pytest.raises(ProfileError):
             ScaleProfile(rho0=1.0, family="gaussian")
+
+
+def normalized_tanh_hamiltonian(dim_u, metric, n_pairs, seed):
+    """The lipschitz CLI's tanh Hamiltonian, normalized on the unit cube."""
+    h_raw = randers_hamiltonian(tanh_field(dim_u, 0.9), dim_u)
+    box = CompactBox.cube(2 * dim_u, 1.0, metric=metric)
+    est = estimate_lipschitz(h_raw, box, n_pairs=n_pairs, seed=seed)
+    return normalize_to_one_lipschitz(h_raw, est), box
+
+
+METRICS = [BoxMetric(), BoxMetric("weighted", u_scale=0.5, p_scale=2.0)]
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)
+class TestDrawOnce:
+    """The tuning's three pair samples are drawn once and serve every rho0;
+    the result equals fresh estimate_lipschitz calls bit for bit."""
+
+    N_PAIRS = 300
+    RHO0S = (0.01, 0.3, 2.0, 50.0)
+
+    def _fresh(self, h, box, profile, seed, refine_points=None):
+        def lip_part(z):
+            zbar, rho = project_to_box(z, box)
+            return profile(rho) * h(zbar)
+        return max(estimate_lipschitz(lip_part, dom, self.N_PAIRS, seed,
+                                      refine_points=refine_points).constant_hat
+                   for dom in (box.enlarge(3.0), box.enlarge(1.15), box))
+
+    def test_part_estimate_equals_fresh_estimates(self, metric):
+        h, box = normalized_tanh_hamiltonian(4, metric, self.N_PAIRS, 11)
+        part = _part_estimate(h, box, box.enlarge(3.0), self.N_PAIRS, 12)
+        for rho0 in self.RHO0S:
+            profile = ScaleProfile(rho0=rho0)
+            assert part(profile) == self._fresh(h, box, profile, 12)
+
+    def test_unrefined_sample_equals_fresh_estimates(self, metric):
+        h, box = normalized_tanh_hamiltonian(4, metric, self.N_PAIRS, 11)
+
+        def split(z):
+            zbar, rho = project_to_box(z, box)
+            return np.stack((rho, h(zbar)))
+        samples = [_PairSample.draw(split, dom, self.N_PAIRS, 12,
+                                    refine_points=0)
+                   for dom in (box.enlarge(3.0), box.enlarge(1.15), box)]
+        for rho0 in self.RHO0S:
+            profile = ScaleProfile(rho0=rho0)
+            drawn = max(s.estimate(lambda v: profile(v[0]) * v[1])
+                        for s in samples)
+            assert drawn == self._fresh(h, box, profile, 12, refine_points=0)
+
+    @pytest.mark.parametrize("seed", [12, 14, 16])
+    def test_tuning_equals_bisection_on_fresh_estimates(self, metric, seed,
+                                                        monkeypatch):
+        h, box = normalized_tanh_hamiltonian(4, metric, self.N_PAIRS, 11)
+        drawn = tune_profile(h, box, box.enlarge(3.0), self.N_PAIRS, seed)
+        monkeypatch.setattr(
+            lipschitz, "_part_estimate",
+            lambda h, box, domain, n_pairs, seed:
+                lambda profile: self._fresh(h, box, profile, seed))
+        assert tune_profile(h, box, box.enlarge(3.0), self.N_PAIRS,
+                            seed) == drawn
+
+    def test_h_sees_each_sample_point_once(self, metric, monkeypatch):
+        dim_u, n_pairs = 4, self.N_PAIRS
+        h, box = normalized_tanh_hamiltonian(dim_u, metric, n_pairs, 11)
+        rows = []
+
+        def counted(z):
+            rows.append(len(z))
+            return h(z)
+        rho0s = set()
+
+        class Recorded(ScaleProfile):
+            def __post_init__(self):
+                super().__post_init__()
+                rho0s.add(self.rho0)
+        monkeypatch.setattr(lipschitz, "ScaleProfile", Recorded)
+        decomp = radial_decomposition(counted, box, n_pairs=n_pairs, seed=12)
+        assert decomp.profile.rho0 in rho0s
+        # pair ends and finite-difference probes once per domain; only the
+        # gradient-aligned short pairs per rho0; then the identity check
+        dim, n_ref = 2 * dim_u, min(256, n_pairs)
+        bound = (3 * (2 * n_pairs + 2 * dim * n_ref)
+                 + len(rho0s) * 3 * 2 * n_ref + 4 * N_IDENTITY_CHECK)
+        assert sum(rows) <= bound
+
+    def test_tuning_holds_values_not_points(self, metric, traced_peak):
+        dim_u, n_pairs = 8, 4000
+        h, box = normalized_tanh_hamiltonian(dim_u, metric, n_pairs, 0)
+        # one pair sample's two (n_pairs, dim) point arrays, per domain
+        bound = 3 * 2 * n_pairs * (2 * dim_u) * 8
+        peak = traced_peak(lambda: tune_profile(h, box, box.enlarge(3.0),
+                                                n_pairs=n_pairs, seed=1))
+        assert peak < bound
 
 
 class TestConstraintSplit:

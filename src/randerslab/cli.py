@@ -76,6 +76,10 @@ _SCALARS = {int: (lambda x: isinstance(x, int) and not isinstance(x, bool),
 # which stores u and p as doubles at every step, at most this many bytes.
 MAX_RK4_STEPS = 10**7
 MAX_TRAJECTORY_BYTES = 2**30
+# The arrays a sample count sizes take at most this many bytes: the two
+# stream vectors of concentration and sphere, both allocated before either
+# stream is drawn, the wep reference ensemble and the lipschitz pair ends.
+MAX_SAMPLE_BYTES = 2**30
 
 POSITIVE = (lambda x: x > 0, "must be positive")
 NONNEGATIVE = (lambda x: x >= 0, "must be >= 0")
@@ -260,6 +264,19 @@ def _cross_check(params, v):
             elif stored > MAX_TRAJECTORY_BYTES:
                 v.append(f"{path}dt: the stored trajectory exceeds "
                          f"{MAX_TRAJECTORY_BYTES} bytes")
+    n = params.get("n", 0)
+    doubles = {
+        # sphere draws n values on each of two streams, concentration takes
+        # its median from a half-size stream of at least 100
+        "n": n + (n if "sphere_dimension" in params else max(n // 2, 100)),
+        "n_reference": 8 * params.get("n_reference", 0),
+        "n_pairs": 2 * 16 * params.get("n_molecules", 0)
+                   * params.get("n_pairs", 0),
+    }
+    for key, count in doubles.items():
+        if 8 * count > MAX_SAMPLE_BYTES:
+            v.append(f"parameters.{key}: the sample arrays exceed "
+                     f"{MAX_SAMPLE_BYTES} bytes")
     space, fn = params.get("space", {}), params.get("function", {})
     if "kind" in space and "dimension" in space:
         sphere = space["kind"] == "sphere"

@@ -7,6 +7,7 @@ exponential decay constants by least squares on log tail versus rho^2.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,19 +79,41 @@ class MMSpaceSampler:
         return self.dimension + 1 if self.kind == "sphere" else self.dimension
 
     def _row_blocks(self, n: int, stream: int):
-        """Yield (first row, block) over the n rows of ``stream`` in order."""
+        """Iterator of (first row, block) over the n rows of ``stream`` in
+        order.  The generator and the buffers are made by this call, so the
+        thread that calls it allocates them even when another thread
+        iterates.  Every block is a view of the same buffer, overwritten by
+        the next block: a consumer copies what it keeps."""
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, stream]))
-        rows = max(1, SAMPLE_CHUNK_ELEMS // self.width)
-        for lo in range(0, n, rows):
-            shape = (min(rows, n - lo), self.width)
-            if self.kind == "sphere":
-                x = rng.standard_normal(shape)
-                x /= np.linalg.norm(x, axis=1, keepdims=True)
-            elif self.kind == "gaussian":
-                x = self.sigma * rng.standard_normal(shape)
-            else:
-                x = rng.uniform(*self.bounds, size=shape)
-            yield lo, x
+        rows = max(1, min(n, SAMPLE_CHUNK_ELEMS // self.width))
+        buf = np.empty((rows, self.width))
+        if self.kind == "sphere":
+            squares, norms = np.empty_like(buf), np.empty((rows, 1))
+        low, high = map(float, self.bounds)
+
+        def blocks():
+            for lo in range(0, n, rows):
+                m = min(rows, n - lo)
+                x = buf[:m]
+                if self.kind == "sphere":
+                    rng.standard_normal(out=x)
+                    # the steps of np.linalg.norm(x, axis=1, keepdims=True)
+                    # in place, so the rows stay bit-identical
+                    r = norms[:m]
+                    np.add.reduce(np.multiply(x, x, out=squares[:m]), axis=1,
+                                  keepdims=True, out=r)
+                    x /= np.sqrt(r, out=r)
+                elif self.kind == "gaussian":
+                    rng.standard_normal(out=x)
+                    x *= self.sigma
+                else:
+                    # rng.uniform(low, high): low + (high - low) * random()
+                    rng.random(out=x)
+                    x *= high - low
+                    x += low
+                yield lo, x
+
+        return blocks()
 
     def sample(self, n: int, stream: int = 0) -> np.ndarray:
         out = np.empty((n, self.width))
@@ -102,10 +125,48 @@ class MMSpaceSampler:
         """f over the n samples of ``stream``, one value per row, evaluated
         block by block: equal to f(self.sample(n, stream)) for an f acting
         row by row, without holding the (n, width) array."""
-        v = np.empty(n)
-        for lo, x in self._row_blocks(n, stream):
-            v[lo:lo + len(x)] = _eval_observable(f, x, lo)
-        return v
+        return self.observe_streams(f, [(n, stream)])[0]
+
+    def observe_streams(self, f: Callable, streams) -> list:
+        """``[observe(f, n, stream) for n, stream in streams]``, with the
+        streams evaluated at the same time: the first in the calling thread,
+        each further one on its own thread.  Each stream is one generator
+        consumed in order, so no value depends on thread scheduling; the
+        output vectors and block buffers are allocated here, before any
+        thread starts.  Every thread has ended when this returns or raises,
+        and the error raised is that of the first failing stream, as in
+        sequential evaluation (a failure of the first stream stops the
+        others at their next block)."""
+        jobs = [(np.empty(n), self._row_blocks(n, stream))
+                for n, stream in streams]
+        errors = [None] * len(jobs)
+        first_failed = threading.Event()
+
+        def fill(k):
+            v, blocks = jobs[k]
+            try:
+                for lo, x in blocks:
+                    if first_failed.is_set():
+                        return
+                    v[lo:lo + len(x)] = _eval_observable(f, x, lo)
+            except BaseException as exc:  # raised below, in the calling thread
+                errors[k] = exc
+                if k == 0:
+                    first_failed.set()
+
+        threads = [threading.Thread(target=fill, args=(k,))
+                   for k in range(1, len(jobs))]
+        for t in threads:
+            t.start()
+        try:
+            fill(0)
+        finally:
+            for t in threads:
+                t.join()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        return [v for v, _ in jobs]
 
     def default_rho_p(self, sigma_f: float = 1.0) -> float:
         """Per-degree-of-freedom distance scale making the fitted decay
@@ -239,8 +300,9 @@ def concentration_profile(f: Callable, sampler: MMSpaceSampler, rho_grid, n: int
     """
     if rho_p is None:
         rho_p = sampler.default_rho_p(sigma_f)
-    med = levy_median(f, sampler, max(n // 2, 100), stream=1)
-    devs = np.abs(sampler.observe(f, n, stream=2) - med) / sigma_f
+    f_med, f_x = sampler.observe_streams(f, [(max(n // 2, 100), 1), (n, 2)])
+    med = float(np.median(f_med))
+    devs = np.abs(f_x - med) / sigma_f
     return tail_profile_from_deviations(
         devs, rho_grid, rho_p=rho_p, sigma_f=sigma_f, median_hat=med,
         dimension=sampler.dimension, seed=sampler.seed)
@@ -354,9 +416,8 @@ def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int, seed: int,
                          "observable; use method='sample_distance'")
     obs = (lambda pts: pts[:, 0]) if f is None else f
     sampler = sphere(n_dim, seed)
-    f_ref = sampler.observe(obs, n, stream=1)
+    f_ref, f_x = sampler.observe_streams(obs, [(n, 1), (n, 2)])
     med = float(np.median(f_ref))
-    f_x = sampler.observe(obs, n, stream=2)
     eps_grid = np.asarray(epsilon_grid, dtype=float)
 
     if method == "cap_exact":

@@ -318,6 +318,19 @@ PROBES = [
     # difference quotients overflow to a non-finite estimate
     pytest.param("lipschitz", {"box_half_width": 1e300, "flow": None}, None,
                  id="box_half_width-1e300"),
+    # high - low overflows: samples are infinite, where numpy's uniform
+    # raised OverflowError
+    pytest.param("concentration", {"space": {
+        "kind": "product_uniform", "dimension": 16,
+        "bounds": [-1e308, 1e308]}}, None, id="bounds-width-overflow"),
+    # sample arrays of 364 TiB to 11.4 PiB beyond cli.MAX_SAMPLE_BYTES
+    pytest.param("concentration", {"n": 10**14}, "parameters.n",
+                 id="concentration-n-1e14"),
+    pytest.param("sphere", {"n": 10**14}, "parameters.n", id="sphere-n-1e14"),
+    pytest.param("wep", {"n_reference": 10**14}, "parameters.n_reference",
+                 id="n_reference-1e14"),
+    pytest.param("lipschitz", {"n_pairs": 10**14}, "parameters.n_pairs",
+                 id="n_pairs-1e14"),
 ]
 
 
@@ -553,3 +566,56 @@ def test_legal_lipschitz_configs_run_to_a_documented_exit(
     assert (out / "manifest.json").exists() == (code == 0)
     if spy.called:
         assert (out / "decomposition_report.json").exists()
+
+
+SPACES = st.one_of(
+    st.builds(lambda d: {"kind": "sphere", "dimension": d}, st.integers(1, 16)),
+    st.builds(lambda d, s: {"kind": "gaussian", "dimension": d, "sigma": s},
+              st.integers(1, 16), st.floats(0.1, 10.0)),
+    st.builds(lambda d, lo, w: {"kind": "product_uniform", "dimension": d,
+                                "bounds": [lo, lo + w]},
+              st.integers(1, 16), st.floats(-5.0, 5.0), st.floats(0.01, 10.0)))
+GRIDS = st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6,
+                 unique=True).map(sorted)
+
+
+def run_to_a_documented_exit(tmp_path_factory, cfg):
+    """Run cfg through main: exit 0, 2 or 3 (an uncaught exception fails
+    the test with its traceback), and a manifest exactly on exit 0."""
+    tmp = tmp_path_factory.mktemp(f"{cfg['experiment']}-fuzz")
+    path = write_config(tmp, cfg)
+    code = cli.main([cfg["experiment"], "--config", path, "--out",
+                     str(tmp / "out")])
+    assert code in (0, 2, 3)
+    assert (tmp / "out" / "manifest.json").exists() == (code == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=SPACES,
+       function=st.builds(lambda name, i: {"name": name, "index": i},
+                          st.sampled_from(["coordinate", "norm",
+                                           "coordinate_mean"]),
+                          st.integers(0, 4)),
+       rho_grid=GRIDS, n=st.integers(100, 2000),
+       sigma_f=st.floats(0.05, 2.0),
+       rho_p=st.one_of(st.none(), st.floats(0.01, 10.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_legal_concentration_configs_run_to_a_documented_exit(
+        tmp_path_factory, space, function, rho_grid, n, sigma_f, rho_p, seed):
+    run_to_a_documented_exit(tmp_path_factory, {
+        "experiment": "concentration", "seed": seed, "parameters": {
+            "space": space, "function": function, "rho_grid": rho_grid,
+            "n": n, "sigma_f": sigma_f, "rho_p": rho_p}})
+
+
+@settings(max_examples=60, deadline=None)
+@given(dimension=st.integers(2, 16), epsilon_grid=GRIDS,
+       n=st.integers(100, 2000),
+       method=st.sampled_from(["cap_exact", "sample_distance"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_legal_sphere_configs_run_to_a_documented_exit(
+        tmp_path_factory, dimension, epsilon_grid, n, method, seed):
+    run_to_a_documented_exit(tmp_path_factory, {
+        "experiment": "sphere", "seed": seed, "parameters": {
+            "sphere_dimension": dimension, "epsilon_grid": epsilon_grid,
+            "n": n, "method": method}})

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -87,6 +89,77 @@ class TestRowBlocks:
         f = lambda x: np.where((x == bad).all(axis=1), np.nan, x[:, 0])
         with pytest.raises(EvaluationError, match="at sample 37$"):
             sampler.observe(f, 50)
+
+
+OBSERVABLES = [cli._observable({"name": name, "index": 3})
+               for name in ("coordinate", "norm", "coordinate_mean")]
+
+
+class TestObserveStreams:
+    @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: s.kind)
+    def test_each_stream_equals_its_sequential_draw(self, sampler):
+        rows = concentration.SAMPLE_CHUNK_ELEMS // sampler.width
+        # less than one block, and block multiples plus a remainder
+        streams = [(rows // 3, 1), (2 * rows + 5, 2), (rows + 1, 4), (7, 9)]
+        # more threads than cores, switching as often as the interpreter can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for f in OBSERVABLES:
+                out = sampler.observe_streams(f, streams)
+                for v, (n, stream) in zip(out, streams):
+                    assert np.array_equal(v, sampler.observe(f, n, stream))
+                    assert np.array_equal(v, f(_one_shot(sampler, n, stream)))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: s.kind)
+    def test_profile_equals_sequential_reference(self, sampler):
+        grid = np.linspace(0.1, 2.0, 9)
+        for n in (150, 3001):
+            prof = concentration_profile(first_coord, sampler, grid, n,
+                                         sigma_f=0.7)
+            med = float(np.median(sampler.observe(first_coord,
+                                                  max(n // 2, 100), 1)))
+            devs = np.abs(sampler.observe(first_coord, n, 2) - med) / 0.7
+            assert prof.median_hat == med
+            assert np.array_equal(prof.exceed_counts,
+                                  np.sum(devs[:, None] > grid, axis=0))
+
+    def test_sphere_check_equals_sequential_reference(self):
+        n, grid = 3001, [0.02, 0.1, 0.3]
+        report = sphere_isoperimetric_check(16, grid, n, 8)
+        s = sphere(16, 8)
+        med = float(np.median(s.observe(first_coord, n, 1)))
+        theta = np.arccos(np.clip(s.observe(first_coord, n, 2), -1, 1))
+        dist = np.maximum(math.acos(med) - theta, 0.0)
+        assert report.median_hat == med
+        assert [r.empirical for r in report.rows] == [
+            float((dist <= eps).mean()) for eps in grid]
+
+    def test_first_stream_error_wins_and_no_thread_remains(self, monkeypatch):
+        monkeypatch.setattr(concentration, "SAMPLE_CHUNK_ELEMS", 16)
+        sampler = gaussian(4, 1.0, 5)
+        # non-finite at a late row of stream 1 and the first row of stream 2,
+        # which its thread reaches first
+        bad = np.stack([sampler.sample(50, 1)[37], sampler.sample(50, 2)[0]])
+        f = lambda x: np.where((x[:, None] == bad).all(axis=2).any(axis=1),
+                               np.inf, x[:, 0])
+        before = threading.active_count()
+        with pytest.raises(EvaluationError) as sequential:
+            sampler.observe(f, 50, 1)
+        cases = [([(50, 1), (50, 2)], str(sequential.value)),
+                 # stream 1 stops short of its bad row
+                 ([(30, 1), (50, 2)], "observable non-finite at sample 0"),
+                 # stream 3 has no bad row and 5000 blocks still to go
+                 ([(50, 1), (20_000, 3)], str(sequential.value))]
+        for streams, message in cases:
+            with pytest.raises(EvaluationError) as err:
+                sampler.observe_streams(f, streams)
+            assert str(err.value) == message
+            assert threading.active_count() == before
+        sampler.observe_streams(first_coord, [(50, 1), (50, 2)])
+        assert threading.active_count() == before
 
 
 class TestBoundedMemory:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__, concentration as conc, dynamics, gravity_scales as grav
 from . import lipschitz as lip, observables as obs
-from .geometry import (GeometryError, PhasePoint, constant_field, linear_field,
-                       tanh_field, zero_field)
+from .geometry import (GeometryError, PhasePoint, constant_field, tanh_field,
+                       zero_field)
 from .runio import atomic_write_json, config_hash, derive_rng
 
 EXPERIMENTS = ("flow", "lipschitz", "concentration", "sphere", "wep", "gravity")
@@ -67,7 +67,9 @@ _SCALARS = {int: (lambda x: isinstance(x, int) and not isinstance(x, bool),
             # NaN fails the comparison, as do infinities and huge ints
             float: (lambda x: isinstance(x, (int, float)) and not isinstance(
                 x, bool) and abs(x) <= sys.float_info.max, "finite number"),
-            str: (lambda x: isinstance(x, str), "string"),
+            # a lone surrogate, which json accepts, cannot be written as UTF-8
+            str: (lambda x: isinstance(x, str) and not any(
+                "\ud800" <= c <= "\udfff" for c in x), "UTF-8 string"),
             bool: (lambda x: isinstance(x, bool), "boolean"),
             dict: (lambda x: isinstance(x, dict), "object"),
             list: (lambda x: isinstance(x, list), "list")}
@@ -97,17 +99,14 @@ GRID = ([float], (lambda g: g and g[0] > 0 and all(b > a for a, b in zip(g, g[1:
                   "must be a nonempty ascending list of positive numbers"),
         REQUIRED)
 N_SAMPLES = (int, (lambda n: n >= 100, "need n >= 100"), REQUIRED)
+# componentwise families (wep batches trials), |beta_i| < 1 by construction
 FIELD = Variants({
     "zero": {},
     "constant": {"value": (float, (lambda x: abs(x) < 1, "|value| must be < 1"),
                            REQUIRED)},
     "tanh": {"amplitude": (float, (lambda x: 0 < x < 1,
                                    "amplitude must lie in (0, 1)"), REQUIRED)},
-    "linear": {"scale": (float, POSITIVE, 0.3)},
 })
-# ensemble evolution batches trials, which needs a drift acting coordinate
-# by coordinate
-WEP_FIELD = Variants({k: FIELD[k] for k in ("zero", "constant", "tanh")})
 GRAVITY_CASE = {
     "name": (str, None, REQUIRED),
     "m": (float, NONNEGATIVE, REQUIRED),
@@ -123,7 +122,6 @@ SCHEMAS = {
         "field": (FIELD, None, REQUIRED),
         **PERIOD,
         "initial": (INITIAL, None, {}),
-        "raw_ode": (bool, None, False),
         "store_stride": (int, POSITIVE, 1),
     },
     "lipschitz": {
@@ -162,11 +160,11 @@ SCHEMAS = {
         "method": (str, _one_of("cap_exact", "sample_distance"), "cap_exact"),
     },
     "wep": {
-        "n_list": ([int], (lambda ns: ns and min(ns) >= 2,
-                           "every N must be an integer >= 2"), REQUIRED),
+        "n_list": ([int], (lambda ns: ns and ns[0] >= 2 and ns == sorted(set(ns)),
+                           "must be a strictly ascending list of N >= 2"), REQUIRED),
         # sigma_x is the spread over trials: zero for a single trial
         "n_trials": (int, (lambda n: n >= 2, "must be >= 2"), REQUIRED),
-        "field": (WEP_FIELD, None, REQUIRED),
+        "field": (FIELD, None, REQUIRED),
         "preparation": ({"mean": ((float, [float]),
                                   (lambda m: not isinstance(m, list) or len(m) == 8,
                                    "list must have 8 entries"), 0.0),
@@ -267,8 +265,9 @@ def _cross_check(params, v):
     n = params.get("n", 0)
     doubles = {
         # sphere draws n values on each of two streams, concentration takes
-        # its median from a half-size stream of at least 100
-        "n": n + (n if "sphere_dimension" in params else max(n // 2, 100)),
+        # its median from a smaller stream
+        "n": n + (n if "sphere_dimension" in params
+                  else conc.median_stream_size(n)),
         "n_reference": 8 * params.get("n_reference", 0),
         "n_pairs": 2 * 16 * params.get("n_molecules", 0)
                    * params.get("n_pairs", 0),
@@ -313,6 +312,7 @@ def validate_config(config: dict) -> list:
 
 
 def build_field(spec: dict, dim: int, seed: int):
+    """The field of a validated ``field`` spec; no family draws on seed."""
     family = spec["family"]
     if family == "zero":
         return zero_field(dim)
@@ -320,13 +320,6 @@ def build_field(spec: dict, dim: int, seed: int):
         return constant_field(float(spec["value"]), dim)
     if family == "tanh":
         return tanh_field(dim, float(spec["amplitude"]))
-    if family == "linear":
-        scale = float(spec["scale"])
-        rng = derive_rng(seed, "field-matrix")
-        w = rng.standard_normal((dim, dim))
-        skew = 0.5 * (w - w.T)
-        skew *= scale / max(np.abs(skew).max(), 1e-12)
-        return linear_field(-(0.5 * np.eye(dim) + skew))
     raise ValueError(f"unknown field family {family!r}")
 
 
@@ -350,9 +343,8 @@ def run_flow(params, seed, outdir):
     p0 = init["p_scale"] * rng.standard_normal(dim)
     point = PhasePoint(u=u0, p=p0, n_molecules=params["n_molecules"])
     state = dynamics.make_state(point, schedule)
-    traj, snaps = dynamics.run_cycles(
-        field, schedule, state, params["n_cycles"], params["dt"],
-        raw_ode=params["raw_ode"])
+    traj, snaps = dynamics.run_cycles(field, schedule, state,
+                                      params["n_cycles"], params["dt"])
     traj.to_csv(os.path.join(outdir, "trajectory.csv"),
                 stride=params["store_stride"])
     dynamics.snapshots_to_csv(snaps, os.path.join(outdir, "snapshots.csv"))

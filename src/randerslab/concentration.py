@@ -289,6 +289,11 @@ def tail_profile_from_deviations(devs: np.ndarray, rho_grid, *, rho_p: float,
         dimension=dimension, seed=seed)
 
 
+def median_stream_size(n: int) -> int:
+    """Draws of the stream ``concentration_profile`` takes its median from."""
+    return max(n // 2, 100)
+
+
 def concentration_profile(f: Callable, sampler: MMSpaceSampler, rho_grid, n: int,
                           sigma_f: float = 1.0,
                           rho_p: float | None = None) -> ConcentrationProfile:
@@ -300,7 +305,7 @@ def concentration_profile(f: Callable, sampler: MMSpaceSampler, rho_grid, n: int
     """
     if rho_p is None:
         rho_p = sampler.default_rho_p(sigma_f)
-    f_med, f_x = sampler.observe_streams(f, [(max(n // 2, 100), 1), (n, 2)])
+    f_med, f_x = sampler.observe_streams(f, [(median_stream_size(n), 1), (n, 2)])
     med = float(np.median(f_med))
     devs = np.abs(f_x - med) / sigma_f
     return tail_profile_from_deviations(

@@ -4,10 +4,10 @@ The flow integrates
 
     du/dt = s(t) beta(u),      dp/dt = -s(t) J(u)^T p,
 
-with ``s(t) = sqrt(1 - kappa(t, tau))`` (Hamilton's equations of the full
-Hamiltonian) or ``s = 1`` in ``raw_ode`` mode.  Equilibrium instants sit at
-odd multiples of the period T, where the default schedule reaches kappa = 1
-exactly and the Hamiltonian vanishes.
+with ``s(t) = sqrt(1 - kappa(t))`` (Hamilton's equations of the full
+Hamiltonian).  Equilibrium instants sit at odd multiples of the period T,
+where the default schedule reaches kappa = 1 exactly and the Hamiltonian
+vanishes; there |H| <= H_BOUND * (1 + |p|) must hold.
 """
 
 import math
@@ -18,6 +18,9 @@ import numpy as np
 
 from .geometry import PhasePoint, RandersField
 from .runio import atomic_write_csv
+
+
+H_BOUND = 1e-9
 
 
 class DynamicsError(Exception):
@@ -47,10 +50,10 @@ class SingularReparameterizationError(DynamicsError):
 
 @dataclass(frozen=True)
 class CycleSchedule:
-    """Period T and conformal factor kappa(t, tau) in [0, 1]."""
+    """Period T and conformal factor kappa(t) in [0, 1]."""
 
     period_T: float
-    kappa: Callable[[float, float], float]
+    kappa: Callable[[float], float]
 
     def __post_init__(self):
         if self.period_T <= 0.0:
@@ -67,7 +70,7 @@ def sin_squared_schedule(period_T: float) -> CycleSchedule:
     T = float(period_T)
     return CycleSchedule(
         period_T=T,
-        kappa=lambda t, tau: 0.5 * (1.0 - math.cos(math.pi * t / T)),
+        kappa=lambda t: 0.5 * (1.0 - math.cos(math.pi * t / T)),
     )
 
 
@@ -75,29 +78,28 @@ def constant_schedule(period_T: float, value: float) -> CycleSchedule:
     """Frozen kappa; used for conservation studies, not for cycle runs."""
     if not 0.0 <= value <= 1.0:
         raise ValueError("kappa value must lie in [0, 1]")
-    return CycleSchedule(period_T=float(period_T), kappa=lambda t, tau: value)
+    return CycleSchedule(period_T=float(period_T), kappa=lambda t: value)
 
 
-def check_schedule(schedule: CycleSchedule, n_cycles: int = 3,
-                   probe_points: int = 101) -> None:
+def check_schedule(schedule: CycleSchedule) -> None:
     """Validate the cyclic-schedule invariants; raises ScheduleError.
 
     Checks kappa in [0, 1] on a probe grid, |1 - kappa| < 1e-12 at odd
     multiples of T, and a central-difference d kappa/dt below 1e-8 there.
     """
     T = schedule.period_T
-    for n in range(n_cycles):
-        for t in np.linspace(2 * n * T, 2 * (n + 1) * T, probe_points):
-            k = schedule.kappa(float(t), 0.0)
+    for n in range(3):
+        for t in np.linspace(2 * n * T, 2 * (n + 1) * T, 101):
+            k = schedule.kappa(float(t))
             if not -1e-12 <= k <= 1.0 + 1e-12:
                 raise ScheduleError(f"kappa({t}) = {k} outside [0, 1]")
         t_eq = (2 * n + 1) * T
-        k_eq = schedule.kappa(t_eq, 0.0)
+        k_eq = schedule.kappa(t_eq)
         if abs(1.0 - k_eq) >= 1e-12:
             raise ScheduleError(
                 f"|1 - kappa| = {abs(1 - k_eq):.3e} at t = (2n+1)T, n = {n}")
         h = 1e-6 * T
-        dk = (schedule.kappa(t_eq + h, 0.0) - schedule.kappa(t_eq - h, 0.0)) / (2 * h)
+        dk = (schedule.kappa(t_eq + h) - schedule.kappa(t_eq - h)) / (2 * h)
         if abs(dk) >= 1e-8:
             raise ScheduleError(
                 f"d kappa/dt = {dk:.3e} at equilibrium instant t = {t_eq}")
@@ -120,26 +122,22 @@ class FlowState:
     tau: float
 
 
-def make_state(point: PhasePoint, schedule: CycleSchedule, t: float = 0.0,
-               t_tilde: float | None = None) -> FlowState:
-    return FlowState(point=point, t=t,
-                     t_tilde=t if t_tilde is None else t_tilde,
-                     tau=tau_of_t(t, schedule))
+def make_state(point: PhasePoint, schedule: CycleSchedule,
+               t: float = 0.0) -> FlowState:
+    return FlowState(point=point, t=t, t_tilde=t, tau=tau_of_t(t, schedule))
 
 
-def _kappa_checked(schedule: CycleSchedule, t: float, tau: float) -> float:
-    k = schedule.kappa(t, tau)
+def _kappa_checked(schedule: CycleSchedule, t: float) -> float:
+    k = schedule.kappa(t)
     if not -1e-12 <= k <= 1.0 + 1e-12:
-        raise ScheduleError(f"kappa({t}, {tau}) = {k} outside [0, 1]")
+        raise ScheduleError(f"kappa({t}) = {k} outside [0, 1]")
     return min(max(k, 0.0), 1.0)
 
 
-def speed(schedule: CycleSchedule, t: float, raw_ode: bool = False) -> float:
-    """Time factor s(t) = sqrt(1 - kappa(t, tau(t))), or 1 in raw_ode mode;
-    raises ScheduleError when kappa leaves [0, 1]."""
-    if raw_ode:
-        return 1.0
-    return math.sqrt(1.0 - _kappa_checked(schedule, t, tau_of_t(t, schedule)))
+def speed(schedule: CycleSchedule, t: float) -> float:
+    """Time factor s(t) = sqrt(1 - kappa(t)); raises ScheduleError when
+    kappa leaves [0, 1]."""
+    return math.sqrt(1.0 - _kappa_checked(schedule, t))
 
 
 def steps_per_period(period_T: float, dt: float) -> int:
@@ -200,35 +198,32 @@ def rk4_march(drift: Callable, vjp: Callable | None, u: np.ndarray,
         yield k + 1
 
 
-def _hamiltonian(field, schedule, t, tau, u, p) -> float:
-    k = _kappa_checked(schedule, t, tau)
-    return float(math.sqrt(1.0 - k) * (np.asarray(field.beta(u)) @ p))
+def _hamiltonian(field, schedule, t, u, p) -> float:
+    return float(speed(schedule, t) * (np.asarray(field.beta(u)) @ p))
 
 
 def hamiltonian(field: RandersField, schedule: CycleSchedule,
                 state: FlowState) -> float:
-    """H_t(u, p) = sqrt(1 - kappa(t, tau)) * sum_k beta_k(u) p_k."""
-    return _hamiltonian(field, schedule, state.t, state.tau,
-                        state.point.u, state.point.p)
+    """H_t(u, p) = sqrt(1 - kappa(t)) * sum_k beta_k(u) p_k."""
+    return _hamiltonian(field, schedule, state.t, state.point.u, state.point.p)
 
 
 def effective_cycle_hamiltonian(field: RandersField, schedule: CycleSchedule,
-                                state: FlowState, tol: float = 1e-9) -> float:
+                                state: FlowState) -> float:
     """Piecewise cycle Hamiltonian: sum_k beta_k(u) p_k away from the
-    instants {t = nT}, exactly zero within ``tol`` of them.
+    instants {t = nT}, exactly zero within 1e-9 of them.
 
     The schedule supplies the period locating those instants.
     """
     T = schedule.period_T
     m = state.t / T
-    if abs(m - round(m)) * T <= tol:
+    if abs(m - round(m)) * T <= 1e-9:
         return 0.0
     return float(np.asarray(field.beta(state.point.u)) @ state.point.p)
 
 
 def step_flow(field: RandersField, schedule: CycleSchedule, state: FlowState,
-              dt: float, raw_ode: bool = False,
-              _step_index: int = 0) -> FlowState:
+              dt: float, _step_index: int = 0) -> FlowState:
     """Advance (u, p, t) one RK4 step, on copies of the state's arrays.
 
     The u-subsystem is autonomous; p follows the linear cotangent equation
@@ -241,12 +236,12 @@ def step_flow(field: RandersField, schedule: CycleSchedule, state: FlowState,
     u, p = state.point.u.copy(), state.point.p.copy()
     t0 = state.t
     next(rk4_march(field.beta, field.vjp_at, u, p if np.any(p) else None, dt,
-                   1, lambda t: speed(schedule, t0 + t, raw_ode)))
+                   1, lambda t: speed(schedule, t0 + t)))
     if not (np.isfinite(u).all() and np.isfinite(p).all()):
         raise BlowUpError(_step_index, t0 + dt)
     t2 = t0 + dt
-    k0 = _kappa_checked(schedule, t0, state.tau)
-    k1 = _kappa_checked(schedule, t2, tau_of_t(t2, schedule))
+    k0 = _kappa_checked(schedule, t0)
+    k1 = _kappa_checked(schedule, t2)
     t_tilde2 = state.t_tilde + 0.5 * ((1.0 - k0) + (1.0 - k1)) * dt
     point2 = PhasePoint(u=u, p=p, n_molecules=state.point.n_molecules)
     return FlowState(point=point2, t=t2, t_tilde=t_tilde2,
@@ -272,7 +267,6 @@ class FlowTrajectory:
     u: np.ndarray
     p: np.ndarray
     h: np.ndarray
-    n_molecules: int
 
     def to_csv(self, path, stride: int = 1) -> None:
         idx = range(0, len(self.t), stride)
@@ -296,15 +290,14 @@ def snapshots_to_csv(snapshots, path) -> None:
 
 
 def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
-               n_cycles: int, dt: float, raw_ode: bool = False,
-               store_trajectory: bool = True, h_bound: float = 1e-9):
+               n_cycles: int, dt: float, store_trajectory: bool = True):
     """Integrate n_cycles fundamental cycles (period 2T each) from t = 0.
 
     Returns ``(trajectory, snapshots)`` where the snapshots sit at the
     equilibrium instants t = (2n - 1) T, n = 1..n_cycles.  Times are taken
     as k * dt (not accumulated), so with dt dividing T the instants land on
     grid points; each snapshot's Hamiltonian must satisfy
-    |H| <= h_bound * (1 + |p|).
+    |H| <= H_BOUND * (1 + |p|).
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -322,26 +315,26 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
         ps = np.empty((total + 1, dim))
         hs = np.empty(total + 1)
         us[0], ps[0] = u, p
-        hs[0] = _hamiltonian(field, schedule, 0.0, tau_of_t(0.0, schedule), u, p)
+        hs[0] = _hamiltonian(field, schedule, 0.0, u, p)
 
     snapshots = []
     for step in rk4_march(field.beta, field.vjp_at, u,
                           p if np.any(p) else None, dt, total,
-                          lambda t: speed(schedule, t, raw_ode)):
+                          lambda t: speed(schedule, t)):
         t = step * dt
         if not (np.isfinite(u).all() and np.isfinite(p).all()):
             raise BlowUpError(step, t)
         n = equilibrium_cycle(step, steps_per_T)
         if store_trajectory or n:
-            h_val = _hamiltonian(field, schedule, t, tau_of_t(t, schedule), u, p)
+            h_val = _hamiltonian(field, schedule, t, u, p)
         if store_trajectory:
             us[step], ps[step], hs[step] = u, p, h_val
         if n:
             p_norm = float(np.linalg.norm(p))
-            if abs(h_val) > h_bound * (1.0 + p_norm):
+            if abs(h_val) > H_BOUND * (1.0 + p_norm):
                 raise ScheduleError(
                     f"Hamiltonian |H| = {abs(h_val):.3e} at equilibrium "
-                    f"instant t = {t!r} exceeds {h_bound:.1e} * (1 + |p|)")
+                    f"instant t = {t!r} exceeds {H_BOUND:.1e} * (1 + |p|)")
             snapshots.append(EquilibriumSnapshot(
                 cycle=n, t=t, tau=float(n),
                 point=PhasePoint(u=u.copy(), p=p.copy(), n_molecules=n_mol),
@@ -351,19 +344,18 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     if store_trajectory:
         cyc = np.minimum(np.floor(ts / (2 * T)).astype(int) + 1, n_cycles)
         trajectory = FlowTrajectory(t=ts, tau=tau_of_t(ts, schedule), cycle=cyc,
-                                    u=us, p=ps, h=hs, n_molecules=n_mol)
+                                    u=us, p=ps, h=hs)
     return trajectory, snapshots
 
 
-def reparameterize_time(t_tilde: float, schedule: CycleSchedule,
-                        tau: float = 0.0) -> float:
-    """External time t = t_tilde / (1 - kappa(t_tilde, tau)).
+def reparameterize_time(t_tilde: float, schedule: CycleSchedule) -> float:
+    """External time t = t_tilde / (1 - kappa(t_tilde)).
 
     Singular exactly where kappa reaches 1 (an equilibrium instant); the
     differential relation dt = (1 - kappa) dt_tilde is meaningful on the
     homogeneity region where kappa is stationary and small.
     """
-    k = _kappa_checked(schedule, t_tilde, tau)
+    k = _kappa_checked(schedule, t_tilde)
     if 1.0 - k <= 1e-12:
         raise SingularReparameterizationError(
             f"kappa({t_tilde!r}) = {k!r}: equilibrium instant reached")

@@ -17,8 +17,8 @@ class GravityError(Exception):
 
 
 class SingularCaseError(GravityError):
-    """r1 = r2, or a case whose forces leave the range of a double: the
-    finite-difference ratio is undefined."""
+    """r1 = r2, a radius <= 0, or a case whose forces or alpha leave the
+    range of a double: the finite-difference ratio is undefined."""
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ class GravityScaleCase:
     expect: tuple | None = None
 
     def __post_init__(self):
-        if self.r1 <= 0 or self.r2 <= 0:
-            raise ValueError("radii must be positive")
+        if self.r1 <= 0 or self.r2 <= 0:  # lambda * r2 may underflow to 0
+            raise SingularCaseError("radii must be positive")
         if self.m < 0 or self.M_mass < 0:
             raise ValueError("masses must be nonnegative")
         if self.density_convention not in ("r1", "r2"):
@@ -220,13 +220,18 @@ def scale_sweep(cases, constants: PhysicalConstants) -> SweepTable:
     """Evaluate formula and oracle for each case and check expectations."""
     rows = []
     for case in cases:
+        equal = case.m == case.M_mass  # the closed form needs equal masses
         try:
             a_oracle = alpha_oracle(case, constants)
-            a_formula = (alpha_closed_form(case, constants)
-                         if case.m == case.M_mass else math.nan)
+            a_formula = alpha_closed_form(case, constants) if equal else math.nan
         except ArithmeticError as exc:  # r**2 overflows, or underflows to 0
             raise SingularCaseError(
                 f"case {case.name!r} leaves the range of a double: {exc}") from exc
+        # G m M or m c^2 overflows to inf, and inf - inf is NaN
+        if not math.isfinite(a_oracle) or (equal and not math.isfinite(a_formula)):
+            raise SingularCaseError(
+                f"case {case.name!r} leaves the range of a double: "
+                f"alpha_oracle = {a_oracle!r}, alpha_formula = {a_formula!r}")
         ratio = a_formula / a_oracle if a_oracle > 0 else math.nan
         ok = True
         if case.expect is not None:

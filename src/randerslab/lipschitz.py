@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .dynamics import H_BOUND
+
 # Profile tuning: see tune_profile.
 TUNE_TARGET = 1.0
 TUNE_SLACK = 0.05
@@ -526,12 +528,12 @@ class ConstraintSplitReport:
     sign_note: str
 
 
-def check_constraint_split(decomp: HamiltonianDecomposition, snapshots,
-                           h_bound: float = 1e-9) -> ConstraintSplitReport:
+def check_constraint_split(decomp: HamiltonianDecomposition,
+                           snapshots) -> ConstraintSplitReport:
     """Constraint check at equilibrium snapshots.
 
     The flow Hamiltonian (with its vanishing equilibrium prefactor) must
-    satisfy |H| <= h_bound * (1 + |p|) at each snapshot; the decomposition's
+    satisfy |H| <= H_BOUND * (1 + |p|) at each snapshot; the decomposition's
     two pieces are evaluated at the same phase-space point without that
     suppression and reported, since each may individually differ from zero.
     """
@@ -542,7 +544,7 @@ def check_constraint_split(decomp: HamiltonianDecomposition, snapshots,
         z = np.concatenate([s.point.u, s.point.p])
         lip = float(decomp.lipschitz_part(z))
         mat = float(decomp.matter_part(z))
-        ok = abs(s.h_value) <= h_bound * (1.0 + float(np.linalg.norm(s.point.p)))
+        ok = abs(s.h_value) <= H_BOUND * (1.0 + float(np.linalg.norm(s.point.p)))
         if mat > 0:
             n_pos_matter += 1
             if lip <= 0:

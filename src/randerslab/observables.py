@@ -190,6 +190,9 @@ class WepConfig:
             raise ValueError("n_cycles must be >= 1")
         if any(n < 2 for n in self.n_list):
             raise ValueError("every N must be >= 2")
+        # the monotonicity count reads the sizes in list order
+        if list(self.n_list) != sorted(set(self.n_list)):
+            raise ValueError("n_list must be strictly ascending")
 
 
 @dataclass

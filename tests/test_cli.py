@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randerslab import cli, lipschitz
+from randerslab.geometry import validate_randers
 from randerslab.runio import (atomic_write_csv, atomic_write_text, config_hash,
                               fmt_float)
 
@@ -132,7 +133,6 @@ class TestValidate:
         before = copy.deepcopy(cfg)
         filled, violations = cli._walk_config(cfg)
         assert violations == [] and cfg == before
-        assert filled["parameters"]["raw_ode"] is False
         assert filled["parameters"]["store_stride"] == 1
 
     def test_validate_subcommand_exit_codes(self, tmp_path):
@@ -273,8 +273,14 @@ def gravity_case(**over):
 # (exit 3).
 PROBES = [
     pytest.param("flow", {"initial": 5}, "parameters.initial", id="initial"),
+    # a removed key is unknown
     pytest.param("flow", {"raw_ode": "false"}, "parameters.raw_ode",
                  id="raw_ode"),
+    # the linear family broke its own bound |beta_i| < 1 along the flow
+    pytest.param("flow", {"field": {"family": "linear"}},
+                 "parameters.field.family", id="flow-linear-field"),
+    pytest.param("lipschitz", {"field": {"family": "linear"}},
+                 "parameters.field.family", id="lipschitz-linear-field"),
     pytest.param("lipschitz", {"metric": {"kind": "bogus"}},
                  "parameters.metric.kind", id="metric-kind"),
     pytest.param("lipschitz", {"box_half_width": float("inf")},
@@ -292,6 +298,12 @@ PROBES = [
     # one trial has sigma_x = 0: every d / sigma_x divides by zero
     pytest.param("wep", {"n_trials": 1, "n_list": [10, 20, 40], "dt": 0.25},
                  "parameters.n_trials", id="wep-one-trial"),
+    # the monotonicity count reads the sizes in list order, and a repeated
+    # size was marched and written twice
+    pytest.param("wep", {"n_list": [1024, 256, 64, 16]}, "parameters.n_list",
+                 id="wep-n_list-descending"),
+    pytest.param("wep", {"n_list": [16, 16, 64]}, "parameters.n_list",
+                 id="wep-n_list-repeated"),
     pytest.param("gravity", {"both_conventions": "no"},
                  "parameters.both_conventions", id="both_conventions"),
     pytest.param("gravity", gravity_case(density_convention="zzz"),
@@ -306,6 +318,14 @@ PROBES = [
     pytest.param("gravity", gravity_case(r2=1e-300), None, id="r2-underflow"),
     pytest.param("gravity", gravity_case(**{"lambda": 1e300}), None,
                  id="lambda-overflow"),
+    # G m M overflows: alpha_oracle is inf - inf = NaN, alpha_formula inf
+    pytest.param("gravity", gravity_case(m=1e300), None, id="m-1e300"),
+    # a lone surrogate cannot be written to sweep.csv as UTF-8
+    pytest.param("gravity", gravity_case(name="\ud800"),
+                 "parameters.cases[0].name", id="name-lone-surrogate"),
+    # r1 = lambda * r2 underflows to zero
+    pytest.param("gravity", gravity_case(r2=1e-300, **{"lambda": 1e-300}),
+                 None, id="r1-underflow"),
     # marches beyond cli.MAX_RK4_STEPS, and a stored flow trajectory of
     # 2 GiB within that step bound
     pytest.param("flow", {"period_T": 1e300}, "parameters.dt",
@@ -488,23 +508,24 @@ def test_any_json_value_is_validated_without_raising(tmp_path_factory, name,
     assert cli.main(["validate", "--config", str(fname)]) in (0, 2)
 
 
-WEP_FIELDS = st.one_of(
+FIELDS = st.one_of(
     st.just({"family": "zero"}),
     st.builds(lambda v: {"family": "constant", "value": v},
               st.floats(-0.95, 0.95)),
     st.builds(lambda a: {"family": "tanh", "amplitude": a},
               st.floats(0.05, 0.95)))
 # dt = T / k divides the period; the other values do not divide T = 1
-WEP_TIMING = st.one_of(
+TIMING = st.one_of(
     st.builds(lambda T, k: (T, T / k), st.sampled_from([0.5, 1.0, 2.0]),
               st.integers(1, 6)),
     st.tuples(st.just(1.0), st.sampled_from([0.3, 0.35, 0.7, 1.5])))
 
 
 @settings(max_examples=60, deadline=None)
-@given(n_list=st.lists(st.integers(2, 64), min_size=1, max_size=3),
+@given(n_list=st.lists(st.integers(2, 64), min_size=1, max_size=3,
+                      unique=True).map(sorted),
        n_trials=st.integers(1, 3), n_cycles=st.integers(1, 3),
-       field=WEP_FIELDS, timing=WEP_TIMING,
+       field=FIELDS, timing=TIMING,
        mean=st.floats(-2.0, 2.0), scale=st.floats(0.1, 3.0),
        n_reference=st.integers(1, 500), seed=st.integers(0, 2**32 - 1))
 def test_legal_wep_configs_run_to_a_documented_exit(
@@ -540,9 +561,8 @@ LIPSCHITZ_FLOWS = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(field=st.one_of(WEP_FIELDS, st.builds(
-           lambda s: {"family": "linear", "scale": s}, st.floats(0.05, 2.0))),
-       metric=LIPSCHITZ_METRICS, half_width=st.floats(0.05, 10.0),
+@given(field=FIELDS, metric=LIPSCHITZ_METRICS,
+       half_width=st.floats(0.05, 10.0),
        n_pairs=st.integers(1, 200),
        rho0=st.one_of(st.just("auto"), st.floats(0.01, 100.0)),
        flow=LIPSCHITZ_FLOWS, seed=st.integers(0, 2**32 - 1))
@@ -619,3 +639,65 @@ def test_legal_sphere_configs_run_to_a_documented_exit(
         "experiment": "sphere", "seed": seed, "parameters": {
             "sphere_dimension": dimension, "epsilon_grid": epsilon_grid,
             "n": n, "method": method}})
+
+
+# one legal spec per CLI field family, at the edge of its range
+FAMILY_SPECS = {"zero": {}, "constant": {"value": -0.99},
+                "tanh": {"amplitude": 0.99}}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+def test_every_cli_field_is_componentwise_and_bounded(family):
+    """Every family the CLI builds acts coordinate by coordinate, has an
+    analytic vjp, and keeps |beta_i| within its bound below one."""
+    assert set(FAMILY_SPECS) == set(cli.FIELD)
+    spec = {"family": family, **FAMILY_SPECS[family]}
+    cfg = flow_config()
+    cfg["parameters"]["field"] = spec
+    assert cli.validate_config(cfg) == []
+    field = cli.build_field(spec, 16, seed=0)
+    assert field.scalar_map is not None and field.vjp is not None
+    report = validate_randers(field, samples=2000, seed=1, sample_radius=50.0)
+    assert report.passed
+    assert report.max_abs_component <= field.beta_bound < 1.0
+    rng = np.random.default_rng(2)
+    u, p = rng.standard_normal(16), rng.standard_normal(16)
+    assert np.allclose(field.vjp(u, p), field.jacobian_at(u).T @ p, atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_molecules=st.integers(1, 4), field=FIELDS, timing=TIMING,
+       n_cycles=st.integers(1, 3), store_stride=st.integers(1, 20),
+       u_scale=st.floats(-3.0, 3.0), p_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_legal_flow_configs_run_to_a_documented_exit(
+        tmp_path_factory, n_molecules, field, timing, n_cycles, store_stride,
+        u_scale, p_scale, seed):
+    period_T, dt = timing
+    run_to_a_documented_exit(tmp_path_factory, {
+        "experiment": "flow", "seed": seed, "parameters": {
+            "n_molecules": n_molecules, "field": field, "period_T": period_T,
+            "dt": dt, "n_cycles": n_cycles,
+            "initial": {"u_scale": u_scale, "p_scale": p_scale},
+            "store_stride": store_stride}})
+
+
+MASSES = st.one_of(st.just(0.0), st.floats(1e-40, 1e300))
+GRAVITY_CASES = st.builds(
+    lambda name, m, big_m, r2, lam, conv: {
+        "name": name, "m": m, "M_mass": big_m, "r2": r2, "lambda": lam,
+        "density_convention": conv},
+    st.text(max_size=8), MASSES, st.one_of(st.none(), MASSES),
+    st.floats(1e-300, 1e300), st.one_of(st.just(1.0), st.floats(1e-300, 1e300)),
+    st.sampled_from(["r1", "r2"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases=st.one_of(st.just("default"),
+                       st.lists(GRAVITY_CASES, min_size=1, max_size=3)),
+       both_conventions=st.booleans())
+def test_legal_gravity_configs_run_to_a_documented_exit(
+        tmp_path_factory, cases, both_conventions):
+    run_to_a_documented_exit(tmp_path_factory, {
+        "experiment": "gravity", "seed": 0, "parameters": {
+            "cases": cases, "both_conventions": both_conventions}})

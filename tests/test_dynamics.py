@@ -53,8 +53,8 @@ class TestSchedule:
     def test_kappa_exact_limits(self):
         s = sin_squared_schedule(1.0)
         for n in range(4):
-            assert s.kappa((2 * n + 1) * 1.0, 0.0) == 1.0
-            assert s.kappa(2 * n * 1.0, 0.0) == 0.0
+            assert s.kappa((2 * n + 1) * 1.0) == 1.0
+            assert s.kappa(2 * n * 1.0) == 0.0
 
 
 class TestHamiltonian:
@@ -82,7 +82,7 @@ class TestHamiltonian:
     def test_bad_kappa_raises_schedule_error(self):
         field = zero_field(8)
         sched = sin_squared_schedule(1.0)
-        bad = type(sched)(period_T=1.0, kappa=lambda t, tau: 1.5)
+        bad = type(sched)(period_T=1.0, kappa=lambda t: 1.5)
         pt = PhasePoint(u=np.zeros(8), p=np.zeros(8), n_molecules=1)
         with pytest.raises(ScheduleError):
             hamiltonian(field, bad, make_state(pt, bad))
@@ -197,7 +197,7 @@ class TestRunCycles:
     def test_snapshot_h_bound_enforced(self):
         field = tanh_field(16, 0.9)
         weak = constant_schedule(1.0, 0.0)
-        fake = type(weak)(period_T=1.0, kappa=lambda t, tau: 0.9)
+        fake = type(weak)(period_T=1.0, kappa=lambda t: 0.9)
         initial = make_state(_point(16, seed=10), fake)
         with pytest.raises(ScheduleError):
             run_cycles(field, fake, initial, n_cycles=1, dt=0.01)
@@ -347,5 +347,5 @@ class TestReparameterization:
             h = 1e-7
             deriv = (reparameterize_time(t_tilde + h, sched)
                      - reparameterize_time(t_tilde - h, sched)) / (2 * h)
-            kappa = sched.kappa(t_tilde, 0.0)
+            kappa = sched.kappa(t_tilde)
             assert deriv * (1.0 - kappa) == pytest.approx(1.0, abs=1e-6)

@@ -102,6 +102,14 @@ class TestOracle:
         with pytest.raises(SingularCaseError, match="range of a double"):
             scale_sweep([case], C)
 
+    @pytest.mark.parametrize("M_mass", [None, 1e20])
+    def test_non_finite_alpha_singular(self, M_mass):
+        # G m M overflows: the oracle is inf - inf = NaN; m c^2 is inf
+        case = GravityScaleCase.from_lambda("heavy", 1e300, 1.0, 2.0,
+                                            M_mass=M_mass)
+        with pytest.raises(SingularCaseError, match="range of a double"):
+            scale_sweep([case], C)
+
 
 class TestSweep:
     def test_default_sweep_expectations_pass(self):

@@ -85,6 +85,12 @@ class TestCenterOfMass:
         with pytest.raises(ValueError, match="n_trials"):
             _wep_config(zero_field(8), [10], 1)
 
+    @pytest.mark.parametrize("n_list", [[1024, 256, 64, 16], [16, 16, 64]])
+    def test_sizes_must_ascend(self, n_list):
+        # the monotonicity count reads the sizes in list order
+        with pytest.raises(ValueError, match="ascending"):
+            _wep_config(zero_field(8), n_list, 2)
+
 
 class TestBatchedEvolution:
     def test_matches_flow_integrator_on_componentwise_field(self):
@@ -139,7 +145,7 @@ class TestBatchedEvolution:
         field = tanh_field(8, 0.9)
         sched = CycleSchedule(
             period_T=1.0,
-            kappa=lambda t, tau: 1.2 * math.sin(math.pi * t / 2.0) ** 2)
+            kappa=lambda t: 1.2 * math.sin(math.pi * t / 2.0) ** 2)
         with pytest.raises(ScheduleError):
             evolve_coordinates(np.zeros((1, 8)), field, sched, 0.1, 1,
                                lambda tau, u: None)

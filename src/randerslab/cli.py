@@ -75,7 +75,8 @@ _SCALARS = {int: (lambda x: isinstance(x, int) and not isinstance(x, bool),
             list: (lambda x: isinstance(x, list), "list")}
 
 # Every RK4 march takes at most MAX_RK4_STEPS steps; the flow trajectory,
-# which stores u and p as doubles at every step, at most this many bytes.
+# which stores u and p as doubles at every store_stride-th step, at most
+# this many bytes.
 MAX_RK4_STEPS = 10**7
 MAX_TRAJECTORY_BYTES = 2**30
 # The arrays a sample count sizes take at most this many bytes: the two
@@ -254,8 +255,11 @@ def _cross_check(params, v):
                          f"period_T = {node['period_T']}")
                 continue
             steps *= 2 * node.get("n_cycles", 1)
-            # only flow has n_molecules beside dt; it stores 2 x 8N doubles a step
-            stored = (steps + 1) * 128 * node.get("n_molecules", 0)
+            # only flow has n_molecules and store_stride beside dt; it stores
+            # 2 x 8N doubles at steps 0, store_stride, 2 store_stride, ...
+            rows = (steps // node["store_stride"] + 1
+                    if "store_stride" in node else 0)
+            stored = rows * 128 * node.get("n_molecules", 0)
             if steps > MAX_RK4_STEPS:
                 v.append(f"{path}dt: 2 * n_cycles * period_T / dt exceeds "
                          f"{MAX_RK4_STEPS} RK4 steps")
@@ -344,15 +348,15 @@ def run_flow(params, seed, outdir):
     point = PhasePoint(u=u0, p=p0, n_molecules=params["n_molecules"])
     state = dynamics.make_state(point, schedule)
     traj, snaps = dynamics.run_cycles(field, schedule, state,
-                                      params["n_cycles"], params["dt"])
-    traj.to_csv(os.path.join(outdir, "trajectory.csv"),
-                stride=params["store_stride"])
+                                      params["n_cycles"], params["dt"],
+                                      stride=params["store_stride"])
+    traj.to_csv(os.path.join(outdir, "trajectory.csv"))
     dynamics.snapshots_to_csv(snaps, os.path.join(outdir, "snapshots.csv"))
     summary = {
-        "n_steps": int(traj.t.size - 1),
+        "n_steps": traj.n_steps,
         "n_snapshots": len(snaps),
         "max_abs_snapshot_H": max(abs(s.h_value) for s in snaps),
-        "final_H": traj.h[-1],
+        "final_H": traj.final_h,
     }
     return ["trajectory.csv", "snapshots.csv"], summary
 

@@ -259,7 +259,8 @@ class EquilibriumSnapshot:
 
 @dataclass
 class FlowTrajectory:
-    """Stored flow history on the integration grid."""
+    """Stored flow history on every stride-th grid point, and the step
+    count and Hamiltonian of the march's last step, stored or not."""
 
     t: np.ndarray
     tau: np.ndarray
@@ -267,12 +268,13 @@ class FlowTrajectory:
     u: np.ndarray
     p: np.ndarray
     h: np.ndarray
+    n_steps: int
+    final_h: float
 
-    def to_csv(self, path, stride: int = 1) -> None:
-        idx = range(0, len(self.t), stride)
-        rows = ([self.t[k], self.tau[k], int(self.cycle[k])]
-                + list(self.u[k]) + list(self.p[k]) + [self.h[k]]
-                for k in idx)
+    def to_csv(self, path) -> None:
+        rows = ([t, tau, int(c)] + list(u) + list(p) + [h]
+                for t, tau, c, u, p, h in zip(self.t, self.tau, self.cycle,
+                                              self.u, self.p, self.h))
         atomic_write_csv(path, _phase_header(self.u.shape[1]), rows)
 
 
@@ -290,10 +292,12 @@ def snapshots_to_csv(snapshots, path) -> None:
 
 
 def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
-               n_cycles: int, dt: float, store_trajectory: bool = True):
+               n_cycles: int, dt: float, store_trajectory: bool = True,
+               stride: int = 1):
     """Integrate n_cycles fundamental cycles (period 2T each) from t = 0.
 
-    Returns ``(trajectory, snapshots)`` where the snapshots sit at the
+    Returns ``(trajectory, snapshots)`` where the trajectory stores grid
+    steps 0, stride, 2 stride, ... and the snapshots sit at the
     equilibrium instants t = (2n - 1) T, n = 1..n_cycles.  Times are taken
     as k * dt (not accumulated), so with dt dividing T the instants land on
     grid points; each snapshot's Hamiltonian must satisfy
@@ -301,6 +305,8 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     T = schedule.period_T
     steps_per_T = steps_per_period(T, dt)
     total = 2 * n_cycles * steps_per_T
@@ -310,10 +316,10 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     u = initial.point.u.copy()
     p = initial.point.p.copy()
     if store_trajectory:
-        ts = np.arange(total + 1) * dt
-        us = np.empty((total + 1, dim))
-        ps = np.empty((total + 1, dim))
-        hs = np.empty(total + 1)
+        ts = np.arange(0, total + 1, stride) * dt
+        us = np.empty((ts.size, dim))
+        ps = np.empty((ts.size, dim))
+        hs = np.empty(ts.size)
         us[0], ps[0] = u, p
         hs[0] = _hamiltonian(field, schedule, 0.0, u, p)
 
@@ -325,10 +331,12 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
         if not (np.isfinite(u).all() and np.isfinite(p).all()):
             raise BlowUpError(step, t)
         n = equilibrium_cycle(step, steps_per_T)
-        if store_trajectory or n:
+        row, skipped = divmod(step, stride)
+        stored = store_trajectory and not skipped
+        if stored or n or step == total:
             h_val = _hamiltonian(field, schedule, t, u, p)
-        if store_trajectory:
-            us[step], ps[step], hs[step] = u, p, h_val
+        if stored:
+            us[row], ps[row], hs[row] = u, p, h_val
         if n:
             p_norm = float(np.linalg.norm(p))
             if abs(h_val) > H_BOUND * (1.0 + p_norm):
@@ -344,7 +352,8 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     if store_trajectory:
         cyc = np.minimum(np.floor(ts / (2 * T)).astype(int) + 1, n_cycles)
         trajectory = FlowTrajectory(t=ts, tau=tau_of_t(ts, schedule), cycle=cyc,
-                                    u=us, p=ps, h=hs)
+                                    u=us, p=ps, h=hs, n_steps=total,
+                                    final_h=h_val)
     return trajectory, snapshots
 
 

@@ -41,14 +41,16 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+def _atomic_write(path, chunks) -> None:
+    """Write the text chunks in order to a temp file in the target
+    directory, then rename it over ``path``; on any error the temp file is
+    removed and ``path`` is left as it was."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=d)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,22 +58,25 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path, text: str) -> None:
+    """Write via a temp file in the target directory, then rename."""
+    _atomic_write(path, (text,))
+
+
 def atomic_write_csv(path, header, rows) -> None:
     """CSV with a header row, '.' decimal separator, shortest round-trip floats.
 
     ``rows`` yields sequences whose entries are str/int/float; floats are
-    rendered with :func:`fmt_float` so reruns are byte-identical.
+    rendered with :func:`fmt_float` so reruns are byte-identical.  Rows are
+    formatted and written one at a time, so the file is never held whole.
     """
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(fmt_float(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    def lines():
+        yield ",".join(header) + "\n"
+        for row in rows:
+            yield ",".join([fmt_float(v) if isinstance(v, (float, np.floating))
+                            else str(v) for v in row]) + "\n"
+
+    _atomic_write(path, lines())
 
 
 def atomic_write_json(path, obj) -> None:

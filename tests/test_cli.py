@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -143,6 +144,18 @@ class TestValidate:
         bad = write_config(tmp_path, bad_cfg, "bad.json")
         assert cli.main(["validate", "--config", bad]) == 2
 
+    def test_trajectory_bound_counts_stored_rows(self, tmp_path, capsys):
+        # 8 x 10^6 steps of a 2-molecule flow store 2.05 GB at store_stride
+        # 1 and 0.2 GB at store_stride 10; validate runs no march
+        cfg = flow_config()
+        cfg["parameters"]["period_T"] = 100000
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", "--config", path]) == 2
+        assert "stored trajectory exceeds" in capsys.readouterr().out
+        cfg["parameters"]["store_stride"] = 10
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", "--config", path]) == 0
+
 
 class TestRunners:
     def test_flow_outputs(self, tmp_path):
@@ -154,6 +167,21 @@ class TestRunners:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["experiment"] == "flow"
         assert manifest["summary"]["n_snapshots"] == 2
+
+    def test_flow_summary_describes_the_full_march(self, tmp_path):
+        # store_stride 3 does not divide the 80 steps: the last stored row
+        # is step 78, while n_steps and final_H are those of step 80
+        cfg_dict = flow_config()
+        cfg_dict["parameters"]["store_stride"] = 3
+        out = tmp_path / "out"
+        assert cli.main(["flow", "--config", write_config(tmp_path, cfg_dict),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["n_steps"] == 80
+        assert summary["final_H"] == -1.8731782335505833
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [
+            k * 0.05 for k in range(0, 81, 3)]
 
     def test_wep_row_accounting(self, tmp_path):
         cfg_dict = small_configs()["wep"]
@@ -448,6 +476,43 @@ class TestAtomicity:
         monkeypatch.undo()
         assert not target.exists()
         assert os.listdir(tmp_path) == []
+
+    def test_failing_rows_leave_no_file(self, tmp_path):
+        def rows():
+            yield [1.0]
+            yield [2.0]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            atomic_write_csv(str(tmp_path / "data.csv"), ["x"], rows())
+        assert os.listdir(tmp_path) == []
+
+    def test_csv_is_written_row_by_row(self, tmp_path):
+        # while a row is joined its cells are separate str objects, about
+        # 4 rows' worth of text, so the bound allows 8 rows; a writer that
+        # holds the whole file peaks at thousands of rows
+        data = np.random.default_rng(0).standard_normal((2000, 500))
+        header = [f"c{i}" for i in range(500)]
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            atomic_write_csv(str(path), header, iter(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_bytes = path.stat().st_size / 2001
+        assert peak < 8 * row_bytes
+
+    def test_csv_bytes_of_mixed_cells(self, tmp_path):
+        rows = [["a", 1, 0.1, np.float64(2.5)],
+                ["b", -3, 1e-300, np.float64(1 / 3)],
+                ["", 0, -0.0, np.float64(2.5000000000000004)]]
+        path = tmp_path / "m.csv"
+        atomic_write_csv(str(path), ["s", "i", "f", "g"], iter(rows))
+        assert path.read_bytes() == (b"s,i,f,g\n"
+                                     b"a,1,0.1,2.5\n"
+                                     b"b,-3,1e-300,0.3333333333333333\n"
+                                     b",0,-0.0,2.5000000000000004\n")
 
     def test_csv_floats_round_trip(self, tmp_path):
         values = [0.1, 1e-300, 123456.789, np.float64(2.5000000000000004)]

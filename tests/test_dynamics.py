@@ -156,9 +156,11 @@ class TestStepFlow:
         sched = constant_schedule(1.0, 0.0)
         state = make_state(_point(8, seed=6), sched)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(BlowUpError):
+            with pytest.raises(BlowUpError) as err:
                 for k in range(200):
                     state = step_flow(field, sched, state, dt=1.0, _step_index=k)
+        # the index the caller passed for the step from t = 39 to t = 40
+        assert (err.value.step_index, err.value.t) == (39, 40.0)
 
 
 class TestRunCycles:
@@ -216,6 +218,39 @@ class TestRunCycles:
         _, snaps = run_cycles(field, sched, initial, n_cycles=3, dt=0.01)
         for s in snaps:
             assert abs(s.h_value) <= 1e-9 * (1 + np.linalg.norm(s.point.p))
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_blow_up_reports_grid_step(self, stride):
+        # the period keeps the first equilibrium instant (step 100) beyond
+        # the blow-up; a stride that skips step 40 reports it all the same
+        field = linear_field(200.0 * np.eye(8))
+        sched = constant_schedule(100.0, 0.0)
+        initial = make_state(_point(8, seed=6), sched)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as err:
+                run_cycles(field, sched, initial, n_cycles=1, dt=1.0,
+                           stride=stride)
+        assert (err.value.step_index, err.value.t) == (40, 40.0)
+
+    @pytest.mark.parametrize("stride", [4, 3])
+    def test_stride_stores_every_stride_th_row(self, stride):
+        # 800 steps: 4 divides the step count, 3 does not
+        field = tanh_field(16, 0.9)
+        sched = sin_squared_schedule(1.0)
+        initial = make_state(_point(16, seed=19), sched)
+        full, snaps = run_cycles(field, sched, initial, n_cycles=2, dt=0.005)
+        part, part_snaps = run_cycles(field, sched, initial, n_cycles=2,
+                                      dt=0.005, stride=stride)
+        for name in ("t", "tau", "cycle", "u", "p", "h"):
+            assert np.array_equal(getattr(part, name),
+                                  getattr(full, name)[::stride]), name
+        assert (part.n_steps, part.final_h) == (800, full.h[-1])
+        assert (full.n_steps, full.final_h) == (800, full.h[-1])
+        assert [(s.t, s.h_value) for s in part_snaps] == [
+            (s.t, s.h_value) for s in snaps]
+        for a, b in zip(part_snaps, snaps):
+            assert np.array_equal(a.point.u, b.point.u)
+            assert np.array_equal(a.point.p, b.point.p)
 
     def test_csv_export_columns(self, tmp_path):
         field = tanh_field(8, 0.5)

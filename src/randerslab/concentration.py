@@ -202,15 +202,6 @@ def _eval_observable(f: Callable, x: np.ndarray, first: int) -> np.ndarray:
     return v
 
 
-def levy_median(f: Callable, sampler: MMSpaceSampler, n: int,
-                stream: int = 0) -> float:
-    """Empirical median of f over n samples (the measure splits 1/2 above
-    and 1/2 below, up to 2/sqrt(n))."""
-    if n < 100:
-        raise ValueError("n must be >= 100 for a stable median")
-    return float(np.median(sampler.observe(f, n, stream=stream)))
-
-
 @dataclass(frozen=True)
 class TailFit:
     C1_hat: float
@@ -328,13 +319,13 @@ def fit_decay_constant(profile: ConcentrationProfile) -> TailFit:
 # analytic reference bounds
 
 
-def sphere_tail_bound(rho, n_dim: int, constant: float = 2.0):
-    """C * exp(-(N-1) rho^2 / 2) for 1-Lipschitz observables on S^N."""
-    return constant * np.exp(-(n_dim - 1) * np.asarray(rho, dtype=float) ** 2 / 2.0)
+def sphere_tail_bound(rho, n_dim: int):
+    """2 exp(-(N-1) rho^2 / 2) for 1-Lipschitz observables on S^N."""
+    return 2.0 * np.exp(-(n_dim - 1) * np.asarray(rho, dtype=float) ** 2 / 2.0)
 
 
-def gaussian_tail_bound(rho, rho_p: float, constant: float = 0.5):
-    return constant * np.exp(-np.asarray(rho, dtype=float) ** 2 / (2.0 * rho_p ** 2))
+def gaussian_tail_bound(rho, rho_p: float):
+    return 0.5 * np.exp(-np.asarray(rho, dtype=float) ** 2 / (2.0 * rho_p ** 2))
 
 
 def sphere_neighborhood_bound(epsilon, n_dim: int):

@@ -44,10 +44,6 @@ class GridAlignmentError(DynamicsError):
     """dt does not divide the period, so equilibrium instants miss the grid."""
 
 
-class SingularReparameterizationError(DynamicsError):
-    """kappa = 1: the internal->external time map is singular (equilibrium)."""
-
-
 @dataclass(frozen=True)
 class CycleSchedule:
     """Period T and conformal factor kappa(t) in [0, 1]."""
@@ -79,30 +75,6 @@ def constant_schedule(period_T: float, value: float) -> CycleSchedule:
     if not 0.0 <= value <= 1.0:
         raise ValueError("kappa value must lie in [0, 1]")
     return CycleSchedule(period_T=float(period_T), kappa=lambda t: value)
-
-
-def check_schedule(schedule: CycleSchedule) -> None:
-    """Validate the cyclic-schedule invariants; raises ScheduleError.
-
-    Checks kappa in [0, 1] on a probe grid, |1 - kappa| < 1e-12 at odd
-    multiples of T, and a central-difference d kappa/dt below 1e-8 there.
-    """
-    T = schedule.period_T
-    for n in range(3):
-        for t in np.linspace(2 * n * T, 2 * (n + 1) * T, 101):
-            k = schedule.kappa(float(t))
-            if not -1e-12 <= k <= 1.0 + 1e-12:
-                raise ScheduleError(f"kappa({t}) = {k} outside [0, 1]")
-        t_eq = (2 * n + 1) * T
-        k_eq = schedule.kappa(t_eq)
-        if abs(1.0 - k_eq) >= 1e-12:
-            raise ScheduleError(
-                f"|1 - kappa| = {abs(1 - k_eq):.3e} at t = (2n+1)T, n = {n}")
-        h = 1e-6 * T
-        dk = (schedule.kappa(t_eq + h) - schedule.kappa(t_eq - h)) / (2 * h)
-        if abs(dk) >= 1e-8:
-            raise ScheduleError(
-                f"d kappa/dt = {dk:.3e} at equilibrium instant t = {t_eq}")
 
 
 def tau_of_t(t: float, schedule: CycleSchedule) -> float:
@@ -208,20 +180,6 @@ def hamiltonian(field: RandersField, schedule: CycleSchedule,
     return _hamiltonian(field, schedule, state.t, state.point.u, state.point.p)
 
 
-def effective_cycle_hamiltonian(field: RandersField, schedule: CycleSchedule,
-                                state: FlowState) -> float:
-    """Piecewise cycle Hamiltonian: sum_k beta_k(u) p_k away from the
-    instants {t = nT}, exactly zero within 1e-9 of them.
-
-    The schedule supplies the period locating those instants.
-    """
-    T = schedule.period_T
-    m = state.t / T
-    if abs(m - round(m)) * T <= 1e-9:
-        return 0.0
-    return float(np.asarray(field.beta(state.point.u)) @ state.point.p)
-
-
 def step_flow(field: RandersField, schedule: CycleSchedule, state: FlowState,
               dt: float, _step_index: int = 0) -> FlowState:
     """Advance (u, p, t) one RK4 step, on copies of the state's arrays.
@@ -229,16 +187,18 @@ def step_flow(field: RandersField, schedule: CycleSchedule, state: FlowState,
     The u-subsystem is autonomous; p follows the linear cotangent equation
     through the field's vector-Jacobian product along the u stages.  t_tilde
     accumulates the internal-time element (1 - kappa) dt by the trapezoid
-    rule.
+    rule.  ``_step_index`` is the grid index of ``state``; a non-finite
+    result raises ``BlowUpError`` with the index reached, ``_step_index + 1``,
+    as ``run_cycles`` numbers it.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     u, p = state.point.u.copy(), state.point.p.copy()
     t0 = state.t
-    next(rk4_march(field.beta, field.vjp_at, u, p if np.any(p) else None, dt,
+    next(rk4_march(field.beta, field.vjp, u, p if np.any(p) else None, dt,
                    1, lambda t: speed(schedule, t0 + t)))
     if not (np.isfinite(u).all() and np.isfinite(p).all()):
-        raise BlowUpError(_step_index, t0 + dt)
+        raise BlowUpError(_step_index + 1, t0 + dt)
     t2 = t0 + dt
     k0 = _kappa_checked(schedule, t0)
     k1 = _kappa_checked(schedule, t2)
@@ -324,7 +284,7 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
         hs[0] = _hamiltonian(field, schedule, 0.0, u, p)
 
     snapshots = []
-    for step in rk4_march(field.beta, field.vjp_at, u,
+    for step in rk4_march(field.beta, field.vjp, u,
                           p if np.any(p) else None, dt, total,
                           lambda t: speed(schedule, t)):
         t = step * dt
@@ -356,16 +316,3 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
                                     final_h=h_val)
     return trajectory, snapshots
 
-
-def reparameterize_time(t_tilde: float, schedule: CycleSchedule) -> float:
-    """External time t = t_tilde / (1 - kappa(t_tilde)).
-
-    Singular exactly where kappa reaches 1 (an equilibrium instant); the
-    differential relation dt = (1 - kappa) dt_tilde is meaningful on the
-    homogeneity region where kappa is stationary and small.
-    """
-    k = _kappa_checked(schedule, t_tilde)
-    if 1.0 - k <= 1e-12:
-        raise SingularReparameterizationError(
-            f"kappa({t_tilde!r}) = {k!r}: equilibrium instant reached")
-    return t_tilde / (1.0 - k)

@@ -51,17 +51,6 @@ class PhysicalConstants:
     def from_base(cls, G: float, c: float, hbar: float) -> "PhysicalConstants":
         return cls(G=G, c=c, hbar=hbar, **_derive(G, c, hbar))
 
-    def rescaled(self, length: float, mass: float, time: float) -> "PhysicalConstants":
-        """Same physics in new units; factors are new-units-per-SI-unit.
-
-        G has dimension L^3 M^-1 T^-2, c is L T^-1, hbar is M L^2 T^-1.
-        """
-        return PhysicalConstants.from_base(
-            G=self.G * length**3 / (mass * time**2),
-            c=self.c * length / time,
-            hbar=self.hbar * mass * length**2 / time,
-        )
-
 
 def _derive(G, c, hbar):
     l_p = math.sqrt(hbar * G / c**3)

@@ -121,10 +121,6 @@ class CompactBox:
     def diameter(self) -> float:
         return float(self.metric.distance(self.lower, self.upper))
 
-    def contains(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return np.all((z >= self.lower) & (z <= self.upper), axis=-1)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))
 
@@ -134,20 +130,10 @@ class CompactBox:
                           metric=self.metric)
 
     @staticmethod
-    def cube(dim: int, half_width: float = 1.0, center: float = 0.0,
+    def cube(dim: int, half_width: float = 1.0,
              metric: BoxMetric = EUCLIDEAN) -> "CompactBox":
-        lo = np.full(dim, center - half_width)
+        lo = np.full(dim, -half_width)
         return CompactBox(lower=lo, upper=lo + 2 * half_width, metric=metric)
-
-    @staticmethod
-    def from_snapshots(snapshots, dilate: float = 1.1,
-                       metric: BoxMetric = EUCLIDEAN) -> "CompactBox":
-        """Box enclosing the (u, p) points of equilibrium snapshots, dilated."""
-        pts = np.array([np.concatenate([s.point.u, s.point.p]) for s in snapshots])
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        half = np.maximum(half * dilate, 1e-6 + 0.1 * np.abs(c))
-        return CompactBox(lower=c - half, upper=c + half, metric=metric)
 
 
 def project_to_box(z, box: CompactBox):

@@ -16,7 +16,7 @@ from randerslab.concentration import (
     fit_decay_constant,
     gaussian,
     gaussian_tail_bound,
-    levy_median,
+    median_stream_size,
     product_uniform,
     sphere,
     sphere_isoperimetric_check,
@@ -180,57 +180,68 @@ class TestBoundedMemory:
 
 
 class TestLevyMedian:
+    """The median ``concentration_profile`` centres its deviations on,
+    estimated on the independent stream 1 of ``median_stream_size(n)``
+    draws."""
+
+    @staticmethod
+    def median(f, sampler, n):
+        return concentration_profile(f, sampler, np.array([0.5, 1.0]), n).median_hat
+
     def test_coordinate_on_gaussian_is_centered(self):
         n = 10_000
-        med = levy_median(first_coord, gaussian(6, 1.0, 11), n)
-        assert abs(med) < 4.0 / math.sqrt(n)
+        med = self.median(first_coord, gaussian(6, 1.0, 11), n)
+        assert abs(med) < 4.0 / math.sqrt(median_stream_size(n))
 
     def test_constant_function(self):
         f = lambda x: np.full(x.shape[0], 2.25)
-        assert levy_median(f, gaussian(3, 1.0, 0), 500) == 2.25
+        assert self.median(f, gaussian(3, 1.0, 0), 500) == 2.25
 
     def test_radius_on_gaussian3_matches_chi_median(self):
         # oracle: invert the chi(3) CDF
         oracle = stats.chi.ppf(0.5, 3)
         assert oracle == pytest.approx(1.53817, abs=1e-5)
-        n = 40_000
-        med = levy_median(lambda x: np.linalg.norm(x, axis=1),
+        n = 80_000
+        med = self.median(lambda x: np.linalg.norm(x, axis=1),
                           gaussian(3, 1.0, 12), n)
         pdf_at_median = stats.chi.pdf(oracle, 3)
-        se = 1.0 / (2.0 * pdf_at_median * math.sqrt(n))
+        se = 1.0 / (2.0 * pdf_at_median * math.sqrt(median_stream_size(n)))
         assert abs(med - oracle) < 3.0 * se
 
     def test_median_property_split(self):
-        n = 20_000
+        n = 40_000
         sampler = gaussian(4, 1.0, 13)
-        med = levy_median(first_coord, sampler, n)
-        v = first_coord(sampler.sample(n, stream=0))
+        med = self.median(first_coord, sampler, n)
+        v = sampler.observe(first_coord, median_stream_size(n), stream=1)
         above = float(np.mean(v > med))
-        assert abs(above - 0.5) <= 2.0 / math.sqrt(n)
+        assert abs(above - 0.5) <= 2.0 / math.sqrt(v.size)
 
     def test_median_stability_under_doubling(self):
         sampler = gaussian(4, 1.0, 14)
-        n = 20_000
-        m1 = levy_median(first_coord, sampler, n)
-        m2 = levy_median(first_coord, sampler, 2 * n)
-        v = first_coord(sampler.sample(n, stream=0))
+        n = 40_000
+        m1 = self.median(first_coord, sampler, n)
+        m2 = self.median(first_coord, sampler, 2 * n)
+        v = sampler.observe(first_coord, median_stream_size(n), stream=1)
         iqr = float(np.subtract(*np.percentile(v, [75, 25])))
-        assert abs(m2 - m1) < 4.0 / math.sqrt(n) * iqr
+        assert abs(m2 - m1) < 4.0 / math.sqrt(v.size) * iqr
 
     def test_nonfinite_observable_raises(self):
         f = lambda x: np.where(x[:, 0] > 0, x[:, 0], np.nan)
         with pytest.raises(EvaluationError):
-            levy_median(f, gaussian(2, 1.0, 15), 200)
+            gaussian(2, 1.0, 15).observe(f, 200)
 
     def test_wrong_shape_observable_raises(self):
         # one value per row is the contract; there is no row-loop retry
         with pytest.raises(EvaluationError,
                            match=r"shape \(200, 2\).*expected \(200,\)"):
-            levy_median(lambda x: x, gaussian(2, 1.0, 15), 200)
+            gaussian(2, 1.0, 15).observe(lambda x: x, 200)
 
     def test_minimum_sample_size(self):
-        with pytest.raises(ValueError):
-            levy_median(first_coord, gaussian(2, 1.0, 0), 50)
+        # a small profile still takes its median over 100 draws
+        sampler = gaussian(2, 1.0, 0)
+        assert median_stream_size(50) == 100
+        assert self.median(first_coord, sampler, 50) == float(
+            np.median(sampler.observe(first_coord, 100, stream=1)))
 
 
 class TestConcentrationProfile:

@@ -10,13 +10,9 @@ from randerslab.dynamics import (
     BlowUpError,
     GridAlignmentError,
     ScheduleError,
-    SingularReparameterizationError,
-    check_schedule,
     constant_schedule,
-    effective_cycle_hamiltonian,
     hamiltonian,
     make_state,
-    reparameterize_time,
     run_cycles,
     sin_squared_schedule,
     step_flow,
@@ -47,8 +43,18 @@ def _stable_matrix(dim, seed=0, scale=0.3):
 
 class TestSchedule:
     def test_default_schedule_invariants(self):
-        check_schedule(sin_squared_schedule(1.0))
-        check_schedule(sin_squared_schedule(0.25))
+        # kappa in [0, 1] on three fundamental cycles, exactly 1 at the
+        # equilibrium instants t = (2n + 1) T, and flat there
+        for T in [1.0, 0.25]:
+            s = sin_squared_schedule(T)
+            for n in range(3):
+                for t in np.linspace(2 * n * T, 2 * (n + 1) * T, 101):
+                    assert 0.0 <= s.kappa(float(t)) <= 1.0
+                t_eq = (2 * n + 1) * T
+                assert s.kappa(t_eq) == 1.0
+                h = 1e-6 * T
+                dk = (s.kappa(t_eq + h) - s.kappa(t_eq - h)) / (2 * h)
+                assert abs(dk) < 1e-8
 
     def test_kappa_exact_limits(self):
         s = sin_squared_schedule(1.0)
@@ -86,30 +92,6 @@ class TestHamiltonian:
         pt = PhasePoint(u=np.zeros(8), p=np.zeros(8), n_molecules=1)
         with pytest.raises(ScheduleError):
             hamiltonian(field, bad, make_state(pt, bad))
-
-
-class TestEffectiveCycleHamiltonian:
-    def test_zero_exactly_at_cycle_instants(self):
-        field = constant_field(0.5, 16)
-        sched = sin_squared_schedule(1.0)
-        pt = PhasePoint(u=np.zeros(16), p=np.ones(16), n_molecules=2)
-        for n in range(4):
-            state = make_state(pt, sched, t=float(n))
-            assert effective_cycle_hamiltonian(field, sched, state) == 0.0
-
-    def test_zero_momentum_between_instants(self):
-        field = tanh_field(16, 0.9)
-        sched = sin_squared_schedule(1.0)
-        pt = PhasePoint(u=np.ones(16), p=np.zeros(16), n_molecules=2)
-        assert effective_cycle_hamiltonian(field, sched, make_state(pt, sched, t=0.4)) == 0.0
-
-    def test_midcycle_reduces_to_unsuppressed_sum(self):
-        dim = 16
-        field = constant_field(0.5, dim)
-        sched = sin_squared_schedule(1.0)
-        pt = PhasePoint(u=np.zeros(dim), p=np.ones(dim), n_molecules=2)
-        state = make_state(pt, sched, t=0.5)
-        assert effective_cycle_hamiltonian(field, sched, state) == pytest.approx(0.5 * dim)
 
 
 class TestStepFlow:
@@ -159,8 +141,9 @@ class TestStepFlow:
             with pytest.raises(BlowUpError) as err:
                 for k in range(200):
                     state = step_flow(field, sched, state, dt=1.0, _step_index=k)
-        # the index the caller passed for the step from t = 39 to t = 40
-        assert (err.value.step_index, err.value.t) == (39, 40.0)
+        # the grid index reached by the step from t = 39 to t = 40, as
+        # run_cycles numbers it
+        assert (err.value.step_index, err.value.t) == (40, 40.0)
 
 
 class TestRunCycles:
@@ -350,37 +333,24 @@ class TestConservationAndLinearity:
 
 
 class TestReparameterization:
-    def test_identity_for_zero_kappa(self):
-        sched = constant_schedule(1.0, 0.0)
-        assert reparameterize_time(0.7, sched) == 0.7
-
-    def test_constant_half_doubles(self):
-        sched = constant_schedule(1.0, 0.5)
-        assert reparameterize_time(0.7, sched) == pytest.approx(1.4)
-
-    def test_singular_at_equilibrium(self):
-        sched = sin_squared_schedule(1.0)
-        with pytest.raises(SingularReparameterizationError):
-            reparameterize_time(1.0, sched)
-
     def test_internal_time_tracks_map_for_frozen_kappa(self):
         # for constant kappa the incremental bookkeeping matches the
-        # algebraic map: t_tilde = t (1 - kappa), t = t_tilde / (1 - kappa)
+        # algebraic map t_tilde = t (1 - kappa)
         field = tanh_field(8, 0.5)
         sched = constant_schedule(1.0, 0.25)
         state = make_state(_point(8, seed=15), sched)
         for _ in range(50):
             state = step_flow(field, sched, state, dt=0.01)
         assert state.t_tilde == pytest.approx(state.t * 0.75, rel=1e-12)
-        assert reparameterize_time(state.t_tilde, sched) == pytest.approx(
-            state.t, rel=1e-12)
 
     def test_differential_relation_near_homogeneity_instants(self):
-        # dt = (1 - kappa) dt_tilde holds where kappa is stationary and small
+        # dt_tilde = (1 - kappa) dt holds step by step where kappa is
+        # stationary and small
+        field = tanh_field(8, 0.5)
         sched = sin_squared_schedule(1.0)
-        for t_tilde in [2.0, 4.0]:
-            h = 1e-7
-            deriv = (reparameterize_time(t_tilde + h, sched)
-                     - reparameterize_time(t_tilde - h, sched)) / (2 * h)
-            kappa = sched.kappa(t_tilde)
-            assert deriv * (1.0 - kappa) == pytest.approx(1.0, abs=1e-6)
+        dt = 1e-4
+        for t in [2.0, 4.0]:
+            state = make_state(_point(8, seed=16), sched, t=t)
+            nxt = step_flow(field, sched, state, dt=dt)
+            rate = (nxt.t_tilde - state.t_tilde) / dt
+            assert rate == pytest.approx(1.0 - sched.kappa(t), abs=1e-6)

@@ -167,7 +167,12 @@ class TestInvariants:
         a_si_f = alpha_closed_form(case_si, C)
         a_si_o = alpha_oracle(case_si, C)
         for length, mass, time in [(100.0, 1000.0, 1.0), (7.5, 0.02, 3600.0)]:
-            const2 = C.rescaled(length, mass, time)
+            # factors are new units per SI unit: G is L^3 M^-1 T^-2, c is
+            # L T^-1 and hbar is M L^2 T^-1
+            const2 = PhysicalConstants.from_base(
+                G=C.G * length**3 / (mass * time**2),
+                c=C.c * length / time,
+                hbar=C.hbar * mass * length**2 / time)
             case2 = GravityScaleCase.from_lambda(
                 "scaled", 2.0 * mass, 3.0 * length, 0.5)
             assert alpha_closed_form(case2, const2) == pytest.approx(

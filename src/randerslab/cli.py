@@ -81,7 +81,8 @@ MAX_RK4_STEPS = 10**7
 MAX_TRAJECTORY_BYTES = 2**30
 # The arrays a sample count sizes take at most this many bytes: the two
 # stream vectors of concentration and sphere, both allocated before either
-# stream is drawn, the wep reference ensemble and the lipschitz pair ends.
+# stream is drawn, the wep reference ensemble, one wep trial's draw of the
+# largest N, the wep observables and the lipschitz pair ends.
 MAX_SAMPLE_BYTES = 2**30
 
 POSITIVE = (lambda x: x > 0, "must be positive")
@@ -273,6 +274,12 @@ def _cross_check(params, v):
         "n": n + (n if "sphere_dimension" in params
                   else conc.median_stream_size(n)),
         "n_reference": 8 * params.get("n_reference", 0),
+        # one trial's (N, 8) draw at the largest N
+        "n_list": 8 * max(params.get("n_list", [0])),
+        # per trial and instant: the A, B and S centers of mass (4 each),
+        # D_AB and the three distances to the guide
+        "n_trials": 16 * params.get("n_trials", 0)
+                    * (params.get("n_cycles", 0) + 1),
         "n_pairs": 2 * 16 * params.get("n_molecules", 0)
                    * params.get("n_pairs", 0),
     }

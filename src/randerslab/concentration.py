@@ -44,6 +44,34 @@ class DimensionError(ConcentrationError):
     pass
 
 
+def _in_threads(work: Callable, n: int) -> None:
+    """Call ``work(k, stop)`` for k = 0..n-1 at the same time: k = 0 in the
+    calling thread, each further k on its own thread.  ``stop()`` turns
+    true once a lower k has failed, whose error is the one raised, so work
+    k may return early.  Every thread has ended when this returns or
+    raises, and the error raised is that of the lowest failing k, as in
+    sequential calls."""
+    errors = [None] * n
+
+    def run(k):
+        try:
+            work(k, lambda: any(e is not None for e in errors[:k]))
+        except BaseException as exc:  # raised below, in the calling thread
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, n)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 @dataclass(frozen=True)
 class MMSpaceSampler:
     """Deterministic sampler for a metric-measure space.
@@ -135,37 +163,19 @@ class MMSpaceSampler:
         output vectors and block buffers are allocated here, before any
         thread starts.  Every thread has ended when this returns or raises,
         and the error raised is that of the first failing stream, as in
-        sequential evaluation (a failure of the first stream stops the
-        others at their next block)."""
+        sequential evaluation (a failing stream stops the streams after it
+        at their next block)."""
         jobs = [(np.empty(n), self._row_blocks(n, stream))
                 for n, stream in streams]
-        errors = [None] * len(jobs)
-        first_failed = threading.Event()
 
-        def fill(k):
+        def fill(k, stop):
             v, blocks = jobs[k]
-            try:
-                for lo, x in blocks:
-                    if first_failed.is_set():
-                        return
-                    v[lo:lo + len(x)] = _eval_observable(f, x, lo)
-            except BaseException as exc:  # raised below, in the calling thread
-                errors[k] = exc
-                if k == 0:
-                    first_failed.set()
+            for lo, x in blocks:
+                if stop():
+                    return
+                v[lo:lo + len(x)] = _eval_observable(f, x, lo)
 
-        threads = [threading.Thread(target=fill, args=(k,))
-                   for k in range(1, len(jobs))]
-        for t in threads:
-            t.start()
-        try:
-            fill(0)
-        finally:
-            for t in threads:
-                t.join()
-        for exc in errors:
-            if exc is not None:
-                raise exc
+        _in_threads(fill, len(jobs))
         return [v for v, _ in jobs]
 
     def default_rho_p(self, sigma_f: float = 1.0) -> float:

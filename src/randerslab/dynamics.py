@@ -141,20 +141,45 @@ def rk4_march(drift: Callable, vjp: Callable | None, u: np.ndarray,
     grid index k + 1 reached after each step; a march resumed with
     ``start`` at an earlier march's last index continues it bit for bit.
     ``drift`` may act on any array shape; ``vjp(u, p)`` returns J(u)^T p
-    without forming J.  The stage arrays stay bound in this frame between
-    steps, so a large batched march reuses their memory instead of
-    returning it to the OS and faulting it back in on the next step.
+    without forming J.
+
+    Without ``p``, three arrays shaped like ``u`` are allocated once per
+    march and reused at every step: the slope sum, the stage point and the
+    stage slope.  The march writes only into them and into ``u``, never
+    into an array ``drift`` returns.  A step applies the operations of
+    ``u += (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4)`` with stage points
+    ``u + h k1``, ``u + h k2``, ``u + dt k3`` in that order, to the same
+    operands, so it equals that expression on fresh arrays bit for bit.
+    With ``p``, the stage arrays stay bound in this frame between steps, so
+    a large march reuses their memory instead of returning it to the OS and
+    faulting it back in on the next step.
     """
     h = dt / 2
+    if p is None:
+        acc, x, slope = np.empty_like(u), np.empty_like(u), np.empty_like(u)
     for k in range(start, start + n_steps):
         t = k * dt
         s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
-        k1 = s1 * drift(u)
         if p is None:
-            k2 = s2 * drift(u + h * k1)
-            k3 = s2 * drift(u + h * k2)
-            k4 = s4 * drift(u + dt * k3)
+            np.multiply(s1, drift(u), out=acc)           # k1
+            np.multiply(h, acc, out=x)
+            np.add(u, x, out=x)                          # u + h k1
+            np.multiply(s2, drift(x), out=slope)         # k2
+            np.multiply(h, slope, out=x)
+            np.add(u, x, out=x)                          # u + h k2
+            slope *= 2
+            acc += slope                                 # k1 + 2 k2
+            np.multiply(s2, drift(x), out=slope)         # k3
+            np.multiply(dt, slope, out=x)
+            np.add(u, x, out=x)                          # u + dt k3
+            slope *= 2
+            acc += slope                                 # ... + 2 k3
+            np.multiply(s4, drift(x), out=slope)         # k4
+            acc += slope
+            acc *= dt / 6
+            u += acc
         else:
+            k1 = s1 * drift(u)
             m1 = -s1 * vjp(u, p)
             u2 = u + h * k1
             k2 = s2 * drift(u2)
@@ -166,7 +191,7 @@ def rk4_march(drift: Callable, vjp: Callable | None, u: np.ndarray,
             k4 = s4 * drift(u4)
             m4 = -s4 * vjp(u4, p + dt * m3)
             p += (dt / 6) * (m1 + 2 * m2 + 2 * m3 + m4)
-        u += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            u += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         yield k + 1
 
 

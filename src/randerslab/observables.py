@@ -7,22 +7,30 @@ with the guide trajectory M (the preparation-measure mean), and deviations
 are profiled with the concentration machinery.
 """
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .concentration import _ols_slope, tail_profile_from_deviations
+from .concentration import _in_threads, _ols_slope, tail_profile_from_deviations
 from .dynamics import (CycleSchedule, rk4_march, sin_squared_schedule, speed,
                        steps_per_period)
 from .geometry import BLOCK_DIM, RandersField
 from .runio import atomic_write_csv, atomic_write_json, derive_rng
 
 SYSTEMS = ("A", "B", "S")
-# The batched march advances slices of this many coordinates (256 KiB of
-# doubles, so the RK4 stage arrays of a slice stay in cache), and trials of
-# one size march together in chunks of about this many positions.
+# The batched march advances slices of at most this many coordinates (256
+# KiB of doubles, so the RK4 stage arrays of a slice stay in cache).
 BLOCK_ELEMS = 2**15
+# Trials of one size march together in chunks of about this many position
+# coordinates, enough for a slice per core; a constant, so that memory does
+# not grow with the core count.
+TRIAL_CHUNK_ELEMS = 4 * BLOCK_ELEMS
+# The batched march runs on this many threads, one per core the process may
+# use (sched_getaffinity is Linux-only; elsewhere every core counts).
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 class ObservablesError(Exception):
@@ -102,27 +110,47 @@ def evolve_coordinates(u0: np.ndarray, field: RandersField,
     Valid only for componentwise fields (the drift acts coordinate by
     coordinate, so molecules and trials decouple and batch together).
     ``collect(tau, u)`` is invoked with the whole array at tau = 0 and at
-    every equilibrium instant tau = 1..n_cycles.  Cycle by cycle, each
-    ``BLOCK_ELEMS`` slice of the array marches on its own from one
-    equilibrium instant to the next, so its stage arrays stay in cache; the
-    march stops at the last equilibrium instant.  Every step is the same
-    arithmetic on the same values as one march of the whole array.
+    every equilibrium instant tau = 1..n_cycles; the march stops at the
+    last equilibrium instant.
+
+    The flat array is cut into ``WORKERS * m`` slices of one length, with m
+    the smallest count that keeps each slice within ``BLOCK_ELEMS``, so the
+    RK4 stage arrays of a slice stay in cache; where the length does not
+    divide the size, the last slices are shorter or empty, and empty ones
+    are left out.  Cycle by cycle, worker i marches slices i, i + WORKERS,
+    i + 2 WORKERS, ... from one equilibrium instant to the next, worker 0
+    in the calling thread and each other one on its own thread.  A worker
+    writes only into its own slices and the stage buffers of its marches,
+    and every worker has ended before ``collect`` sees the array, or when
+    this raises; the error raised is that of the lowest-numbered failing
+    worker.  Drift, RK4 and the schedule act element by element, so every
+    step is the same arithmetic on the same values as one march of the
+    whole array, whatever the worker count or the thread scheduling.
     """
     if field.scalar_map is None:
         raise ValueError("batched evolution requires a componentwise field")
     steps_per_T = steps_per_period(schedule.period_T, dt)
     u = np.array(u0, dtype=float, order="C")
     flat = u.reshape(-1)
+    workers = WORKERS
+    n_slices = workers * -(-flat.size // (workers * BLOCK_ELEMS))
+    length = -(-flat.size // n_slices) if n_slices else 1
+    slices = [flat[lo:lo + length] for lo in range(0, flat.size, length)]
     collect(0, u)
     speed_at = lambda t: speed(schedule, t)
     done = 0
     for n in range(1, n_cycles + 1):
         end = (2 * n - 1) * steps_per_T
-        for lo in range(0, flat.size, BLOCK_ELEMS):
-            block = flat[lo:lo + BLOCK_ELEMS]
-            for _ in rk4_march(field.scalar_map, None, block, None, dt,
-                               end - done, speed_at, start=done):
-                pass
+
+        def march(i, stop, done=done, end=end):
+            for block in slices[i::workers]:
+                if stop():
+                    return
+                for _ in rk4_march(field.scalar_map, None, block, None, dt,
+                                   end - done, speed_at, start=done):
+                    pass
+
+        _in_threads(march, max(1, min(workers, len(slices))))
         done = end
         collect(n, u)
 
@@ -248,7 +276,7 @@ def wep_experiment(config: WepConfig) -> WepReport:
             if not report.ok:
                 raise FreeEvolutionViolation(report)
 
-        chunk = max(1, min(config.n_trials, BLOCK_ELEMS // (4 * n_mol)))
+        chunk = max(1, min(config.n_trials, TRIAL_CHUNK_ELEMS // (4 * n_mol)))
         for lo in range(0, config.n_trials, chunk):
             hi = min(lo + chunk, config.n_trials)
             u0 = np.empty((hi - lo, n_mol, BLOCK_DIM))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randerslab import cli, lipschitz
+from randerslab import observables as obs
 from randerslab.geometry import validate_randers
 from randerslab.runio import (atomic_write_csv, atomic_write_text, config_hash,
                               fmt_float)
@@ -379,6 +380,11 @@ PROBES = [
                  id="n_reference-1e14"),
     pytest.param("lipschitz", {"n_pairs": 10**14}, "parameters.n_pairs",
                  id="n_pairs-1e14"),
+    # one trial's draw of 6.4 TB, and 38.4 TB of observables
+    pytest.param("wep", {"n_list": [2, 10**11]}, "parameters.n_list",
+                 id="wep-n_list-1e11"),
+    pytest.param("wep", {"n_trials": 10**11}, "parameters.n_trials",
+                 id="wep-n_trials-1e11"),
 ]
 
 
@@ -461,6 +467,21 @@ def test_outputs_match_pinned_digests(tmp_path, name):
                for f in sorted(out.iterdir())
                if f.suffix in (".csv", ".json") and f.name != "manifest.json"}
     assert digests == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_wep_digests_do_not_depend_on_worker_count(tmp_path, monkeypatch,
+                                                   workers):
+    # the trials and the reference ensemble are cut into one slice per
+    # worker, or three
+    monkeypatch.setattr(obs, "WORKERS", workers)
+    cfg = write_config(tmp_path, small_configs()["wep"])
+    out = tmp_path / "out"
+    assert cli.main(["wep", "--config", cfg, "--out", str(out)]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted(out.iterdir())
+               if f.suffix in (".csv", ".json") and f.name != "manifest.json"}
+    assert digests == PINNED_DIGESTS["wep"]
 
 
 class TestAtomicity:

@@ -13,8 +13,10 @@ from randerslab.dynamics import (
     constant_schedule,
     hamiltonian,
     make_state,
+    rk4_march,
     run_cycles,
     sin_squared_schedule,
+    speed,
     step_flow,
 )
 from randerslab.geometry import (
@@ -295,6 +297,36 @@ class TestClosedFormFlow:
         traj, _ = run_cycles(field, sched, initial, n_cycles=2, dt=0.01)
         prod = a * np.tanh(traj.u) * traj.p
         assert np.abs(prod - prod[0]).max() <= 1e-9
+
+
+class TestBufferedMarch:
+    @pytest.mark.parametrize("field", [tanh_field(8, 0.9),
+                                       constant_field(-0.4, 8), zero_field(8)],
+                             ids=["tanh", "constant", "zero"])
+    def test_positions_step_equals_the_expression_form(self, field):
+        # The positions-only march reuses its stage buffers; each step must
+        # equal the expression on fresh arrays bit for bit.  The drift hands
+        # out read-only arrays, so a march writing into one raises.
+        def drift(x):
+            out = field.scalar_map(x)
+            out.setflags(write=False)
+            return out
+
+        sched = sin_squared_schedule(1.0)
+        speed_at = lambda t: speed(sched, t)
+        dt, h = 0.1, 0.05
+        u0 = np.random.default_rng(23).normal(size=(3, 5, 4))
+        u, want = u0.copy(), u0.copy()
+        for k in rk4_march(drift, None, u, None, dt, 23, speed_at):
+            t = (k - 1) * dt
+            s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
+            k1 = s1 * drift(want)
+            k2 = s2 * drift(want + h * k1)
+            k3 = s2 * drift(want + h * k2)
+            k4 = s4 * drift(want + dt * k3)
+            want += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            assert np.array_equal(u, want), k
+        assert k == 23
 
 
 class TestConservationAndLinearity:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from randerslab.dynamics import (CycleSchedule, ScheduleError,
                                  equilibrium_cycle, make_state, rk4_march,
                                  run_cycles, sin_squared_schedule, speed)
+from randerslab import observables
 from randerslab.geometry import PhasePoint, constant_field, tanh_field, zero_field
 from randerslab.observables import (
     BLOCK_ELEMS,
@@ -107,25 +110,72 @@ class TestBatchedEvolution:
         for s in snaps:
             assert np.allclose(got[s.cycle].reshape(-1), s.point.u, atol=1e-12)
 
-    def test_blocked_march_equals_one_whole_march(self):
-        # Three full blocks and a partial one: every snapshot must equal, bit
-        # for bit, that of one march of the whole array on the global grid.
+    def test_blocked_march_equals_one_whole_march(self, monkeypatch):
+        # For every worker count, every snapshot must equal, bit for bit,
+        # that of one march of the whole array on the global grid: for one
+        # coordinate, fewer coordinates than workers, three full blocks and
+        # a partial one, and the positions view of (trials, N, 8) draws.
         field = tanh_field(8, 0.9)
         sched = sin_squared_schedule(1.0)
         dt, n_cycles, steps_per_T = 0.1, 3, 10
-        u0 = np.random.default_rng(5).normal(size=3 * BLOCK_ELEMS + 17)
-        got = {}
-        evolve_coordinates(u0, field, sched, dt, n_cycles,
-                           lambda tau, u: got.__setitem__(tau, u.copy()))
-        assert sorted(got) == list(range(n_cycles + 1))
-        assert np.array_equal(got[0], u0)
-        u = u0.copy()
-        for step in rk4_march(field.scalar_map, None, u, None, dt,
-                              (2 * n_cycles - 1) * steps_per_T,
-                              lambda t: speed(sched, t)):
-            n = equilibrium_cycle(step, steps_per_T)
-            if n:
-                assert np.array_equal(got[n], u), n
+        rng = np.random.default_rng(5)
+        arrays = [rng.normal(size=1), rng.normal(size=2),
+                  rng.normal(size=3 * BLOCK_ELEMS + 17),
+                  rng.normal(size=(7, 1500, 8))[..., :4]]
+        # more threads than cores, switching as often as the interpreter can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for u0 in arrays:
+                want = {0: u0.copy()}
+                u = u0.copy()
+                for step in rk4_march(field.scalar_map, None, u, None, dt,
+                                      (2 * n_cycles - 1) * steps_per_T,
+                                      lambda t: speed(sched, t)):
+                    n = equilibrium_cycle(step, steps_per_T)
+                    if n:
+                        want[n] = u.copy()
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(observables, "WORKERS", workers)
+                    got = {}
+                    evolve_coordinates(
+                        u0, field, sched, dt, n_cycles,
+                        lambda tau, u: got.__setitem__(tau, u.copy()))
+                    assert sorted(got) == list(range(n_cycles + 1))
+                    for n in got:
+                        assert np.array_equal(got[n], want[n]), (
+                            u0.shape, workers, n)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_error_is_raised_and_no_thread_remains(self, monkeypatch,
+                                                          workers):
+        # The last slice belongs to a worker thread (slice 3 of 4 for two
+        # workers, 5 of 6 for three); the drift fails on the stage that
+        # reads it.
+        monkeypatch.setattr(observables, "WORKERS", workers)
+        field = tanh_field(8, 0.9)
+        sched = sin_squared_schedule(1.0)
+        u0 = np.random.default_rng(6).normal(size=3 * BLOCK_ELEMS + 17)
+        whole, raised_in = [], []
+
+        def drift(x):
+            if whole and np.shares_memory(x, whole[0][-1:]):
+                raised_in.append(threading.current_thread())
+                raise RuntimeError("bad slice")
+            return field.scalar_map(x)
+
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="bad slice"):
+            evolve_coordinates(u0, dataclasses.replace(field, scalar_map=drift),
+                               sched, 0.1, 2,
+                               lambda tau, u: whole.append(u) if tau == 0
+                               else None)
+        assert raised_in and threading.main_thread() not in raised_in
+        assert set(threading.enumerate()) == before
+        evolve_coordinates(u0, field, sched, 0.1, 2, lambda tau, u: None)
+        assert set(threading.enumerate()) == before
 
     def test_resumed_march_continues_bit_identically(self):
         field = tanh_field(8, 0.9)

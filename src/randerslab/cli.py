@@ -81,8 +81,9 @@ MAX_RK4_STEPS = 10**7
 MAX_TRAJECTORY_BYTES = 2**30
 # The arrays a sample count sizes take at most this many bytes: the two
 # stream vectors of concentration and sphere, both allocated before either
-# stream is drawn, the wep reference ensemble, one wep trial's draw of the
-# largest N, the wep observables and the lipschitz pair ends.
+# stream is drawn, the wep reference positions and the march's copy of them,
+# one wep trial's positions at the largest N and their march copy, the wep
+# observables and the lipschitz pair ends.
 MAX_SAMPLE_BYTES = 2**30
 
 POSITIVE = (lambda x: x > 0, "must be positive")
@@ -273,8 +274,9 @@ def _cross_check(params, v):
         # its median from a smaller stream
         "n": n + (n if "sphere_dimension" in params
                   else conc.median_stream_size(n)),
+        # (n, 4) positions and the march's copy of them
         "n_reference": 8 * params.get("n_reference", 0),
-        # one trial's (N, 8) draw at the largest N
+        # the same for one trial at the largest N
         "n_list": 8 * max(params.get("n_list", [0])),
         # per trial and instant: the A, B and S centers of mass (4 each),
         # D_AB and the three distances to the guide

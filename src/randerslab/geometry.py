@@ -131,16 +131,22 @@ def tanh_field(dim: int, amplitude: float) -> RandersField:
     """beta_i(u) = amplitude * tanh(u_i); sup of each component is |amplitude|."""
     a = float(amplitude)
 
+    def drift(x):
+        # scaled in place: one array per call, the same values as a * tanh(x)
+        t = np.tanh(np.asarray(x, dtype=float))
+        t *= a
+        return t
+
     def vjp(u, p):
         t = np.tanh(np.asarray(u, dtype=float))
         return a * (1.0 - t * t) * p
 
     return RandersField(
-        beta=lambda u: a * np.tanh(np.asarray(u, dtype=float)),
+        beta=drift,
         beta_bound=abs(a),
         dim=dim,
         vjp=vjp,
-        scalar_map=lambda x: a * np.tanh(np.asarray(x, dtype=float)),
+        scalar_map=drift,
     )
 
 

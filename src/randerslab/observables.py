@@ -71,11 +71,32 @@ class Preparation:
         return rng.multivariate_normal(self.mean, self.covariance, size=n,
                                        method="cholesky")
 
+    def draw_positions(self, out: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
+        """Fill ``out``, shaped (n, 4), with the positions of n molecule
+        blocks and return it.
+
+        The blocks are drawn from ``rng`` in row blocks of ``BLOCK_ELEMS //
+        BLOCK_DIM`` molecules, one ``draw`` call after another, keeping the
+        positions of each; so no (n, 8) array and no draw temporaries larger
+        than one row block are held.  The generator continues its stream
+        exactly from call to call, so with a diagonal covariance (the only
+        kind the CLI builds) ``out`` equals ``draw(n, rng)[:, :4]`` bit for
+        bit.  With a full covariance the equality holds only to rounding: a
+        one-row block is transformed by a different BLAS routine than a
+        larger one and may differ in the last bit.
+        """
+        rows = BLOCK_ELEMS // BLOCK_DIM
+        for lo in range(0, len(out), rows):
+            block = out[lo:lo + rows]
+            block[:] = self.draw(len(block), rng)[:, :4]
+        return out
+
 
 def center_of_mass(blocks: np.ndarray) -> np.ndarray:
-    """Center-of-mass 4-vector of molecule blocks shaped (..., n, 8): the
-    mean of the position coordinates over the molecule axis; velocities
-    never enter."""
+    """Center-of-mass 4-vector of molecule blocks shaped (..., n, 8), or of
+    their positions shaped (..., n, 4): the mean of the position
+    coordinates over the molecule axis; velocities never enter."""
     return blocks[..., :4].mean(axis=-2)
 
 
@@ -171,21 +192,22 @@ def mean_guide(preparation: Preparation, flow: FlowParams, n_cycles: int,
     reference ensemble evolved under the same field.
 
     Depends only on the preparation and the field, never on subsystem tags.
-    All 8 coordinates are drawn, which keeps the random stream of whole
-    molecule blocks, but only the positions march.  Returns (tau_grid, M)
-    with M of shape (n_cycles + 1, 4); the continuous tau view is linear
-    interpolation between integer snapshots.
+    Whole molecule blocks are drawn in row blocks (``draw_positions``),
+    which keeps their random stream, and only the positions are kept and
+    marched: the reference ensemble holds 4 doubles per molecule, and the
+    march its copy of them.  Returns (tau_grid, M) with M of shape
+    (n_cycles + 1, 4); the continuous tau view is linear interpolation
+    between integer snapshots.
     """
     rng = derive_rng(seed, "mean-guide", preparation.seed)
-    u0 = preparation.draw(n_reference, rng)
+    u0 = preparation.draw_positions(np.empty((n_reference, 4)), rng)
     schedule = sin_squared_schedule(flow.period_T)
     m = np.empty((n_cycles + 1, 4))
 
     def collect(tau, u):
         m[tau] = center_of_mass(u)
 
-    evolve_coordinates(u0[:, :4], flow.field, schedule, flow.dt, n_cycles,
-                       collect)
+    evolve_coordinates(u0, flow.field, schedule, flow.dt, n_cycles, collect)
     return np.arange(n_cycles + 1), m
 
 
@@ -270,7 +292,7 @@ def wep_experiment(config: WepConfig) -> WepReport:
 
         # The batched march has no exchange mechanism, so events can only
         # come from the injector.  Whole molecule blocks are drawn (one
-        # random stream per trial), but only their positions march.
+        # random stream per trial), but only their positions are kept.
         if config.event_injector is not None:
             report = check_free_evolution(config.event_injector(n_mol))
             if not report.ok:
@@ -279,17 +301,17 @@ def wep_experiment(config: WepConfig) -> WepReport:
         chunk = max(1, min(config.n_trials, TRIAL_CHUNK_ELEMS // (4 * n_mol)))
         for lo in range(0, config.n_trials, chunk):
             hi = min(lo + chunk, config.n_trials)
-            u0 = np.empty((hi - lo, n_mol, BLOCK_DIM))
+            u0 = np.empty((hi - lo, n_mol, 4))
             for k in range(lo, hi):
                 rng = derive_rng(config.seed, f"wep-N{n_mol}-trial", k)
-                u0[k - lo] = config.preparation.draw(n_mol, rng)
+                config.preparation.draw_positions(u0[k - lo], rng)
 
             def collect(tau, u, lo=lo, hi=hi):
                 x_obs[lo:hi, tau, 0, :] = center_of_mass(u[:, :n_a])
                 x_obs[lo:hi, tau, 1, :] = center_of_mass(u[:, n_a:])
                 x_obs[lo:hi, tau, 2, :] = center_of_mass(u)
 
-            evolve_coordinates(u0[..., :4], flow.field, schedule, flow.dt,
+            evolve_coordinates(u0, flow.field, schedule, flow.dt,
                                config.n_cycles, collect)
 
         sigma_x = float(np.sqrt(np.mean(np.var(x_obs[:, 0, 2, :], axis=0))))

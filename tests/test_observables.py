@@ -28,6 +28,10 @@ from randerslab.observables import (
 from randerslab.runio import derive_rng
 
 
+# molecules per row block of Preparation.draw_positions
+ROWS = BLOCK_ELEMS // 8
+
+
 def _prep(seed=0, mean=0.0, scale=1.0):
     return Preparation(mean=mean, covariance=scale**2 * np.eye(8), seed=seed)
 
@@ -232,6 +236,17 @@ class TestMeanGuide:
         assert np.allclose(increments[1:], c * 4.0 / math.pi, atol=1e-6)
         assert np.allclose(increments[1:] - increments[1], 0.0, atol=1e-9)
 
+    def test_traced_peak_is_below_twelve_doubles_per_molecule(self,
+                                                              traced_peak):
+        # The reference positions and the march's copy of them take 8
+        # doubles per molecule; drawing whole (n, 8) blocks at once took 24.
+        prep = _prep(seed=3)
+        flow = FlowParams(field=tanh_field(8, 0.9), period_T=1.0, dt=0.1)
+        n_ref = 200_000
+        peak = traced_peak(lambda: mean_guide(prep, flow, n_cycles=1,
+                                              n_reference=n_ref, seed=10))
+        assert peak < 12 * 8 * n_ref, peak / (8 * n_ref)
+
     def test_split_sample_agreement(self):
         prep = _prep(seed=3)
         flow = FlowParams(field=tanh_field(8, 0.9), period_T=1.0, dt=0.1)
@@ -321,11 +336,26 @@ class TestWepExperiment:
             return draw(self, n, rng)
 
         monkeypatch.setattr(Preparation, "draw", counted)
-        config = _wep_config(zero_field(8), [16, 32], 3, n_cycles=1,
-                             n_reference=500)
+        n_list, n_trials, n_reference = [16, ROWS + 3], 3, 2 * ROWS + 5
+        config = _wep_config(zero_field(8), n_list, n_trials, n_cycles=1,
+                             n_reference=n_reference)
         wep_experiment(config)
-        # 1 + n_trials * len(n_list) draws: the guide, then each trial
-        assert sizes == [500] + [16] * 3 + [32] * 3
+
+        def take(total):
+            # row blocks of at most ROWS molecules, in order, up to total
+            got = 0
+            while got < total:
+                m = sizes.pop(0)
+                assert 0 < m <= ROWS
+                got += m
+            assert got == total
+
+        # the guide, then each trial of each size, and nothing else
+        take(n_reference)
+        for n in n_list:
+            for _ in range(n_trials):
+                take(n)
+        assert sizes == []
 
     def test_marches_only_positions_up_to_the_last_instant(self):
         # Only the positions [..., :4] are read, and nothing after the last
@@ -347,9 +377,11 @@ class TestWepExperiment:
                              * steps)
 
     def test_x_obs_are_centers_of_mass_of_the_seeded_draws(self):
-        n_list, n_trials = [16, 33], 3
+        # the guide and the larger N span several row blocks and a partial
+        # one; their positions equal those of one whole draw bit for bit
+        n_list, n_trials, n_reference = [16, ROWS + 33], 3, 2 * ROWS + 500
         config = _wep_config(zero_field(8), n_list, n_trials, n_cycles=1,
-                             n_reference=500)
+                             n_reference=n_reference)
         report = wep_experiment(config)
         for n in n_list:
             for k in range(n_trials):
@@ -360,7 +392,8 @@ class TestWepExperiment:
                                  center_of_mass(u)])
                 assert np.array_equal(report.per_size[n].x_obs[k, 0], want)
         reference = config.preparation.draw(
-            500, derive_rng(config.seed, "mean-guide", config.preparation.seed))
+            n_reference,
+            derive_rng(config.seed, "mean-guide", config.preparation.seed))
         assert np.array_equal(report.guide[0], center_of_mass(reference))
 
 
@@ -409,6 +442,27 @@ class TestEnsembleInvariants:
         x_a, x_b, x_s = (x_obs[:, :, SYSTEMS.index(t)] for t in "ABS")
         assert np.allclose(x_s, (5 * x_a + 6 * x_b) / 11,
                            rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 2])
+    def test_block_draw_positions_equal_one_whole_draw(self, n):
+        # diagonal covariance, as the CLI builds it
+        prep = Preparation(mean=np.arange(8.0), covariance=2.25 * np.eye(8),
+                           seed=0)
+        out = np.empty((n, 4))
+        got = prep.draw_positions(out, derive_rng(4, "t"))
+        assert got is out
+        assert np.array_equal(out, prep.draw(n, derive_rng(4, "t"))[:, :4])
+
+    @pytest.mark.parametrize("n", [1, ROWS + 1, 3 * ROWS + 2])
+    def test_block_draw_positions_with_full_covariance(self, n):
+        # a one-row block goes through BLAS gemv, a larger one through gemm:
+        # equal to rounding only
+        a = np.random.default_rng(1).normal(size=(8, 8))
+        prep = Preparation(mean=np.arange(8.0),
+                           covariance=a @ a.T + 0.1 * np.eye(8), seed=0)
+        out = prep.draw_positions(np.empty((n, 4)), derive_rng(4, "t"))
+        want = prep.draw(n, derive_rng(4, "t"))[:, :4]
+        assert np.allclose(out, want, rtol=1e-14, atol=1e-14)
 
     def test_iid_draws_reproducible(self):
         prep = _prep(seed=5)

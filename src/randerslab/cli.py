@@ -81,9 +81,9 @@ MAX_RK4_STEPS = 10**7
 MAX_TRAJECTORY_BYTES = 2**30
 # The arrays a sample count sizes take at most this many bytes: the two
 # stream vectors of concentration and sphere, both allocated before either
-# stream is drawn, the wep reference positions and the march's copy of them,
-# one wep trial's positions at the largest N and their march copy, the wep
-# observables and the lipschitz pair ends.
+# stream is drawn, the wep reference positions, one wep trial's positions at
+# the largest N (each marched in place, and counted at twice its size), the
+# wep observables and the lipschitz pair ends.
 MAX_SAMPLE_BYTES = 2**30
 
 POSITIVE = (lambda x: x > 0, "must be positive")
@@ -274,7 +274,8 @@ def _cross_check(params, v):
         # its median from a smaller stream
         "n": n + (n if "sphere_dimension" in params
                   else conc.median_stream_size(n)),
-        # (n, 4) positions and the march's copy of them
+        # (n, 4) positions, marched in place; the bound counts twice the 4
+        # doubles per molecule they take
         "n_reference": 8 * params.get("n_reference", 0),
         # the same for one trial at the largest N
         "n_list": 8 * max(params.get("n_list", [0])),

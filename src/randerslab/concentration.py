@@ -190,15 +190,6 @@ def sphere(n_dim: int, seed: int) -> MMSpaceSampler:
     return MMSpaceSampler(kind="sphere", dimension=n_dim, seed=seed)
 
 
-def gaussian(dim: int, sigma: float, seed: int) -> MMSpaceSampler:
-    return MMSpaceSampler(kind="gaussian", dimension=dim, seed=seed, sigma=sigma)
-
-
-def product_uniform(dim: int, bounds, seed: int) -> MMSpaceSampler:
-    return MMSpaceSampler(kind="product_uniform", dimension=dim, seed=seed,
-                          bounds=tuple(bounds))
-
-
 def _eval_observable(f: Callable, x: np.ndarray, first: int) -> np.ndarray:
     """f on the block x, whose first row is sample ``first``."""
     v = np.asarray(f(x), dtype=float)

@@ -131,68 +131,59 @@ def equilibrium_cycle(step: int, steps_per_T: int) -> int:
     return n if rem == 0 else 0
 
 
-def rk4_march(drift: Callable, vjp: Callable | None, u: np.ndarray,
-              p: np.ndarray | None, dt: float, n_steps: int,
+def rk4_march(rate: Callable, y: np.ndarray, dt: float, n_steps: int,
               speed_at: Callable[[float], float], start: int = 0):
-    """Classical RK4 for du/dt = s(t) drift(u), dp/dt = -s(t) vjp(u, p) on
-    the grid t_k = k dt, k = start..start + n_steps.
+    """Classical RK4 for dy/dt = s(t) rate(y) on the grid t_k = k dt,
+    k = start..start + n_steps.
 
-    Updates ``u`` (and ``p`` unless it is None) in place and yields the
-    grid index k + 1 reached after each step; a march resumed with
-    ``start`` at an earlier march's last index continues it bit for bit.
-    ``drift`` may act on any array shape; ``vjp(u, p)`` returns J(u)^T p
-    without forming J.
+    Updates ``y`` in place and yields the grid index k + 1 reached after
+    each step; a march resumed with ``start`` at an earlier march's last
+    index continues it bit for bit.  ``rate`` may act on any array shape.
 
-    Without ``p``, three arrays shaped like ``u`` are allocated once per
-    march and reused at every step: the slope sum, the stage point and the
-    stage slope.  The march writes only into them and into ``u``, never
-    into an array ``drift`` returns.  A step applies the operations of
-    ``u += (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4)`` with stage points
-    ``u + h k1``, ``u + h k2``, ``u + dt k3`` in that order, to the same
+    Three arrays shaped like ``y`` are allocated once per march and reused
+    at every step: the slope sum, the stage point and the stage slope.  The
+    march writes only into them and into ``y``, never into an array
+    ``rate`` returns.  A step applies the operations of
+    ``y += (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4)`` with stage points
+    ``y + h k1``, ``y + h k2``, ``y + dt k3`` in that order, to the same
     operands, so it equals that expression on fresh arrays bit for bit.
-    With ``p``, the stage arrays stay bound in this frame between steps, so
-    a large march reuses their memory instead of returning it to the OS and
-    faulting it back in on the next step.
     """
     h = dt / 2
-    if p is None:
-        acc, x, slope = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    acc, x, slope = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     for k in range(start, start + n_steps):
         t = k * dt
         s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
-        if p is None:
-            np.multiply(s1, drift(u), out=acc)           # k1
-            np.multiply(h, acc, out=x)
-            np.add(u, x, out=x)                          # u + h k1
-            np.multiply(s2, drift(x), out=slope)         # k2
-            np.multiply(h, slope, out=x)
-            np.add(u, x, out=x)                          # u + h k2
-            slope *= 2
-            acc += slope                                 # k1 + 2 k2
-            np.multiply(s2, drift(x), out=slope)         # k3
-            np.multiply(dt, slope, out=x)
-            np.add(u, x, out=x)                          # u + dt k3
-            slope *= 2
-            acc += slope                                 # ... + 2 k3
-            np.multiply(s4, drift(x), out=slope)         # k4
-            acc += slope
-            acc *= dt / 6
-            u += acc
-        else:
-            k1 = s1 * drift(u)
-            m1 = -s1 * vjp(u, p)
-            u2 = u + h * k1
-            k2 = s2 * drift(u2)
-            m2 = -s2 * vjp(u2, p + h * m1)
-            u3 = u + h * k2
-            k3 = s2 * drift(u3)
-            m3 = -s2 * vjp(u3, p + h * m2)
-            u4 = u + dt * k3
-            k4 = s4 * drift(u4)
-            m4 = -s4 * vjp(u4, p + dt * m3)
-            p += (dt / 6) * (m1 + 2 * m2 + 2 * m3 + m4)
-            u += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        np.multiply(s1, rate(y), out=acc)                # k1
+        np.multiply(h, acc, out=x)
+        np.add(y, x, out=x)                              # y + h k1
+        np.multiply(s2, rate(x), out=slope)              # k2
+        np.multiply(h, slope, out=x)
+        np.add(y, x, out=x)                              # y + h k2
+        slope *= 2
+        acc += slope                                     # k1 + 2 k2
+        np.multiply(s2, rate(x), out=slope)              # k3
+        np.multiply(dt, slope, out=x)
+        np.add(y, x, out=x)                              # y + dt k3
+        slope *= 2
+        acc += slope                                     # ... + 2 k3
+        np.multiply(s4, rate(x), out=slope)              # k4
+        acc += slope
+        acc *= dt / 6
+        y += acc
         yield k + 1
+
+
+def _phase_march(field: RandersField, y: np.ndarray, dt: float, n_steps: int,
+                 speed_at: Callable[[float], float]):
+    """``rk4_march`` of Hamilton's equations on the phase state ``y``, the
+    (2, dim) array of ``u`` over ``p``.  The u-subsystem is autonomous; p
+    follows the linear cotangent equation through the field's ``vjp``.
+    While p is all zero it stays so and only u is marched, which also keeps
+    the sign of its zeros."""
+    if not np.any(y[1]):
+        return rk4_march(field.beta, y[0], dt, n_steps, speed_at)
+    rate = lambda z: np.stack((field.beta(z[0]), -field.vjp(z[0], z[1])))
+    return rk4_march(rate, y, dt, n_steps, speed_at)
 
 
 def _hamiltonian(field, schedule, t, u, p) -> float:
@@ -209,26 +200,23 @@ def step_flow(field: RandersField, schedule: CycleSchedule, state: FlowState,
               dt: float, _step_index: int = 0) -> FlowState:
     """Advance (u, p, t) one RK4 step, on copies of the state's arrays.
 
-    The u-subsystem is autonomous; p follows the linear cotangent equation
-    through the field's vector-Jacobian product along the u stages.  t_tilde
-    accumulates the internal-time element (1 - kappa) dt by the trapezoid
-    rule.  ``_step_index`` is the grid index of ``state``; a non-finite
-    result raises ``BlowUpError`` with the index reached, ``_step_index + 1``,
-    as ``run_cycles`` numbers it.
+    t_tilde accumulates the internal-time element (1 - kappa) dt by the
+    trapezoid rule.  ``_step_index`` is the grid index of ``state``; a
+    non-finite result raises ``BlowUpError`` with the index reached,
+    ``_step_index + 1``, as ``run_cycles`` numbers it.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    u, p = state.point.u.copy(), state.point.p.copy()
+    y = np.stack((state.point.u, state.point.p))
     t0 = state.t
-    next(rk4_march(field.beta, field.vjp, u, p if np.any(p) else None, dt,
-                   1, lambda t: speed(schedule, t0 + t)))
-    if not (np.isfinite(u).all() and np.isfinite(p).all()):
+    next(_phase_march(field, y, dt, 1, lambda t: speed(schedule, t0 + t)))
+    if not np.isfinite(y).all():
         raise BlowUpError(_step_index + 1, t0 + dt)
     t2 = t0 + dt
     k0 = _kappa_checked(schedule, t0)
     k1 = _kappa_checked(schedule, t2)
     t_tilde2 = state.t_tilde + 0.5 * ((1.0 - k0) + (1.0 - k1)) * dt
-    point2 = PhasePoint(u=u, p=p, n_molecules=state.point.n_molecules)
+    point2 = PhasePoint(u=y[0], p=y[1], n_molecules=state.point.n_molecules)
     return FlowState(point=point2, t=t2, t_tilde=t_tilde2,
                      tau=tau_of_t(t2, schedule))
 
@@ -298,8 +286,8 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     dim = initial.point.dim
     n_mol = initial.point.n_molecules
 
-    u = initial.point.u.copy()
-    p = initial.point.p.copy()
+    y = np.stack((initial.point.u, initial.point.p))
+    u, p = y
     if store_trajectory:
         ts = np.arange(0, total + 1, stride) * dt
         us = np.empty((ts.size, dim))
@@ -309,11 +297,9 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
         hs[0] = _hamiltonian(field, schedule, 0.0, u, p)
 
     snapshots = []
-    for step in rk4_march(field.beta, field.vjp, u,
-                          p if np.any(p) else None, dt, total,
-                          lambda t: speed(schedule, t)):
+    for step in _phase_march(field, y, dt, total, lambda t: speed(schedule, t)):
         t = step * dt
-        if not (np.isfinite(u).all() and np.isfinite(p).all()):
+        if not np.isfinite(y).all():
             raise BlowUpError(step, t)
         n = equilibrium_cycle(step, steps_per_T)
         row, skipped = divmod(step, stride)

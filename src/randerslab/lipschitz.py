@@ -163,8 +163,7 @@ class LipschitzEstimate:
 
 
 def estimate_lipschitz(f, domain: CompactBox, n_pairs: int, seed: int,
-                       method: str = "pair_sampling",
-                       refine_points: int | None = None) -> LipschitzEstimate:
+                       method: str = "pair_sampling") -> LipschitzEstimate:
     """Estimate the Lipschitz constant of f on the box.
 
     pair_sampling: max difference quotient over ``n_pairs`` random pairs plus
@@ -195,7 +194,7 @@ def estimate_lipschitz(f, domain: CompactBox, n_pairs: int, seed: int,
     if method != "pair_sampling":
         raise ValueError(f"unknown method {method!r}")
 
-    sample = _PairSample.draw(fb, domain, n_pairs, seed, refine_points)
+    sample = _PairSample.draw(fb, domain, n_pairs, seed)
     n_ref = len(sample.pts)
     return LipschitzEstimate(
         constant_hat=sample.estimate(lambda v: v),
@@ -238,8 +237,8 @@ class _PairSample:
     probes: list         # g at the finite-difference probes of pts
 
     @classmethod
-    def draw(cls, g, domain: CompactBox, n_pairs: int, seed: int,
-             refine_points: int | None = None) -> "_PairSample":
+    def draw(cls, g, domain: CompactBox, n_pairs: int,
+             seed: int) -> "_PairSample":
         rng = np.random.default_rng(seed)
         # each end is evaluated before the next array is drawn and dropped
         # after its last use, so at most two point arrays are alive at once
@@ -256,16 +255,13 @@ class _PairSample:
             ends = (a, b) if keep.all() else (a[..., keep], b[..., keep])
         # short-separation refinement points, kept off the faces so the
         # aligned pairs stay inside the domain
-        n_ref = refine_points if refine_points is not None else min(256, n_pairs)
         delta = 1e-4 * domain.diameter
-        pts, probes = np.empty((0, domain.dim)), []
-        if n_ref > 0:
-            inner = CompactBox(lower=domain.lower + delta,
-                               upper=domain.upper - delta,
-                               metric=domain.metric) \
-                if np.all(domain.upper - domain.lower > 2 * delta) else domain
-            pts = inner.sample(n_ref, rng)
-            probes = _probes(g, pts, delta / 8.0)
+        inner = CompactBox(lower=domain.lower + delta,
+                           upper=domain.upper - delta,
+                           metric=domain.metric) \
+            if np.all(domain.upper - domain.lower > 2 * delta) else domain
+        pts = inner.sample(min(256, n_pairs), rng)
+        probes = _probes(g, pts, delta / 8.0)
         return cls(domain=domain, g=g, d=d[keep], ends=ends, pts=pts,
                    delta=delta, probes=probes)
 
@@ -277,22 +273,21 @@ class _PairSample:
 
         # Short-separation refinement: walk a small step along the estimated
         # steepest direction so aligned pairs probe the local slope.
-        if len(self.pts):
-            metric, delta = self.domain.metric, self.delta
-            grads = _fd_gradients(self.probes, combine, delta / 8.0)
-            dirs = grads / (metric.scales(self.domain.dim) ** 2)
-            norms = metric.distance(dirs, 0.0 * dirs)
-            ok = norms > 0.0
-            if ok.any():
-                v = dirs[ok] / norms[ok, None]
-                za = self.pts[ok] - 0.5 * delta * v
-                zb = self.pts[ok] + 0.5 * delta * v
-                dd = metric.distance(za, zb)
-                good = dd > 0.0
-                if good.any():
-                    quotients.append(np.abs(combine(self.g(za[good]))
-                                            - combine(self.g(zb[good])))
-                                     / dd[good])
+        metric, delta = self.domain.metric, self.delta
+        grads = _fd_gradients(self.probes, combine, delta / 8.0)
+        dirs = grads / (metric.scales(self.domain.dim) ** 2)
+        norms = metric.distance(dirs, 0.0 * dirs)
+        ok = norms > 0.0
+        if ok.any():
+            v = dirs[ok] / norms[ok, None]
+            za = self.pts[ok] - 0.5 * delta * v
+            zb = self.pts[ok] + 0.5 * delta * v
+            dd = metric.distance(za, zb)
+            good = dd > 0.0
+            if good.any():
+                quotients.append(np.abs(combine(self.g(za[good]))
+                                        - combine(self.g(zb[good])))
+                                 / dd[good])
 
         if not quotients:
             raise EstimationError("all sampled pairs were degenerate")
@@ -453,7 +448,6 @@ def tune_profile(h, box: CompactBox, sample_domain: CompactBox,
 
 
 def radial_decomposition(h, box: CompactBox, scale_profile: ScaleProfile | None = None,
-                         sample_domain: CompactBox | None = None,
                          n_pairs: int = 4000,
                          seed: int = 0) -> HamiltonianDecomposition:
     """Split h into R(rho) h(clamp(z)) plus a remainder vanishing on the box.
@@ -463,8 +457,7 @@ def radial_decomposition(h, box: CompactBox, scale_profile: ScaleProfile | None 
     of the Lipschitz piece first drops below 1.
     """
     hb = _batch(h)
-    if sample_domain is None:
-        sample_domain = box.enlarge(3.0)
+    sample_domain = box.enlarge(3.0)
     if scale_profile is None:
         rho0, est, converged = tune_profile(hb, box, sample_domain,
                                             n_pairs=n_pairs, seed=seed)

@@ -128,8 +128,11 @@ def evolve_coordinates(u0: np.ndarray, field: RandersField,
                        collect: Callable) -> None:
     """March an arbitrarily shaped coordinate array through n_cycles.
 
-    Valid only for componentwise fields (the drift acts coordinate by
-    coordinate, so molecules and trials decouple and batch together).
+    ``u0`` is consumed: a C-contiguous float array is marched in place
+    (anything else is converted once), so a caller that reads it again
+    must pass a copy.  Valid only for componentwise fields (the drift acts
+    coordinate by coordinate, so molecules and trials decouple and batch
+    together).
     ``collect(tau, u)`` is invoked with the whole array at tau = 0 and at
     every equilibrium instant tau = 1..n_cycles; the march stops at the
     last equilibrium instant.
@@ -151,7 +154,7 @@ def evolve_coordinates(u0: np.ndarray, field: RandersField,
     if field.scalar_map is None:
         raise ValueError("batched evolution requires a componentwise field")
     steps_per_T = steps_per_period(schedule.period_T, dt)
-    u = np.array(u0, dtype=float, order="C")
+    u = np.ascontiguousarray(u0, dtype=float)
     flat = u.reshape(-1)
     workers = WORKERS
     n_slices = workers * -(-flat.size // (workers * BLOCK_ELEMS))
@@ -167,8 +170,8 @@ def evolve_coordinates(u0: np.ndarray, field: RandersField,
             for block in slices[i::workers]:
                 if stop():
                     return
-                for _ in rk4_march(field.scalar_map, None, block, None, dt,
-                                   end - done, speed_at, start=done):
+                for _ in rk4_march(field.scalar_map, block, dt, end - done,
+                                   speed_at, start=done):
                     pass
 
         _in_threads(march, max(1, min(workers, len(slices))))
@@ -194,10 +197,9 @@ def mean_guide(preparation: Preparation, flow: FlowParams, n_cycles: int,
     Depends only on the preparation and the field, never on subsystem tags.
     Whole molecule blocks are drawn in row blocks (``draw_positions``),
     which keeps their random stream, and only the positions are kept and
-    marched: the reference ensemble holds 4 doubles per molecule, and the
-    march its copy of them.  Returns (tau_grid, M) with M of shape
-    (n_cycles + 1, 4); the continuous tau view is linear interpolation
-    between integer snapshots.
+    marched in place: the reference ensemble holds 4 doubles per molecule.
+    Returns (tau_grid, M) with M of shape (n_cycles + 1, 4); the continuous
+    tau view is linear interpolation between integer snapshots.
     """
     rng = derive_rng(seed, "mean-guide", preparation.seed)
     u0 = preparation.draw_positions(np.empty((n_reference, 4)), rng)

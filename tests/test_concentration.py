@@ -12,12 +12,11 @@ from randerslab.concentration import (
     DimensionError,
     EvaluationError,
     FitUnavailableError,
+    MMSpaceSampler,
     concentration_profile,
     fit_decay_constant,
-    gaussian,
     gaussian_tail_bound,
     median_stream_size,
-    product_uniform,
     sphere,
     sphere_isoperimetric_check,
     sphere_neighborhood_bound,
@@ -26,6 +25,17 @@ from randerslab.concentration import (
 )
 
 first_coord = lambda x: x[:, 0]
+
+
+def _gaussian(dim, seed, sigma=1.0):
+    return MMSpaceSampler(kind="gaussian", dimension=dim, seed=seed,
+                          sigma=sigma)
+
+
+def _uniform(dim, seed):
+    """Uniform coordinates in [-1, 2]."""
+    return MMSpaceSampler(kind="product_uniform", dimension=dim, seed=seed,
+                          bounds=(-1.0, 2.0))
 
 
 class TestSamplers:
@@ -47,8 +57,8 @@ class TestSamplers:
         assert not np.array_equal(a, c)
 
     def test_gaussian_and_uniform_shapes(self):
-        assert gaussian(5, 2.0, 0).sample(10).shape == (10, 5)
-        u = product_uniform(3, (-1.0, 2.0), 0).sample(1000)
+        assert _gaussian(5, 0, sigma=2.0).sample(10).shape == (10, 5)
+        u = _uniform(3, 0).sample(1000)
         assert u.min() >= -1.0 and u.max() <= 2.0
 
     def test_sphere_needs_dimension_two(self):
@@ -56,8 +66,7 @@ class TestSamplers:
             sphere(1, 0)
 
 
-SAMPLERS = [sphere(16, 3), gaussian(16, 1.7, 3),
-            product_uniform(16, (-1.0, 2.0), 3)]
+SAMPLERS = [sphere(16, 3), _gaussian(16, 3, sigma=1.7), _uniform(16, 3)]
 
 
 def _one_shot(sampler, n, stream):
@@ -84,7 +93,7 @@ class TestRowBlocks:
 
     def test_nonfinite_names_the_sample_in_a_later_block(self, monkeypatch):
         monkeypatch.setattr(concentration, "SAMPLE_CHUNK_ELEMS", 16)
-        sampler = gaussian(4, 1.0, 5)
+        sampler = _gaussian(4, 5)
         bad = sampler.sample(50)[37]
         f = lambda x: np.where((x == bad).all(axis=1), np.nan, x[:, 0])
         with pytest.raises(EvaluationError, match="at sample 37$"):
@@ -139,7 +148,7 @@ class TestObserveStreams:
 
     def test_first_stream_error_wins_and_no_thread_remains(self, monkeypatch):
         monkeypatch.setattr(concentration, "SAMPLE_CHUNK_ELEMS", 16)
-        sampler = gaussian(4, 1.0, 5)
+        sampler = _gaussian(4, 5)
         # non-finite at a late row of stream 1 and the first row of stream 2,
         # which its thread reaches first
         bad = np.stack([sampler.sample(50, 1)[37], sampler.sample(50, 2)[0]])
@@ -190,12 +199,12 @@ class TestLevyMedian:
 
     def test_coordinate_on_gaussian_is_centered(self):
         n = 10_000
-        med = self.median(first_coord, gaussian(6, 1.0, 11), n)
+        med = self.median(first_coord, _gaussian(6, 11), n)
         assert abs(med) < 4.0 / math.sqrt(median_stream_size(n))
 
     def test_constant_function(self):
         f = lambda x: np.full(x.shape[0], 2.25)
-        assert self.median(f, gaussian(3, 1.0, 0), 500) == 2.25
+        assert self.median(f, _gaussian(3, 0), 500) == 2.25
 
     def test_radius_on_gaussian3_matches_chi_median(self):
         # oracle: invert the chi(3) CDF
@@ -203,21 +212,21 @@ class TestLevyMedian:
         assert oracle == pytest.approx(1.53817, abs=1e-5)
         n = 80_000
         med = self.median(lambda x: np.linalg.norm(x, axis=1),
-                          gaussian(3, 1.0, 12), n)
+                          _gaussian(3, 12), n)
         pdf_at_median = stats.chi.pdf(oracle, 3)
         se = 1.0 / (2.0 * pdf_at_median * math.sqrt(median_stream_size(n)))
         assert abs(med - oracle) < 3.0 * se
 
     def test_median_property_split(self):
         n = 40_000
-        sampler = gaussian(4, 1.0, 13)
+        sampler = _gaussian(4, 13)
         med = self.median(first_coord, sampler, n)
         v = sampler.observe(first_coord, median_stream_size(n), stream=1)
         above = float(np.mean(v > med))
         assert abs(above - 0.5) <= 2.0 / math.sqrt(v.size)
 
     def test_median_stability_under_doubling(self):
-        sampler = gaussian(4, 1.0, 14)
+        sampler = _gaussian(4, 14)
         n = 40_000
         m1 = self.median(first_coord, sampler, n)
         m2 = self.median(first_coord, sampler, 2 * n)
@@ -228,17 +237,17 @@ class TestLevyMedian:
     def test_nonfinite_observable_raises(self):
         f = lambda x: np.where(x[:, 0] > 0, x[:, 0], np.nan)
         with pytest.raises(EvaluationError):
-            gaussian(2, 1.0, 15).observe(f, 200)
+            _gaussian(2, 15).observe(f, 200)
 
     def test_wrong_shape_observable_raises(self):
         # one value per row is the contract; there is no row-loop retry
         with pytest.raises(EvaluationError,
                            match=r"shape \(200, 2\).*expected \(200,\)"):
-            gaussian(2, 1.0, 15).observe(lambda x: x, 200)
+            _gaussian(2, 15).observe(lambda x: x, 200)
 
     def test_minimum_sample_size(self):
         # a small profile still takes its median over 100 draws
-        sampler = gaussian(2, 1.0, 0)
+        sampler = _gaussian(2, 0)
         assert median_stream_size(50) == 100
         assert self.median(first_coord, sampler, 50) == float(
             np.median(sampler.observe(first_coord, 100, stream=1)))
@@ -247,7 +256,7 @@ class TestLevyMedian:
 class TestConcentrationProfile:
     def test_constant_function_has_zero_tail(self):
         f = lambda x: np.full(x.shape[0], 1.0)
-        prof = concentration_profile(f, gaussian(4, 1.0, 20),
+        prof = concentration_profile(f, _gaussian(4, 20),
                                      np.array([0.1, 0.5, 1.0]), 2000)
         assert np.array_equal(prof.tail_prob, np.zeros(3))
         assert prof.fit is None
@@ -265,14 +274,14 @@ class TestConcentrationProfile:
         # counting machinery against the exact normal tail 2(1 - Phi(rho))
         n = 200_000
         grid = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
-        prof = concentration_profile(first_coord, gaussian(4, 1.0, 22), grid,
+        prof = concentration_profile(first_coord, _gaussian(4, 22), grid,
                                      n, rho_p=1.0)
         exact = 2.0 * stats.norm.sf(grid)
         se = np.sqrt(exact * (1 - exact) / n)
         assert np.all(np.abs(prof.tail_prob - exact) <= 3.5 * se)
 
     def test_tail_monotone_and_in_unit_interval(self):
-        prof = concentration_profile(first_coord, gaussian(3, 1.0, 23),
+        prof = concentration_profile(first_coord, _gaussian(3, 23),
                                      np.linspace(0.1, 3.0, 15), 20_000)
         assert np.all(np.diff(prof.tail_prob) <= 0)
         assert np.all((prof.tail_prob >= 0) & (prof.tail_prob <= 1))
@@ -311,7 +320,7 @@ class TestFitDecayConstant:
         sigma_f = 1.0 / math.sqrt(d)
         grid = np.linspace(0.5, 3.0, 8) * sigma_f
         f = lambda x: x.mean(axis=1)
-        prof = concentration_profile(f, gaussian(d, 1.0, 25), grid, n,
+        prof = concentration_profile(f, _gaussian(d, 25), grid, n,
                                      rho_p=sigma_f)
         fit = fit_decay_constant(prof)
         assert 0.5 <= fit.C2_hat <= 2.0
@@ -323,7 +332,7 @@ class TestFitDecayConstant:
 
     def test_unavailable_fit_raises(self):
         prof = concentration_profile(
-            lambda x: np.full(x.shape[0], 1.0), gaussian(2, 1.0, 26),
+            lambda x: np.full(x.shape[0], 1.0), _gaussian(2, 26),
             np.array([0.5, 1.0, 2.0]), 1000)
         with pytest.raises(FitUnavailableError):
             fit_decay_constant(prof)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from randerslab.dynamics import (
     BlowUpError,
     GridAlignmentError,
     ScheduleError,
+    _phase_march,
     constant_schedule,
     hamiltonian,
     make_state,
@@ -259,7 +261,7 @@ def _tanh_snapshots_run_cycles(field, sched, u0, dt, n_cycles):
 
 def _tanh_snapshots_evolve(field, sched, u0, dt, n_cycles):
     got = {}
-    evolve_coordinates(u0.reshape(-1, 8), field, sched, dt, n_cycles,
+    evolve_coordinates(u0.reshape(-1, 8).copy(), field, sched, dt, n_cycles,
                        lambda tau, u: got.__setitem__(tau, u.reshape(-1).copy()))
     del got[0]
     return got
@@ -299,25 +301,30 @@ class TestClosedFormFlow:
         assert np.abs(prod - prod[0]).max() <= 1e-9
 
 
+def _read_only(fn):
+    """fn with its result array made read-only."""
+    def wrapped(*args):
+        out = fn(*args)
+        out.setflags(write=False)
+        return out
+    return wrapped
+
+
 class TestBufferedMarch:
     @pytest.mark.parametrize("field", [tanh_field(8, 0.9),
                                        constant_field(-0.4, 8), zero_field(8)],
                              ids=["tanh", "constant", "zero"])
     def test_positions_step_equals_the_expression_form(self, field):
-        # The positions-only march reuses its stage buffers; each step must
-        # equal the expression on fresh arrays bit for bit.  The drift hands
+        # The march reuses its stage buffers; each step of a positions
+        # array must equal the expression on fresh arrays bit for bit.  The drift hands
         # out read-only arrays, so a march writing into one raises.
-        def drift(x):
-            out = field.scalar_map(x)
-            out.setflags(write=False)
-            return out
-
+        drift = _read_only(field.scalar_map)
         sched = sin_squared_schedule(1.0)
         speed_at = lambda t: speed(sched, t)
         dt, h = 0.1, 0.05
         u0 = np.random.default_rng(23).normal(size=(3, 5, 4))
         u, want = u0.copy(), u0.copy()
-        for k in rk4_march(drift, None, u, None, dt, 23, speed_at):
+        for k in rk4_march(drift, u, dt, 23, speed_at):
             t = (k - 1) * dt
             s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
             k1 = s1 * drift(want)
@@ -327,6 +334,56 @@ class TestBufferedMarch:
             want += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             assert np.array_equal(u, want), k
         assert k == 23
+
+    @pytest.mark.parametrize("field", [tanh_field(8, 0.9),
+                                       constant_field(-0.4, 8), zero_field(8),
+                                       linear_field(_stable_matrix(8))],
+                             ids=["tanh", "constant", "zero", "linear"])
+    def test_phase_step_equals_the_expression_form(self, field):
+        # The phase march advances (u, p) as one stacked array; each step
+        # must equal the expression form on separate fresh u and p arrays
+        # bit for bit.  beta and vjp hand out read-only arrays, so a march
+        # writing into one raises.
+        field = dataclasses.replace(field, beta=_read_only(field.beta),
+                                    vjp=_read_only(field.vjp))
+        sched = sin_squared_schedule(1.0)
+        speed_at = lambda t: speed(sched, t)
+        dt, h = 0.1, 0.05
+        y = np.random.default_rng(29).normal(size=(2, 8))
+        u, p = y[0].copy(), y[1].copy()
+        for k in _phase_march(field, y, dt, 23, speed_at):
+            t = (k - 1) * dt
+            s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
+            k1 = s1 * field.beta(u)
+            m1 = -s1 * field.vjp(u, p)
+            u2 = u + h * k1
+            k2 = s2 * field.beta(u2)
+            m2 = -s2 * field.vjp(u2, p + h * m1)
+            u3 = u + h * k2
+            k3 = s2 * field.beta(u3)
+            m3 = -s2 * field.vjp(u3, p + h * m2)
+            u4 = u + dt * k3
+            k4 = s4 * field.beta(u4)
+            m4 = -s4 * field.vjp(u4, p + dt * m3)
+            p += (dt / 6) * (m1 + 2 * m2 + 2 * m3 + m4)
+            u += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            assert np.array_equal(y[0], u) and np.array_equal(y[1], p), k
+        assert k == 23
+
+    def test_zero_momentum_keeps_its_bytes(self):
+        # 0.0 * normal holds -0.0 entries.  A zero momentum stays zero under
+        # the flow and is not marched, so every p that run_cycles and
+        # step_flow return has its bytes; np.array_equal cannot see the
+        # sign of zero.
+        field = tanh_field(16, 0.9)
+        sched = sin_squared_schedule(1.0)
+        state = make_state(_point(16, seed=31, p_scale=0.0), sched)
+        p0 = state.point.p.tobytes()
+        assert np.signbit(state.point.p).any()
+        traj, snaps = run_cycles(field, sched, state, n_cycles=2, dt=0.05)
+        nxt = step_flow(field, sched, state, dt=0.05)
+        for p in [*traj.p, *(s.point.p for s in snaps), nxt.point.p]:
+            assert p.tobytes() == p0
 
 
 class TestConservationAndLinearity:

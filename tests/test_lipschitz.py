@@ -14,7 +14,6 @@ from randerslab.lipschitz import (
     LipschitzError,
     ProfileError,
     ScaleProfile,
-    _PairSample,
     _part_estimate,
     check_constraint_split,
     decomposition_report,
@@ -47,7 +46,7 @@ class TestEstimate:
         box = CompactBox.cube(4, 1.0)
         with pytest.raises(LipschitzError, match=r"shape \(\).*expected \(10,\)"):
             estimate_lipschitz(lambda z: float(np.sum(z)), box, n_pairs=10,
-                               seed=0, refine_points=0)
+                               seed=0)
 
     def test_single_point_is_batched(self):
         box = CompactBox.cube(4, 1.0)
@@ -97,7 +96,7 @@ class TestEstimate:
         tiny = DegenerateBox(lower=np.zeros(4), upper=np.ones(4))
         f = lambda z: np.zeros(np.asarray(z).shape[0])
         with pytest.raises(EstimationError):
-            estimate_lipschitz(f, tiny, n_pairs=3, seed=0, refine_points=0)
+            estimate_lipschitz(f, tiny, n_pairs=3, seed=0)
 
 
 class TestNormalize:
@@ -226,12 +225,11 @@ class TestRadialDecomposition:
         h_raw = randers_hamiltonian(field, 8)
         est = estimate_lipschitz(h_raw, box, n_pairs=4000, seed=6)
         h = normalize_to_one_lipschitz(h_raw, est)
-        domain = box.enlarge(3.0)
 
         def sampled_constant(rho0):
             decomp = radial_decomposition(h, box,
                                           scale_profile=ScaleProfile(rho0=rho0),
-                                          sample_domain=domain, seed=7)
+                                          seed=7)
             return decomp.global_estimate
 
         c_small = sampled_constant(0.5)
@@ -264,12 +262,12 @@ class TestDrawOnce:
     N_PAIRS = 300
     RHO0S = (0.01, 0.3, 2.0, 50.0)
 
-    def _fresh(self, h, box, profile, seed, refine_points=None):
+    def _fresh(self, h, box, profile, seed):
         def lip_part(z):
             zbar, rho = project_to_box(z, box)
             return profile(rho) * h(zbar)
-        return max(estimate_lipschitz(lip_part, dom, self.N_PAIRS, seed,
-                                      refine_points=refine_points).constant_hat
+        return max(estimate_lipschitz(lip_part, dom, self.N_PAIRS,
+                                      seed).constant_hat
                    for dom in (box.enlarge(3.0), box.enlarge(1.15), box))
 
     def test_part_estimate_equals_fresh_estimates(self, metric):
@@ -278,21 +276,6 @@ class TestDrawOnce:
         for rho0 in self.RHO0S:
             profile = ScaleProfile(rho0=rho0)
             assert part(profile) == self._fresh(h, box, profile, 12)
-
-    def test_unrefined_sample_equals_fresh_estimates(self, metric):
-        h, box = normalized_tanh_hamiltonian(4, metric, self.N_PAIRS, 11)
-
-        def split(z):
-            zbar, rho = project_to_box(z, box)
-            return np.stack((rho, h(zbar)))
-        samples = [_PairSample.draw(split, dom, self.N_PAIRS, 12,
-                                    refine_points=0)
-                   for dom in (box.enlarge(3.0), box.enlarge(1.15), box)]
-        for rho0 in self.RHO0S:
-            profile = ScaleProfile(rho0=rho0)
-            drawn = max(s.estimate(lambda v: profile(v[0]) * v[1])
-                        for s in samples)
-            assert drawn == self._fresh(h, box, profile, 12, refine_points=0)
 
     @pytest.mark.parametrize("seed", [12, 14, 16])
     def test_tuning_equals_bisection_on_fresh_estimates(self, metric, seed,

@@ -44,26 +44,39 @@ class DimensionError(ConcentrationError):
     pass
 
 
-def _in_threads(work: Callable, n: int) -> None:
-    """Call ``work(k, stop)`` for k = 0..n-1 at the same time: k = 0 in the
-    calling thread, each further k on its own thread.  ``stop()`` turns
-    true once a lower k has failed, whose error is the one raised, so work
-    k may return early.  Every thread has ended when this returns or
-    raises, and the error raised is that of the lowest failing k, as in
-    sequential calls."""
+def _in_threads(work: Callable, n: int, workers: int) -> None:
+    """Call ``work(k, stop)`` for the tasks k = 0..n-1 on a pool of at most
+    ``workers`` workers: the first in the calling thread, each further one
+    on its own thread.  A worker takes the lowest task not yet taken, so
+    tasks start in order of k.  ``stop()`` turns true once a lower k has
+    failed, whose error is the one raised, so task k may return early; no
+    task starts after a lower one has failed.  Every thread has ended when
+    this returns or raises, and the error raised is that of the lowest
+    failing k, as in sequential calls."""
     errors = [None] * n
+    lock = threading.Lock()
+    taken = 0
 
-    def run(k):
-        try:
-            work(k, lambda: any(e is not None for e in errors[:k]))
-        except BaseException as exc:  # raised below, in the calling thread
-            errors[k] = exc
+    def run():
+        nonlocal taken
+        while True:
+            with lock:
+                k = taken
+                taken += 1
+            stop = lambda k=k: any(e is not None for e in errors[:k])
+            if k >= n or stop():
+                return
+            try:
+                work(k, stop)
+            except BaseException as exc:  # raised below, in the calling thread
+                errors[k] = exc
 
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, n)]
+    threads = [threading.Thread(target=run)
+               for _ in range(1, min(workers, n))]
     for t in threads:
         t.start()
     try:
-        run(0)
+        run()
     finally:
         for t in threads:
             t.join()
@@ -157,14 +170,14 @@ class MMSpaceSampler:
 
     def observe_streams(self, f: Callable, streams) -> list:
         """``[observe(f, n, stream) for n, stream in streams]``, with the
-        streams evaluated at the same time: the first in the calling thread,
-        each further one on its own thread.  Each stream is one generator
-        consumed in order, so no value depends on thread scheduling; the
-        output vectors and block buffers are allocated here, before any
-        thread starts.  Every thread has ended when this returns or raises,
-        and the error raised is that of the first failing stream, as in
-        sequential evaluation (a failing stream stops the streams after it
-        at their next block)."""
+        streams evaluated at the same time as the tasks of a pool with one
+        worker per stream (``_in_threads``), the first in the calling
+        thread.  Each stream is one generator consumed in order, so no
+        value depends on thread scheduling; the output vectors and block
+        buffers are allocated here, before any thread starts.  Every thread
+        has ended when this returns or raises, and the error raised is that
+        of the first failing stream, as in sequential evaluation (a failing
+        stream stops the streams after it at their next block)."""
         jobs = [(np.empty(n), self._row_blocks(n, stream))
                 for n, stream in streams]
 
@@ -175,7 +188,7 @@ class MMSpaceSampler:
                     return
                 v[lo:lo + len(x)] = _eval_observable(f, x, lo)
 
-        _in_threads(fill, len(jobs))
+        _in_threads(fill, len(jobs), len(jobs))
         return [v for v, _ in jobs]
 
     def default_rho_p(self, sigma_f: float = 1.0) -> float:

@@ -369,17 +369,16 @@ class HamiltonianDecomposition:
         return self.hamiltonian(z) - lip
 
 
-def _part_estimate(h, box: CompactBox, sample_domain: CompactBox,
-                   n_pairs: int, seed: int) -> Callable:
+def _part_estimate(h, box: CompactBox, n_pairs: int, seed: int) -> Callable:
     """Global sampled constant of R(rho) h(clamp(z)), as a function of the
     profile R.
 
-    Estimates over the far domain, over a thin shell around the box (where
-    the radial slope of the profile lives; far samples in high dimension
-    never land there), and over the box itself, and takes the max.  The
-    three pair samples, with rho and h(clamp(z)) at their points, are drawn
-    once; each profile then only forms R(rho) h and evaluates its own
-    gradient-aligned short pairs.
+    Estimates over the far domain ``box.enlarge(3.0)``, over a thin shell
+    around the box (where the radial slope of the profile lives; far
+    samples in high dimension never land there), and over the box itself,
+    and takes the max.  The three pair samples, with rho and h(clamp(z))
+    at their points, are drawn once; each profile then only forms R(rho) h
+    and evaluates its own gradient-aligned short pairs.
     """
     hb = _batch(h)
 
@@ -388,15 +387,14 @@ def _part_estimate(h, box: CompactBox, sample_domain: CompactBox,
         return np.stack((rho, hb(zbar)))
 
     samples = [_PairSample.draw(split, dom, n_pairs, seed)
-               for dom in (sample_domain, box.enlarge(1.15), box)]
+               for dom in (box.enlarge(3.0), box.enlarge(1.15), box)]
 
     def estimate(profile) -> float:
         return max(s.estimate(lambda v: profile(v[0]) * v[1]) for s in samples)
     return estimate
 
 
-def tune_profile(h, box: CompactBox, sample_domain: CompactBox,
-                 n_pairs: int = 4000, seed: int = 0):
+def tune_profile(h, box: CompactBox, n_pairs: int = 4000, seed: int = 0):
     """Smallest rho0 (by at most ``MAX_BISECTIONS`` bisection steps) whose
     global sampled constant of the decomposed Lipschitz piece drops below
     ``TUNE_TARGET``.
@@ -409,7 +407,7 @@ def tune_profile(h, box: CompactBox, sample_domain: CompactBox,
     ``TUNE_SLACK`` is allowed before the tuning is reported as failed.
     """
     diam = box.diameter
-    part = _part_estimate(h, box, sample_domain, n_pairs, seed)
+    part = _part_estimate(h, box, n_pairs, seed)
 
     @functools.cache
     def global_est(rho0):
@@ -457,10 +455,9 @@ def radial_decomposition(h, box: CompactBox, scale_profile: ScaleProfile | None 
     of the Lipschitz piece first drops below 1.
     """
     hb = _batch(h)
-    sample_domain = box.enlarge(3.0)
     if scale_profile is None:
-        rho0, est, converged = tune_profile(hb, box, sample_domain,
-                                            n_pairs=n_pairs, seed=seed)
+        rho0, est, converged = tune_profile(hb, box, n_pairs=n_pairs,
+                                            seed=seed)
         profile = ScaleProfile(rho0=rho0)
         if not converged:
             note = ("auto-tuning failed to reach a sampled constant <= 1; "
@@ -474,7 +471,7 @@ def radial_decomposition(h, box: CompactBox, scale_profile: ScaleProfile | None 
         profile = scale_profile
         if abs(profile(0.0) - 1.0) > 1e-12:
             raise ProfileError("scale profile must satisfy R(0) = 1")
-        est = _part_estimate(hb, box, sample_domain, n_pairs, seed)(profile)
+        est = _part_estimate(hb, box, n_pairs, seed)(profile)
         converged = est <= TUNE_TARGET + TUNE_SLACK
         note = "" if converged else (
             f"declared profile leaves a sampled global constant {est:.4f}")
@@ -485,7 +482,7 @@ def radial_decomposition(h, box: CompactBox, scale_profile: ScaleProfile | None 
         identity_max_abs_residual=0.0, note=note)
 
     rng = np.random.default_rng(seed + 1)
-    z = sample_domain.sample(N_IDENTITY_CHECK, rng)
+    z = box.enlarge(3.0).sample(N_IDENTITY_CHECK, rng)
     resid = np.abs(hb(z) - (decomp.lipschitz_part(z) + decomp.matter_part(z)))
     decomp.identity_max_abs_residual = float(resid.max())
     return decomp

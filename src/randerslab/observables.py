@@ -7,6 +7,7 @@ with the guide trajectory M (the preparation-measure mean), and deviations
 are profiled with the concentration machinery.
 """
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -24,11 +25,13 @@ SYSTEMS = ("A", "B", "S")
 # KiB of doubles, so the RK4 stage arrays of a slice stay in cache).
 BLOCK_ELEMS = 2**15
 # Trials of one size march together in chunks of about this many position
-# coordinates, enough for a slice per core; a constant, so that memory does
-# not grow with the core count.
+# coordinates, so that small ensembles share slices (and their per-step
+# overhead) while the chunks stay many enough to keep every worker busy; a
+# constant, so that memory does not grow with the core count.
 TRIAL_CHUNK_ELEMS = 4 * BLOCK_ELEMS
-# The batched march runs on this many threads, one per core the process may
-# use (sched_getaffinity is Linux-only; elsewhere every core counts).
+# The WEP marches run as tasks of a pool of this many workers, one per core
+# the process may use (sched_getaffinity is Linux-only; elsewhere every core
+# counts).
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
@@ -137,44 +140,30 @@ def evolve_coordinates(u0: np.ndarray, field: RandersField,
     every equilibrium instant tau = 1..n_cycles; the march stops at the
     last equilibrium instant.
 
-    The flat array is cut into ``WORKERS * m`` slices of one length, with m
-    the smallest count that keeps each slice within ``BLOCK_ELEMS``, so the
-    RK4 stage arrays of a slice stay in cache; where the length does not
-    divide the size, the last slices are shorter or empty, and empty ones
-    are left out.  Cycle by cycle, worker i marches slices i, i + WORKERS,
-    i + 2 WORKERS, ... from one equilibrium instant to the next, worker 0
-    in the calling thread and each other one on its own thread.  A worker
-    writes only into its own slices and the stage buffers of its marches,
-    and every worker has ended before ``collect`` sees the array, or when
-    this raises; the error raised is that of the lowest-numbered failing
-    worker.  Drift, RK4 and the schedule act element by element, so every
-    step is the same arithmetic on the same values as one march of the
-    whole array, whatever the worker count or the thread scheduling.
+    The march runs in the calling thread.  The flat array is cut into the
+    fewest slices of near-equal length within ``BLOCK_ELEMS``, so the RK4
+    stage arrays of a slice stay in cache, and cycle by cycle each slice is
+    marched from one equilibrium instant to the next.  Drift, RK4 and the
+    schedule act element by element, so every step is the same arithmetic
+    on the same values as one march of the whole array.  Callers run
+    independent marches at the same time as tasks of one pool
+    (``wep_experiment``).
     """
     if field.scalar_map is None:
         raise ValueError("batched evolution requires a componentwise field")
     steps_per_T = steps_per_period(schedule.period_T, dt)
     u = np.ascontiguousarray(u0, dtype=float)
     flat = u.reshape(-1)
-    workers = WORKERS
-    n_slices = workers * -(-flat.size // (workers * BLOCK_ELEMS))
-    length = -(-flat.size // n_slices) if n_slices else 1
-    slices = [flat[lo:lo + length] for lo in range(0, flat.size, length)]
+    slices = np.array_split(flat, max(1, -(-flat.size // BLOCK_ELEMS)))
     collect(0, u)
     speed_at = lambda t: speed(schedule, t)
     done = 0
     for n in range(1, n_cycles + 1):
         end = (2 * n - 1) * steps_per_T
-
-        def march(i, stop, done=done, end=end):
-            for block in slices[i::workers]:
-                if stop():
-                    return
-                for _ in rk4_march(field.scalar_map, block, dt, end - done,
-                                   speed_at, start=done):
-                    pass
-
-        _in_threads(march, max(1, min(workers, len(slices))))
+        for block in slices:
+            for _ in rk4_march(field.scalar_map, block, dt, end - done,
+                               speed_at, start=done):
+                pass
         done = end
         collect(n, u)
 
@@ -282,40 +271,59 @@ def wep_experiment(config: WepConfig) -> WepReport:
     """
     flow = config.flow
     schedule = sin_squared_schedule(flow.period_T)
-    tau_grid, guide = mean_guide(config.preparation, flow, config.n_cycles,
-                                 n_reference=config.n_reference,
-                                 seed=config.seed)
+    n_tau = config.n_cycles + 1
 
-    per_size = {}
-    for n_mol in config.n_list:
-        n_a = n_mol // 2
-        n_tau = config.n_cycles + 1
-        x_obs = np.empty((config.n_trials, n_tau, 3, 4))
-
-        # The batched march has no exchange mechanism, so events can only
-        # come from the injector.  Whole molecule blocks are drawn (one
-        # random stream per trial), but only their positions are kept.
-        if config.event_injector is not None:
+    # The batched march has no exchange mechanism, so events can only come
+    # from the injector; every size is checked before any march starts.
+    if config.event_injector is not None:
+        for n_mol in config.n_list:
             report = check_free_evolution(config.event_injector(n_mol))
             if not report.ok:
                 raise FreeEvolutionViolation(report)
 
+    guide_out = []
+    x_obs_of = {n_mol: np.empty((config.n_trials, n_tau, 3, 4))
+                for n_mol in config.n_list}
+
+    def march_guide():
+        guide_out.extend(mean_guide(config.preparation, flow, config.n_cycles,
+                                    n_reference=config.n_reference,
+                                    seed=config.seed))
+
+    def march_trials(n_mol, lo, hi):
+        # Whole molecule blocks are drawn (one random stream per trial), but
+        # only their positions are kept; the chunk writes only its own rows.
+        n_a = n_mol // 2
+        x_obs = x_obs_of[n_mol][lo:hi]
+        u0 = np.empty((hi - lo, n_mol, 4))
+        for k in range(lo, hi):
+            rng = derive_rng(config.seed, f"wep-N{n_mol}-trial", k)
+            config.preparation.draw_positions(u0[k - lo], rng)
+
+        def collect(tau, u):
+            x_obs[:, tau, 0, :] = center_of_mass(u[:, :n_a])
+            x_obs[:, tau, 1, :] = center_of_mass(u[:, n_a:])
+            x_obs[:, tau, 2, :] = center_of_mass(u)
+
+        evolve_coordinates(u0, flow.field, schedule, flow.dt,
+                           config.n_cycles, collect)
+
+    # The guide and the trial chunks are independent marches, run as tasks
+    # of one pool, each through all its cycles: the guide first, then the
+    # sizes from the largest down, so that the small chunks fill in last and
+    # the workers finish close together.
+    tasks = [march_guide]
+    for n_mol in reversed(config.n_list):
         chunk = max(1, min(config.n_trials, TRIAL_CHUNK_ELEMS // (4 * n_mol)))
-        for lo in range(0, config.n_trials, chunk):
-            hi = min(lo + chunk, config.n_trials)
-            u0 = np.empty((hi - lo, n_mol, 4))
-            for k in range(lo, hi):
-                rng = derive_rng(config.seed, f"wep-N{n_mol}-trial", k)
-                config.preparation.draw_positions(u0[k - lo], rng)
+        tasks += [functools.partial(march_trials, n_mol, lo,
+                                    min(lo + chunk, config.n_trials))
+                  for lo in range(0, config.n_trials, chunk)]
+    _in_threads(lambda k, stop: tasks[k](), len(tasks), WORKERS)
+    tau_grid, guide = guide_out
 
-            def collect(tau, u, lo=lo, hi=hi):
-                x_obs[lo:hi, tau, 0, :] = center_of_mass(u[:, :n_a])
-                x_obs[lo:hi, tau, 1, :] = center_of_mass(u[:, n_a:])
-                x_obs[lo:hi, tau, 2, :] = center_of_mass(u)
-
-            evolve_coordinates(u0, flow.field, schedule, flow.dt,
-                               config.n_cycles, collect)
-
+    per_size = {}
+    for n_mol in config.n_list:
+        x_obs = x_obs_of[n_mol]
         sigma_x = float(np.sqrt(np.mean(np.var(x_obs[:, 0, 2, :], axis=0))))
         d_ab = np.abs(x_obs[:, :, 0, :] - x_obs[:, :, 1, :]).max(axis=2)
         d_to_guide = {}

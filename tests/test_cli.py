@@ -469,11 +469,11 @@ def test_outputs_match_pinned_digests(tmp_path, name):
     assert digests == PINNED_DIGESTS[name]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_wep_digests_do_not_depend_on_worker_count(tmp_path, monkeypatch,
                                                    workers):
-    # the trials and the reference ensemble are cut into one slice per
-    # worker, or three
+    # the guide and the trial chunks run as tasks of a pool of one, two or
+    # three workers
     monkeypatch.setattr(obs, "WORKERS", workers)
     cfg = write_config(tmp_path, small_configs()["wep"])
     out = tmp_path / "out"

@@ -272,7 +272,7 @@ class TestDrawOnce:
 
     def test_part_estimate_equals_fresh_estimates(self, metric):
         h, box = normalized_tanh_hamiltonian(4, metric, self.N_PAIRS, 11)
-        part = _part_estimate(h, box, box.enlarge(3.0), self.N_PAIRS, 12)
+        part = _part_estimate(h, box, self.N_PAIRS, 12)
         for rho0 in self.RHO0S:
             profile = ScaleProfile(rho0=rho0)
             assert part(profile) == self._fresh(h, box, profile, 12)
@@ -281,13 +281,12 @@ class TestDrawOnce:
     def test_tuning_equals_bisection_on_fresh_estimates(self, metric, seed,
                                                         monkeypatch):
         h, box = normalized_tanh_hamiltonian(4, metric, self.N_PAIRS, 11)
-        drawn = tune_profile(h, box, box.enlarge(3.0), self.N_PAIRS, seed)
+        drawn = tune_profile(h, box, self.N_PAIRS, seed)
         monkeypatch.setattr(
             lipschitz, "_part_estimate",
-            lambda h, box, domain, n_pairs, seed:
+            lambda h, box, n_pairs, seed:
                 lambda profile: self._fresh(h, box, profile, seed))
-        assert tune_profile(h, box, box.enlarge(3.0), self.N_PAIRS,
-                            seed) == drawn
+        assert tune_profile(h, box, self.N_PAIRS, seed) == drawn
 
     def test_h_sees_each_sample_point_once(self, metric, monkeypatch):
         dim_u, n_pairs = 4, self.N_PAIRS
@@ -318,8 +317,8 @@ class TestDrawOnce:
         h, box = normalized_tanh_hamiltonian(dim_u, metric, n_pairs, 0)
         # one pair sample's two (n_pairs, dim) point arrays, per domain
         bound = 3 * 2 * n_pairs * (2 * dim_u) * 8
-        peak = traced_peak(lambda: tune_profile(h, box, box.enlarge(3.0),
-                                                n_pairs=n_pairs, seed=1))
+        peak = traced_peak(lambda: tune_profile(h, box, n_pairs=n_pairs,
+                                                seed=1))
         assert peak < bound
 
 

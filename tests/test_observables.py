@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from randerslab.observables import (
     scale_relation_check,
     wep_experiment,
 )
-from randerslab.runio import derive_rng
+from randerslab.runio import derive_rng, derive_seed_sequence
 
 
 # molecules per row block of Preparation.draw_positions
@@ -114,11 +115,11 @@ class TestBatchedEvolution:
         for s in snaps:
             assert np.allclose(got[s.cycle].reshape(-1), s.point.u, atol=1e-12)
 
-    def test_blocked_march_equals_one_whole_march(self, monkeypatch):
-        # For every worker count, every snapshot must equal, bit for bit,
-        # that of one march of the whole array on the global grid: for one
-        # coordinate, fewer coordinates than workers, three full blocks and
-        # a partial one, and the positions view of (trials, N, 8) draws.
+    def test_blocked_march_equals_one_whole_march(self):
+        # Every snapshot must equal, bit for bit, that of one march of the
+        # whole array on the global grid: for one coordinate, two, three
+        # full blocks and a partial one, and the positions view of
+        # (trials, N, 8) draws.
         field = tanh_field(8, 0.9)
         sched = sin_squared_schedule(1.0)
         dt, n_cycles, steps_per_T = 0.1, 3, 10
@@ -126,62 +127,118 @@ class TestBatchedEvolution:
         arrays = [rng.normal(size=1), rng.normal(size=2),
                   rng.normal(size=3 * BLOCK_ELEMS + 17),
                   rng.normal(size=(7, 1500, 8))[..., :4]]
+        for u0 in arrays:
+            want = {0: u0.copy()}
+            u = u0.copy()
+            for step in rk4_march(field.scalar_map, u, dt,
+                                  (2 * n_cycles - 1) * steps_per_T,
+                                  lambda t: speed(sched, t)):
+                n = equilibrium_cycle(step, steps_per_T)
+                if n:
+                    want[n] = u.copy()
+            got = {}
+            # a contiguous input is marched in place; the strided view is
+            # converted, and so left as it is
+            evolve_coordinates(u0, field, sched, dt, n_cycles,
+                               lambda tau, u: got.__setitem__(tau, u.copy()))
+            assert sorted(got) == list(range(n_cycles + 1))
+            for n in got:
+                assert np.array_equal(got[n], want[n]), (u0.shape, n)
+
+    def test_wep_arrays_do_not_depend_on_worker_count(self, monkeypatch):
+        # The guide and the trial chunks (three sizes, split into ten
+        # tasks) run on a pool of one, two or three workers; every x_obs
+        # and guide row must equal, bit for bit, the centers of mass of one
+        # whole march of that ensemble alone.
+        field = tanh_field(8, 0.9)
+        n_list, n_trials, n_cycles, n_reference = [16, 300, 5000], 5, 2, 20_000
+        config = _wep_config(field, n_list, n_trials, n_cycles=n_cycles,
+                             n_reference=n_reference)
+        sched = sin_squared_schedule(1.0)
+        steps_per_T = 10
+
+        def whole_march(n, rng):
+            u = config.preparation.draw(n, rng)[:, :4].copy()
+            m = [np.stack([center_of_mass(u[:n // 2]),
+                           center_of_mass(u[n // 2:]), center_of_mass(u)])]
+            for step in rk4_march(field.scalar_map, u, config.flow.dt,
+                                  (2 * n_cycles - 1) * steps_per_T,
+                                  lambda t: speed(sched, t)):
+                if equilibrium_cycle(step, steps_per_T):
+                    m.append(np.stack([center_of_mass(u[:n // 2]),
+                                       center_of_mass(u[n // 2:]),
+                                       center_of_mass(u)]))
+            return np.stack(m)
+
+        guide = whole_march(n_reference, derive_rng(
+            config.seed, "mean-guide", config.preparation.seed))[:, 2]
+        x_obs = {n: np.stack([whole_march(n, derive_rng(
+                     config.seed, f"wep-N{n}-trial", k))
+                     for k in range(n_trials)])
+                 for n in n_list}
+        # chunks of 2 trials at N = 300 and of 1 at N = 5000
+        monkeypatch.setattr(observables, "TRIAL_CHUNK_ELEMS", 4 * 600)
         # more threads than cores, switching as often as the interpreter can
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for u0 in arrays:
-                want = {0: u0.copy()}
-                u = u0.copy()
-                for step in rk4_march(field.scalar_map, u, dt,
-                                      (2 * n_cycles - 1) * steps_per_T,
-                                      lambda t: speed(sched, t)):
-                    n = equilibrium_cycle(step, steps_per_T)
-                    if n:
-                        want[n] = u.copy()
-                for workers in (1, 2, 3):
-                    monkeypatch.setattr(observables, "WORKERS", workers)
-                    got = {}
-                    # a contiguous input is marched in place; the strided
-                    # view is converted, and so left as it is
-                    evolve_coordinates(
-                        u0.copy() if u0.flags.c_contiguous else u0, field,
-                        sched, dt, n_cycles,
-                        lambda tau, u: got.__setitem__(tau, u.copy()))
-                    assert sorted(got) == list(range(n_cycles + 1))
-                    for n in got:
-                        assert np.array_equal(got[n], want[n]), (
-                            u0.shape, workers, n)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(observables, "WORKERS", workers)
+                report = wep_experiment(config)
+                assert np.array_equal(report.guide, guide), workers
+                for n in n_list:
+                    assert np.array_equal(report.per_size[n].x_obs,
+                                          x_obs[n]), (workers, n)
         finally:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_worker_error_is_raised_and_no_thread_remains(self, monkeypatch,
                                                           workers):
-        # The last slice belongs to a worker thread (slice 3 of 4 for two
-        # workers, 5 of 6 for three); the drift fails on the stage that
-        # reads it.
-        monkeypatch.setattr(observables, "WORKERS", workers)
-        field = tanh_field(8, 0.9)
-        sched = sin_squared_schedule(1.0)
-        u0 = np.random.default_rng(6).normal(size=3 * BLOCK_ELEMS + 17)
-        whole, raised_in = [], []
+        # The first ``workers`` tasks meet at a barrier, so each holds its
+        # own worker.  Then task 1 fails, task 0 fails after it, and tasks
+        # 2.. wait until they see a failure: task 0's error is raised and
+        # no further task starts.
+        met = threading.Barrier(workers)
+        task_1_failed = threading.Event()
+        started = {}
 
-        def drift(x):
-            if whole and np.shares_memory(x, whole[0][-1:]):
-                raised_in.append(threading.current_thread())
-                raise RuntimeError("bad slice")
-            return field.scalar_map(x)
+        def work(k, stop):
+            started[k] = threading.current_thread()
+            met.wait(10)
+            if k == 0:
+                assert task_1_failed.wait(10)
+                raise RuntimeError("task 0")
+            if k == 1:
+                task_1_failed.set()
+                raise RuntimeError("task 1")
+            deadline = time.monotonic() + 10
+            while not stop():
+                assert time.monotonic() < deadline
+                time.sleep(1e-3)
 
         before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="bad slice"):
-            evolve_coordinates(u0, dataclasses.replace(field, scalar_map=drift),
-                               sched, 0.1, 2,
-                               lambda tau, u: whole.append(u) if tau == 0
-                               else None)
-        assert raised_in and threading.main_thread() not in raised_in
+        with pytest.raises(RuntimeError, match="task 0"):
+            observables._in_threads(work, 8, workers)
+        assert sorted(started) == list(range(workers))
+        assert len(set(started.values())) == workers
+        assert threading.main_thread() in started.values()
         assert set(threading.enumerate()) == before
-        evolve_coordinates(u0, field, sched, 0.1, 2, lambda tau, u: None)
+
+        # a failing trial chunk of the WEP run: its error is raised from
+        # the pool, and no thread remains either
+        monkeypatch.setattr(observables, "WORKERS", workers)
+        field = tanh_field(8, 0.9)
+
+        def drift(x):
+            if x.size == 3 * 4 * 300:  # the one chunk of N = 300
+                raise RuntimeError("bad chunk")
+            return field.scalar_map(x)
+
+        config = _wep_config(dataclasses.replace(field, scalar_map=drift),
+                             [16, 300], 3, n_reference=1000)
+        with pytest.raises(RuntimeError, match="bad chunk"):
+            wep_experiment(config)
         assert set(threading.enumerate()) == before
 
     def test_resumed_march_continues_bit_identically(self):
@@ -331,11 +388,11 @@ class TestWepExperiment:
             wep_experiment(config)
 
     def test_draws_only_the_guide_and_the_trials(self, monkeypatch):
-        sizes = []
+        calls = []
         draw = Preparation.draw
 
         def counted(self, n, rng):
-            sizes.append(n)
+            calls.append((rng, n))
             return draw(self, n, rng)
 
         monkeypatch.setattr(Preparation, "draw", counted)
@@ -344,21 +401,27 @@ class TestWepExperiment:
                              n_reference=n_reference)
         wep_experiment(config)
 
-        def take(total):
-            # row blocks of at most ROWS molecules, in order, up to total
-            got = 0
-            while got < total:
-                m = sizes.pop(0)
-                assert 0 < m <= ROWS
-                got += m
-            assert got == total
+        # The pool's tasks draw at the same time, so the calls of different
+        # streams interleave; each stream is one generator, drawn in order.
+        drawn = {}
+        for rng, n in calls:
+            entropy = tuple(rng.bit_generator.seed_seq.entropy)
+            drawn.setdefault(entropy, []).append(n)
 
-        # the guide, then each trial of each size, and nothing else
-        take(n_reference)
+        def stream(tag, index):
+            return tuple(derive_seed_sequence(config.seed, tag, index).entropy)
+
+        def row_blocks(total):
+            return [ROWS] * (total // ROWS) + [total % ROWS] * (total % ROWS > 0)
+
+        # the guide and each trial of each size, in row blocks of ROWS
+        # molecules, and nothing else
+        want = {stream("mean-guide", config.preparation.seed):
+                row_blocks(n_reference)}
         for n in n_list:
-            for _ in range(n_trials):
-                take(n)
-        assert sizes == []
+            for k in range(n_trials):
+                want[stream(f"wep-N{n}-trial", k)] = row_blocks(n)
+        assert drawn == want
 
     def test_marches_only_positions_up_to_the_last_instant(self):
         # Only the positions [..., :4] are read, and nothing after the last

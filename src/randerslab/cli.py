@@ -38,7 +38,7 @@ class NumericRunError(Exception):
 # The error bases of the package: a run that fails numerically exits 3.
 NUMERIC_ERRORS = (NumericRunError, GeometryError, dynamics.DynamicsError,
                   conc.ConcentrationError, lip.LipschitzError,
-                  grav.GravityError, obs.ObservablesError)
+                  grav.GravityError)
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +81,10 @@ MAX_RK4_STEPS = 10**7
 MAX_TRAJECTORY_BYTES = 2**30
 # The arrays a sample count sizes take at most this many bytes: the two
 # stream vectors of concentration and sphere, both allocated before either
-# stream is drawn, the wep reference positions, one wep trial's positions at
-# the largest N (each marched in place, and counted at twice its size), the
-# wep observables and the lipschitz pair ends.
+# stream is drawn, the wep reference positions, the positions of the wep
+# trials at the largest N that the workers march at once (each marched in
+# place, and counted at twice its size), the wep observables and the
+# lipschitz pair ends.
 MAX_SAMPLE_BYTES = 2**30
 
 POSITIVE = (lambda x: x > 0, "must be positive")
@@ -160,7 +161,6 @@ SCHEMAS = {
         "sphere_dimension": (int, (lambda n: n >= 2, "must be >= 2"), REQUIRED),
         "epsilon_grid": GRID,
         "n": N_SAMPLES,
-        "method": (str, _one_of("cap_exact", "sample_distance"), "cap_exact"),
     },
     "wep": {
         "n_list": ([int], (lambda ns: ns and ns[0] >= 2 and ns == sorted(set(ns)),
@@ -277,8 +277,10 @@ def _cross_check(params, v):
         # (n, 4) positions, marched in place; the bound counts twice the 4
         # doubles per molecule they take
         "n_reference": 8 * params.get("n_reference", 0),
-        # the same for one trial at the largest N
-        "n_list": 8 * max(params.get("n_list", [0])),
+        # the same for the trials at the largest N that the WORKERS of the
+        # pool march at once, one trial per task at a large N
+        "n_list": 8 * max(params.get("n_list", [0]))
+                  * min(params.get("n_trials", 1), obs.WORKERS),
         # per trial and instant: the A, B and S centers of mass (4 each),
         # D_AB and the three distances to the guide
         "n_trials": 16 * params.get("n_trials", 0)
@@ -365,7 +367,6 @@ def run_flow(params, seed, outdir):
     summary = {
         "n_steps": traj.n_steps,
         "n_snapshots": len(snaps),
-        "max_abs_snapshot_H": max(abs(s.h_value) for s in snaps),
         "final_H": traj.final_h,
     }
     return ["trajectory.csv", "snapshots.csv"], summary
@@ -452,7 +453,7 @@ def run_sphere(params, seed, outdir):
     report = conc.sphere_isoperimetric_check(
         params["sphere_dimension"],
         np.asarray(params["epsilon_grid"], dtype=float),
-        params["n"], seed, method=params["method"])
+        params["n"], seed)
     conc.isoperimetric_to_csv(report, os.path.join(outdir, "isoperimetric.csv"))
     summary = {
         "median_hat": report.median_hat,

@@ -17,13 +17,8 @@ from .runio import atomic_write_csv, atomic_write_json
 
 # A tail fit uses only grid points with at least this many exceedances.
 MIN_EXCEED = 10
-# Most A-sample points the 'sample_distance' isoperimetric method compares
-# each outside point against.
-A_SAMPLE_CAP = 20000
 # Samplers draw and evaluate rows in blocks of at most this many doubles (at
-# least one row), and 'sample_distance' compares outside points against the
-# A-sample in tiles of at most this many dot products, so memory does not
-# grow with n * dimension.
+# least one row), so memory does not grow with n * dimension.
 SAMPLE_CHUNK_ELEMS = 2**16
 
 
@@ -367,7 +362,6 @@ class IsoperimetricReport:
     n_dim: int
     n_samples: int
     seed: int
-    method: str
     median_hat: float
     rows: tuple
 
@@ -376,68 +370,23 @@ class IsoperimetricReport:
         return all(r.passed for r in self.rows)
 
 
-def _distance_to_a_sample(sampler, n, in_a_ref, outside):
-    """Geodesic distance from each stream-2 point to the nearest of the
-    first ``A_SAMPLE_CAP`` stream-1 points with ``in_a_ref``; 0 where not
-    ``outside``.  Both streams are redrawn block by block."""
-    a_pts = np.empty((min(int(in_a_ref.sum()), A_SAMPLE_CAP), sampler.width))
-    kept = 0
-    for lo, ref in sampler._row_blocks(n, 1):
-        pick = ref[in_a_ref[lo:lo + len(ref)]][:len(a_pts) - kept]
-        a_pts[kept:kept + len(pick)] = pick
-        kept += len(pick)
-        if kept == len(a_pts):
-            break
-    # square tiles of dot products; a tile of the A-sample stays in cache
-    side = math.isqrt(SAMPLE_CHUNK_ELEMS)
-    dist = np.zeros(n)
-    for lo, x in sampler._row_blocks(n, 2):
-        out = lo + np.flatnonzero(outside[lo:lo + len(x)])
-        for k in range(0, out.size, side):
-            idx = out[k:k + side]
-            pts = x[idx - lo]
-            best = np.full(idx.size, -np.inf)
-            for c in range(0, len(a_pts), side):
-                np.maximum(best, (pts @ a_pts[c:c + side].T).max(axis=1),
-                           out=best)
-            dist[idx] = np.arccos(np.clip(best, -1.0, 1.0))
-    return dist
-
-
-def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int, seed: int,
-                               method: str = "cap_exact",
-                               f: Callable | None = None) -> IsoperimetricReport:
-    """Empirical measure of the eps-neighborhood of A = {f <= median}
+def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int,
+                               seed: int) -> IsoperimetricReport:
+    """Empirical measure of the eps-neighborhood of A = {x_0 <= median}
     against the isoperimetric lower bound; mu(A) >= 1/2 by construction.
 
-    The default observable is the first coordinate, whose sublevel set is a
-    cap.  method 'cap_exact' then uses the geodesic distance to the cap in
-    closed form (the polar-angle deficit), which stays exact in any
-    dimension.  method 'sample_distance' measures distance as arccos of dot
-    products against a stored A-sample and accepts any 1-Lipschitz ``f``;
-    that estimator degrades in high dimension (nearest sampled neighbors
-    concentrate near angle pi/2) and is retained for low-dimensional
-    cross-checks and observables without cap structure.
+    A is a cap, so the geodesic distance to it has a closed form, the
+    polar-angle deficit, which stays exact in any dimension.
     """
     if n_dim < 2:
         raise DimensionError("sphere dimension must be >= 2")
-    if f is not None and method == "cap_exact":
-        raise ValueError("cap_exact is specific to the coordinate "
-                         "observable; use method='sample_distance'")
-    obs = (lambda pts: pts[:, 0]) if f is None else f
-    sampler = sphere(n_dim, seed)
-    f_ref, f_x = sampler.observe_streams(obs, [(n, 1), (n, 2)])
+    f_ref, f_x = sphere(n_dim, seed).observe_streams(
+        lambda pts: pts[:, 0], [(n, 1), (n, 2)])
     med = float(np.median(f_ref))
     eps_grid = np.asarray(epsilon_grid, dtype=float)
-
-    if method == "cap_exact":
-        theta_m = math.acos(max(-1.0, min(1.0, med)))
-        theta = np.arccos(np.clip(f_x, -1.0, 1.0))
-        dist_to_a = np.maximum(theta_m - theta, 0.0)
-    elif method == "sample_distance":
-        dist_to_a = _distance_to_a_sample(sampler, n, f_ref <= med, f_x > med)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    theta_m = math.acos(max(-1.0, min(1.0, med)))
+    theta = np.arccos(np.clip(f_x, -1.0, 1.0))
+    dist_to_a = np.maximum(theta_m - theta, 0.0)
 
     rows = []
     for eps in eps_grid:
@@ -449,7 +398,7 @@ def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int, seed: int,
             epsilon=float(eps), empirical=p_hat, bound=bound, stderr=se,
             passed=bool(p_hat >= bound - 3.0 * se)))
     return IsoperimetricReport(n_dim=n_dim, n_samples=n, seed=seed,
-                               method=method, median_hat=med, rows=tuple(rows))
+                               median_hat=med, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -108,22 +108,18 @@ def zero_field(dim: int) -> RandersField:
     )
 
 
-def constant_field(value, dim: int) -> RandersField:
-    """Constant drift; ``value`` is a scalar (every component) or a dim-vector."""
-    vec = np.broadcast_to(np.asarray(value, dtype=float), (dim,)).copy()
-    bound = float(np.max(np.abs(vec)))
-    if bound >= 1.0:
+def constant_field(value: float, dim: int) -> RandersField:
+    """beta_i(u) = value for every component."""
+    c = float(value)
+    if abs(c) >= 1.0:
         raise ValueError("constant field violates the Randers condition")
-    scalar = None
-    if np.ndim(value) == 0:
-        c = float(value)
-        scalar = lambda x: np.full_like(np.asarray(x, dtype=float), c)
+    drift = lambda x: np.full_like(np.asarray(x, dtype=float), c)
     return RandersField(
-        beta=lambda u: np.broadcast_to(vec, np.shape(u)).copy(),
-        beta_bound=max(bound, 1e-12),
+        beta=drift,
+        beta_bound=max(abs(c), 1e-12),
         dim=dim,
         vjp=lambda u, p: np.zeros_like(p),
-        scalar_map=scalar,
+        scalar_map=drift,
     )
 
 

@@ -1,8 +1,7 @@
 """Numerical Lipschitz analysis on compact phase-space boxes.
 
 Pair-sampling difference quotients give certified lower bounds on a
-Lipschitz constant; finite-difference gradient norms give an upper
-surrogate for smooth functions.  The radial decomposition splits a
+Lipschitz constant.  The radial decomposition splits a
 box-Lipschitz Hamiltonian into a globally 1-Lipschitz piece
 ``R(rho) H(clamp(z))`` and a remainder supported off the box.
 """
@@ -153,67 +152,24 @@ def project_to_box(z, box: CompactBox):
 @dataclass(frozen=True)
 class LipschitzEstimate:
     constant_hat: float
-    method: str
     pairs_or_points: int
-    confidence_note: str
 
     def __post_init__(self):
         if not math.isfinite(self.constant_hat) or self.constant_hat < 0:
             raise ValueError("constant_hat must be finite and >= 0")
 
 
-def estimate_lipschitz(f, domain: CompactBox, n_pairs: int, seed: int,
-                       method: str = "pair_sampling") -> LipschitzEstimate:
-    """Estimate the Lipschitz constant of f on the box.
-
-    pair_sampling: max difference quotient over ``n_pairs`` random pairs plus
-    gradient-aligned short-separation pairs of length 1e-4 * diameter; a
-    lower bound on the true constant by construction.
-
-    gradient_norm: max finite-difference gradient (metric dual norm) over
-    sampled points; an upper surrogate valid for smooth f only.
-    """
+def estimate_lipschitz(f, domain: CompactBox, n_pairs: int,
+                       seed: int) -> LipschitzEstimate:
+    """Estimate the Lipschitz constant of f on the box: the max difference
+    quotient over ``n_pairs`` random pairs plus gradient-aligned
+    short-separation pairs of length 1e-4 * diameter; a lower bound on the
+    true constant by construction."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    fb = _batch(f)
-
-    if method == "gradient_norm":
-        rng = np.random.default_rng(seed)
-        pts = domain.sample(n_pairs, rng)
-        h = 1e-6 * (1.0 + domain.diameter)
-        g = _fd_gradients(_probes(fb, pts, h), lambda v: v, h)
-        w = domain.metric.scales(domain.dim)
-        dual = np.sqrt(np.sum((g / w) ** 2, axis=1))
-        return LipschitzEstimate(
-            constant_hat=float(dual.max()),
-            method="gradient_norm",
-            pairs_or_points=n_pairs,
-            confidence_note=("max sampled finite-difference gradient norm; "
-                             "upper surrogate, valid for smooth f only"),
-        )
-    if method != "pair_sampling":
-        raise ValueError(f"unknown method {method!r}")
-
-    sample = _PairSample.draw(fb, domain, n_pairs, seed)
-    n_ref = len(sample.pts)
-    return LipschitzEstimate(
-        constant_hat=sample.estimate(lambda v: v),
-        method="pair_sampling",
-        pairs_or_points=int(n_pairs + n_ref),
-        confidence_note=(f"lower bound from {n_pairs} random pairs and "
-                         f"{n_ref} gradient-aligned short pairs"),
-    )
-
-
-def _probes(g, pts: np.ndarray, step: float) -> list:
-    """g at pts + step e_i and at pts - step e_i, for each coordinate i."""
-    return [(g(pts + e), g(pts - e)) for e in step * np.eye(pts.shape[1])]
-
-
-def _fd_gradients(probes: list, combine: Callable, step: float) -> np.ndarray:
-    """Central differences of combine(g) from the values of ``_probes``."""
-    return np.stack([(combine(plus) - combine(minus)) / (2 * step)
-                     for plus, minus in probes], axis=1)
+    sample = _PairSample.draw(_batch(f), domain, n_pairs, seed)
+    return LipschitzEstimate(constant_hat=sample.estimate(lambda v: v),
+                             pairs_or_points=int(n_pairs + len(sample.pts)))
 
 
 @dataclass(frozen=True)
@@ -234,7 +190,7 @@ class _PairSample:
     ends: tuple | None   # g at the first and second ends of the kept pairs
     pts: np.ndarray      # refinement points, (n_ref, dim)
     delta: float         # short-pair length
-    probes: list         # g at the finite-difference probes of pts
+    probes: list         # g at pts +- (delta / 8) e_i, for each coordinate i
 
     @classmethod
     def draw(cls, g, domain: CompactBox, n_pairs: int,
@@ -261,7 +217,8 @@ class _PairSample:
                            metric=domain.metric) \
             if np.all(domain.upper - domain.lower > 2 * delta) else domain
         pts = inner.sample(min(256, n_pairs), rng)
-        probes = _probes(g, pts, delta / 8.0)
+        probes = [(g(pts + e), g(pts - e))
+                  for e in delta / 8.0 * np.eye(pts.shape[1])]
         return cls(domain=domain, g=g, d=d[keep], ends=ends, pts=pts,
                    delta=delta, probes=probes)
 
@@ -274,7 +231,9 @@ class _PairSample:
         # Short-separation refinement: walk a small step along the estimated
         # steepest direction so aligned pairs probe the local slope.
         metric, delta = self.domain.metric, self.delta
-        grads = _fd_gradients(self.probes, combine, delta / 8.0)
+        # central differences of combine(g) over the probes
+        grads = np.stack([(combine(plus) - combine(minus)) / (2 * (delta / 8.0))
+                          for plus, minus in self.probes], axis=1)
         dirs = grads / (metric.scales(self.domain.dim) ** 2)
         norms = metric.distance(dirs, 0.0 * dirs)
         ok = norms > 0.0
@@ -308,10 +267,7 @@ class ScaledFunction:
     scale: float
 
     def __call__(self, z):
-        out = self.base(z)
-        if isinstance(out, float):
-            return out / self.scale
-        return np.asarray(out, dtype=float) / self.scale
+        return self.base(z) / self.scale
 
 
 def normalize_to_one_lipschitz(f,

@@ -36,18 +36,6 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 
-class ObservablesError(Exception):
-    pass
-
-
-class FreeEvolutionViolation(ObservablesError):
-    """Molecule bookkeeping changed during a run; WEP claims are void."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(f"free evolution violated: {report.note}")
-
-
 @dataclass(frozen=True)
 class Preparation:
     """Per-molecule i.i.d. Gaussian measure on the 8-dim coordinate block."""
@@ -101,25 +89,6 @@ def center_of_mass(blocks: np.ndarray) -> np.ndarray:
     their positions shaped (..., n, 4): the mean of the position
     coordinates over the molecule axis; velocities never enter."""
     return blocks[..., :4].mean(axis=-2)
-
-
-@dataclass(frozen=True)
-class FreeEvolutionReport:
-    ok: bool
-    events: tuple
-    note: str
-
-
-def check_free_evolution(events) -> FreeEvolutionReport:
-    """ok iff no molecule was added, removed or re-weighted, i.e. no
-    exchange or reweighting event (a dict with a "kind") was recorded."""
-    events = tuple(events)
-    if events:
-        first = events[0]
-        note = f"event {first['kind']!r} recorded (first at {first})"
-    else:
-        note = "no exchange or reweighting events"
-    return FreeEvolutionReport(ok=not events, events=events, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +185,6 @@ class WepConfig:
     rho_grid: np.ndarray
     seed: int
     n_reference: int = 100_000
-    # event_injector(n_molecules) returns the exchange or reweighting events
-    # (dicts with a "kind") to record for that size; any event aborts the run.
-    event_injector: Callable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -258,7 +224,6 @@ class WepReport:
     monotonicity: list       # [(N, median_sup_d_ab)]
     monotonic_ok: bool
     inversions: int
-    free_evolution: FreeEvolutionReport
 
 
 def wep_experiment(config: WepConfig) -> WepReport:
@@ -267,19 +232,11 @@ def wep_experiment(config: WepConfig) -> WepReport:
     tail profiles, and the monotonicity of the median sup-separation in N.
 
     All systems share the preparation measure and the external field; trial
-    draws are independent.  A free-evolution violation aborts the run.
+    draws are independent.
     """
     flow = config.flow
     schedule = sin_squared_schedule(flow.period_T)
     n_tau = config.n_cycles + 1
-
-    # The batched march has no exchange mechanism, so events can only come
-    # from the injector; every size is checked before any march starts.
-    if config.event_injector is not None:
-        for n_mol in config.n_list:
-            report = check_free_evolution(config.event_injector(n_mol))
-            if not report.ok:
-                raise FreeEvolutionViolation(report)
 
     guide_out = []
     x_obs_of = {n_mol: np.empty((config.n_trials, n_tau, 3, 4))
@@ -360,7 +317,6 @@ def wep_experiment(config: WepConfig) -> WepReport:
         monotonicity=monotonicity,
         monotonic_ok=inversions <= allowed,
         inversions=inversions,
-        free_evolution=check_free_evolution(()),
     )
 
 
@@ -488,6 +444,8 @@ def wep_summary_json(report: WepReport, path) -> None:
         "monotonicity": [[n, m] for n, m in report.monotonicity],
         "monotonic_ok": report.monotonic_ok,
         "inversions": report.inversions,
-        "free_evolution_ok": report.free_evolution.ok,
+        # true by construction: the march adds, removes and re-weights no
+        # molecule
+        "free_evolution_ok": True,
         "seed": report.config.seed,
     })

@@ -158,6 +158,24 @@ class TestValidate:
         assert cli.main(["validate", "--config", path]) == 0
 
 
+    @pytest.mark.parametrize("workers, code", [(8, 2), (1, 0)])
+    def test_wep_budget_counts_the_trials_in_flight(self, tmp_path, capsys,
+                                                    monkeypatch, workers,
+                                                    code):
+        # one trial at N = 2^24 takes exactly MAX_SAMPLE_BYTES at 8 bytes
+        # per coordinate; 8 workers would march 8 such trials at once
+        monkeypatch.setattr(obs, "WORKERS", workers)
+        cfg = small_configs()["wep"]
+        cfg["parameters"].update(n_list=[2, 2**24], n_trials=8)
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", "--config", path]) == code
+        out = capsys.readouterr().out
+        if code:
+            assert "violation: parameters.n_list:" in out
+        else:
+            assert out == "config ok\n"
+
+
 class TestRunners:
     def test_flow_outputs(self, tmp_path):
         cfg = write_config(tmp_path, flow_config())
@@ -305,6 +323,8 @@ PROBES = [
     # a removed key is unknown
     pytest.param("flow", {"raw_ode": "false"}, "parameters.raw_ode",
                  id="raw_ode"),
+    pytest.param("sphere", {"method": "cap_exact"}, "parameters.method",
+                 id="sphere-method"),
     # the linear family broke its own bound |beta_i| < 1 along the flow
     pytest.param("flow", {"field": {"family": "linear"}},
                  "parameters.field.family", id="flow-linear-field"),
@@ -716,15 +736,13 @@ def test_legal_concentration_configs_run_to_a_documented_exit(
 
 @settings(max_examples=60, deadline=None)
 @given(dimension=st.integers(2, 16), epsilon_grid=GRIDS,
-       n=st.integers(100, 2000),
-       method=st.sampled_from(["cap_exact", "sample_distance"]),
-       seed=st.integers(0, 2**32 - 1))
+       n=st.integers(100, 2000), seed=st.integers(0, 2**32 - 1))
 def test_legal_sphere_configs_run_to_a_documented_exit(
-        tmp_path_factory, dimension, epsilon_grid, n, method, seed):
+        tmp_path_factory, dimension, epsilon_grid, n, seed):
     run_to_a_documented_exit(tmp_path_factory, {
         "experiment": "sphere", "seed": seed, "parameters": {
             "sphere_dimension": dimension, "epsilon_grid": epsilon_grid,
-            "n": n, "method": method}})
+            "n": n}})
 
 
 # one legal spec per CLI field family, at the edge of its range

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from randerslab import cli, concentration
 from randerslab.concentration import (
@@ -372,31 +372,25 @@ class TestIsoperimetric:
             1.0 - math.sqrt(math.pi / 8.0) * math.exp(-0.02 * 255), rel=1e-12)
         assert report.rows[2].empirical == 1.0
 
-    def test_sample_distance_agrees_at_low_dimension(self):
-        exact = sphere_isoperimetric_check(2, [0.3, 0.6], 4000, 31)
-        sampled = sphere_isoperimetric_check(2, [0.3, 0.6], 4000, 31,
-                                             method="sample_distance")
-        for r_exact, r_sampled in zip(exact.rows, sampled.rows):
-            assert abs(r_exact.empirical - r_sampled.empirical) < 0.02
-
-    def test_sample_distance_in_tiles_equals_one_shot(self, monkeypatch):
-        # 16-row blocks, 8 x 8 tiles of dot products, and an A-sample cap
-        # reached inside a block
-        monkeypatch.setattr(concentration, "SAMPLE_CHUNK_ELEMS", 64)
-        monkeypatch.setattr(concentration, "A_SAMPLE_CAP", 101)
-        n, grid = 600, [0.1, 0.3, 0.6]
-        report = sphere_isoperimetric_check(3, grid, n, 31,
-                                            method="sample_distance")
-        s = sphere(3, 31)
-        ref, x = s.sample(n, stream=1), s.sample(n, stream=2)
-        med = np.median(ref[:, 0])
-        a_pts = ref[ref[:, 0] <= med][:101]
-        out = x[:, 0] > med
-        dist = np.zeros(n)
-        dist[out] = np.arccos(np.clip((x[out] @ a_pts.T).max(axis=1), -1, 1))
-        assert report.median_hat == med
-        assert [r.empirical for r in report.rows] == [
-            float((dist <= eps).mean()) for eps in grid]
+    @pytest.mark.parametrize("n_dim, grid, n, seed", [
+        pytest.param(2, [0.1, 0.3, 0.6, 1.0], 20_000, 31, id="d2"),
+        pytest.param(256, [0.05, 0.1, 0.2, 0.3, 0.5], 100_000, 20240604,
+                     id="d256-example-config"),
+    ])
+    def test_neighborhood_measure_matches_exact_law(self, n_dim, grid, n,
+                                                    seed):
+        # Given the median m of x_0 on stream 1, the eps-neighborhood of
+        # {x_0 <= m} is {x_0 <= c} with c = cos(max(acos(m) - eps, 0)), and
+        # on S^d, x_0^2 ~ Beta(1/2, d/2): P(x_0 > |c|) = I_{1-c^2}(d/2, 1/2)
+        # / 2.  The stream-2 count is then binomial with that probability.
+        report = sphere_isoperimetric_check(n_dim, grid, n, seed)
+        theta_m = math.acos(report.median_hat)
+        for row in report.rows:
+            c = math.cos(max(theta_m - row.epsilon, 0.0))
+            upper = 0.5 * special.betainc(n_dim / 2, 0.5, 1.0 - c * c)
+            p = 1.0 - upper if c >= 0 else upper
+            sd = math.sqrt(p * (1.0 - p) / n)
+            assert abs(row.empirical - p) <= 4.0 * sd, (row.epsilon, p)
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):

@@ -16,11 +16,9 @@ from randerslab.observables import (
     BLOCK_ELEMS,
     SYSTEMS,
     FlowParams,
-    FreeEvolutionViolation,
     Preparation,
     WepConfig,
     center_of_mass,
-    check_free_evolution,
     evolve_coordinates,
     mean_guide,
     scale_relation_check,
@@ -38,13 +36,13 @@ def _prep(seed=0, mean=0.0, scale=1.0):
 
 
 def _wep_config(field, n_list, n_trials, n_cycles=2, dt=0.1, seed=100,
-                rho_grid=None, n_reference=20_000, **kw):
+                rho_grid=None, n_reference=20_000):
     return WepConfig(
         n_list=n_list, n_trials=n_trials,
         flow=FlowParams(field=field, period_T=1.0, dt=dt),
         preparation=_prep(seed=seed), n_cycles=n_cycles,
         rho_grid=np.linspace(0.25, 6.0, 24) if rho_grid is None else rho_grid,
-        seed=seed, n_reference=n_reference, **kw)
+        seed=seed, n_reference=n_reference)
 
 
 class TestCenterOfMass:
@@ -318,23 +316,6 @@ class TestMeanGuide:
         assert np.all(np.abs(m1 - m2) < 4.0 * sigma_hat / math.sqrt(n_ref))
 
 
-class TestFreeEvolution:
-    def test_closed_run_is_free(self):
-        report = check_free_evolution([])
-        assert report.ok
-        assert report.events == ()
-
-    def test_exchange_event_detected(self):
-        report = check_free_evolution([{"kind": "exchange", "index": 3}])
-        assert not report.ok
-        assert report.events[0]["index"] == 3
-
-    def test_reweighting_detected(self):
-        report = check_free_evolution([{"kind": "reweight"}])
-        assert not report.ok
-        assert "reweight" in report.note
-
-
 class TestWepExperiment:
     def test_zero_field_deviation_is_pure_sampling_noise(self):
         config = _wep_config(zero_field(8), [40], 10, n_cycles=3,
@@ -365,7 +346,6 @@ class TestWepExperiment:
             if prof.fit is not None:
                 assert prof.fit.C2_hat > 0.0
             assert report.per_size[n].x_step_max_ratio <= 0.9 * (1 + 1e-6)
-        assert report.free_evolution.ok
 
     def test_observable_trajectory_accessor(self):
         config = _wep_config(tanh_field(8, 0.9), [20], 5, n_cycles=2,
@@ -377,15 +357,6 @@ class TestWepExperiment:
         step_ratio = np.abs(np.diff(x_a, axis=0)).max() / 1.0
         assert step_ratio <= 0.9 * (1 + 1e-6)
         assert step_ratio <= res.x_step_max_ratio
-
-    def test_injected_event_aborts(self):
-        def injector(n):
-            return [{"kind": "exchange", "index": 0}]
-
-        config = _wep_config(zero_field(8), [16], 3, n_cycles=1,
-                             n_reference=500, event_injector=injector)
-        with pytest.raises(FreeEvolutionViolation):
-            wep_experiment(config)
 
     def test_draws_only_the_guide_and_the_trials(self, monkeypatch):
         calls = []

@@ -138,36 +138,41 @@ def rk4_march(rate: Callable, y: np.ndarray, dt: float, n_steps: int,
 
     Updates ``y`` in place and yields the grid index k + 1 reached after
     each step; a march resumed with ``start`` at an earlier march's last
-    index continues it bit for bit.  ``rate`` may act on any array shape.
+    index continues it bit for bit.  ``rate`` may act on any array shape;
+    ``rate(x)`` returns the rate at ``x`` and may overwrite ``x`` with it
+    (as the in-place ``scalar_map`` does), and is never handed ``y``.
 
-    Three arrays shaped like ``y`` are allocated once per march and reused
-    at every step: the slope sum, the stage point and the stage slope.  The
-    march writes only into them and into ``y``, never into an array
-    ``rate`` returns.  A step applies the operations of
+    Two arrays shaped like ``y``, the slope sum and the stage point, are
+    allocated once per march and reused at every step.  The march writes
+    only into them, into ``y`` and into what ``rate`` returns when that is
+    its own argument.  A step applies the operations of
     ``y += (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4)`` with stage points
-    ``y + h k1``, ``y + h k2``, ``y + dt k3`` in that order, to the same
-    operands, so it equals that expression on fresh arrays bit for bit.
+    ``y + h k1``, ``y + (h / 2) (2 k2)``, ``y + (dt / 2) (2 k3)`` in that
+    order; doubling is exact, so those products round as ``h k2`` and
+    ``dt k3`` do, and the step equals the expression on fresh arrays bit
+    for bit.
     """
     h = dt / 2
-    acc, x, slope = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    acc, x = np.empty_like(y), np.empty_like(y)
     for k in range(start, start + n_steps):
         t = k * dt
         s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
-        np.multiply(s1, rate(y), out=acc)                # k1
+        np.copyto(x, y)
+        np.multiply(s1, rate(x), out=acc)                # k1
         np.multiply(h, acc, out=x)
-        np.add(y, x, out=x)                              # y + h k1
-        np.multiply(s2, rate(x), out=slope)              # k2
-        np.multiply(h, slope, out=x)
-        np.add(y, x, out=x)                              # y + h k2
-        slope *= 2
-        acc += slope                                     # k1 + 2 k2
-        np.multiply(s2, rate(x), out=slope)              # k3
-        np.multiply(dt, slope, out=x)
-        np.add(y, x, out=x)                              # y + dt k3
-        slope *= 2
-        acc += slope                                     # ... + 2 k3
-        np.multiply(s4, rate(x), out=slope)              # k4
-        acc += slope
+        x += y                                           # y + h k1
+        np.multiply(s2, rate(x), out=x)                  # k2
+        x *= 2
+        acc += x                                         # k1 + 2 k2
+        x *= h / 2
+        x += y                                           # y + h k2
+        np.multiply(s2, rate(x), out=x)                  # k3
+        x *= 2
+        acc += x                                         # ... + 2 k3
+        x *= dt / 2
+        x += y                                           # y + dt k3
+        np.multiply(s4, rate(x), out=x)                  # k4
+        acc += x
         acc *= dt / 6
         y += acc
         yield k + 1

@@ -60,7 +60,9 @@ class RandersField:
     to ``J(u)^T p`` with ``J[k, i] = d beta_k / d u_i``, never forming
     ``J``.  ``scalar_map`` is set exactly by the componentwise families
     (drift acting coordinate by coordinate) and lets ensemble code apply the
-    drift to arbitrarily shaped coordinate arrays.
+    drift to arbitrarily shaped coordinate arrays: ``scalar_map(x)``
+    overwrites the float array ``x`` with ``beta(x)`` and returns it, so a
+    march needs no fresh array per drift call; ``beta`` keeps its argument.
     """
 
     beta: Callable
@@ -99,13 +101,7 @@ class RandersValidationReport:
 
 
 def zero_field(dim: int) -> RandersField:
-    return RandersField(
-        beta=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        beta_bound=1e-12,
-        dim=dim,
-        vjp=lambda u, p: np.zeros_like(p),
-        scalar_map=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
+    return constant_field(0.0, dim)
 
 
 def constant_field(value: float, dim: int) -> RandersField:
@@ -113,13 +109,17 @@ def constant_field(value: float, dim: int) -> RandersField:
     c = float(value)
     if abs(c) >= 1.0:
         raise ValueError("constant field violates the Randers condition")
-    drift = lambda x: np.full_like(np.asarray(x, dtype=float), c)
+
+    def fill(x):
+        x.fill(c)
+        return x
+
     return RandersField(
-        beta=drift,
+        beta=lambda x: np.full_like(np.asarray(x, dtype=float), c),
         beta_bound=max(abs(c), 1e-12),
         dim=dim,
         vjp=lambda u, p: np.zeros_like(p),
-        scalar_map=drift,
+        scalar_map=fill,
     )
 
 
@@ -133,6 +133,11 @@ def tanh_field(dim: int, amplitude: float) -> RandersField:
         t *= a
         return t
 
+    def in_place(x):
+        np.tanh(x, out=x)
+        x *= a
+        return x
+
     def vjp(u, p):
         t = np.tanh(np.asarray(u, dtype=float))
         return a * (1.0 - t * t) * p
@@ -142,7 +147,7 @@ def tanh_field(dim: int, amplitude: float) -> RandersField:
         beta_bound=abs(a),
         dim=dim,
         vjp=vjp,
-        scalar_map=drift,
+        scalar_map=in_place,
     )
 
 

@@ -21,8 +21,10 @@ from .geometry import BLOCK_DIM, RandersField
 from .runio import atomic_write_csv, atomic_write_json, derive_rng
 
 SYSTEMS = ("A", "B", "S")
-# The batched march advances slices of at most this many coordinates (256
-# KiB of doubles, so the RK4 stage arrays of a slice stay in cache).
+# The batched march advances slices of at most this many coordinates: a
+# slice and its two RK4 stage arrays (1.5 MiB) fit in a 2 MiB L2 cache.
+SLICE_ELEMS = 2**16
+# Molecule blocks are drawn in row blocks of this many coordinates.
 BLOCK_ELEMS = 2**15
 # Trials of one size march together in chunks of about this many position
 # coordinates, so that small ensembles share slices (and their per-step
@@ -110,20 +112,20 @@ def evolve_coordinates(u0: np.ndarray, field: RandersField,
     last equilibrium instant.
 
     The march runs in the calling thread.  The flat array is cut into the
-    fewest slices of near-equal length within ``BLOCK_ELEMS``, so the RK4
-    stage arrays of a slice stay in cache, and cycle by cycle each slice is
-    marched from one equilibrium instant to the next.  Drift, RK4 and the
-    schedule act element by element, so every step is the same arithmetic
-    on the same values as one march of the whole array.  Callers run
-    independent marches at the same time as tasks of one pool
-    (``wep_experiment``).
+    fewest slices of near-equal length within ``SLICE_ELEMS``, so a slice
+    and the two RK4 stage arrays stay in cache, and cycle by cycle each
+    slice is marched from one equilibrium instant to the next, with the
+    in-place ``scalar_map`` as the rate.  Drift, RK4 and the schedule act
+    element by element, so every step is the same arithmetic on the same
+    values as one march of the whole array.  Callers run independent
+    marches at the same time as tasks of one pool (``wep_experiment``).
     """
     if field.scalar_map is None:
         raise ValueError("batched evolution requires a componentwise field")
     steps_per_T = steps_per_period(schedule.period_T, dt)
     u = np.ascontiguousarray(u0, dtype=float)
     flat = u.reshape(-1)
-    slices = np.array_split(flat, max(1, -(-flat.size // BLOCK_ELEMS)))
+    slices = np.array_split(flat, max(1, -(-flat.size // SLICE_ELEMS)))
     collect(0, u)
     speed_at = lambda t: speed(schedule, t)
     done = 0

@@ -1,6 +1,8 @@
+import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,21 @@ first_coord = lambda x: x[:, 0]
 def _gaussian(dim, seed, sigma=1.0):
     return MMSpaceSampler(kind="gaussian", dimension=dim, seed=seed,
                           sigma=sigma)
+
+
+def _sphere_coordinate_z(prof, n_dim):
+    """z-scores of the tail counts of |x_0 - median_hat| against the exact
+    law on S^d: x_0^2 ~ Beta(1/2, d/2), so P(x_0 > c) = I_{1-c^2}(d/2, 1/2)
+    / 2 for c >= 0, and x_0 is symmetric.  The median comes from an
+    independent stream, so each count is binomial given it."""
+    def above(c):
+        upper = 0.5 * special.betainc(n_dim / 2, 0.5,
+                                      np.clip(1.0 - c * c, 0.0, 1.0))
+        return np.where(c >= 0, upper, 1.0 - upper)
+
+    m, r, n = prof.median_hat, prof.rho_grid * prof.sigma_f, prof.n_samples
+    p = above(m + r) + above(r - m)
+    return (prof.exceed_counts - n * p) / np.sqrt(n * p * (1.0 - p))
 
 
 def _uniform(dim, seed):
@@ -279,6 +296,27 @@ class TestConcentrationProfile:
         exact = 2.0 * stats.norm.sf(grid)
         se = np.sqrt(exact * (1 - exact) / n)
         assert np.all(np.abs(prof.tail_prob - exact) <= 3.5 * se)
+
+    def test_sphere_coordinate_tail_matches_exact_law(self):
+        # The example concentration config: x_0 on S^64, n = 10^5.
+        cfg = json.loads((Path(__file__).parent.parent / "scripts" / "configs"
+                          / "concentration.json").read_text())
+        params = cfg["parameters"]
+        n_dim, n = params["space"]["dimension"], params["n"]
+        prof = concentration_profile(first_coord, sphere(n_dim, cfg["seed"]),
+                                     np.array(params["rho_grid"]), n,
+                                     sigma_f=params["sigma_f"])
+        assert np.all(np.abs(_sphere_coordinate_z(prof, n_dim)) <= 4.0)
+
+    def test_sphere_coordinate_law_sees_the_sphere_of_one_dimension_less(self):
+        # A sampler on S^(d-1) in place of S^d fails the law of S^d.
+        n_dim, n = 16, 100_000
+        grid = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        right = concentration_profile(first_coord, sphere(n_dim, 41), grid, n)
+        assert np.all(np.abs(_sphere_coordinate_z(right, n_dim)) <= 4.0)
+        wrong = concentration_profile(first_coord, sphere(n_dim - 1, 41),
+                                      grid, n)
+        assert np.max(np.abs(_sphere_coordinate_z(wrong, n_dim))) > 4.0
 
     def test_tail_monotone_and_in_unit_interval(self):
         prof = concentration_profile(first_coord, _gaussian(3, 23),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,24 +316,34 @@ class TestBufferedMarch:
                                        constant_field(-0.4, 8), zero_field(8)],
                              ids=["tanh", "constant", "zero"])
     def test_positions_step_equals_the_expression_form(self, field):
-        # The march reuses its stage buffers; each step of a positions
-        # array must equal the expression on fresh arrays bit for bit.  The drift hands
-        # out read-only arrays, so a march writing into one raises.
-        drift = _read_only(field.scalar_map)
+        # The march reuses its two stage buffers, and the in-place
+        # scalar_map overwrites them; each step of a positions array must
+        # equal the expression on fresh arrays, built from the pure beta,
+        # byte for byte.  A second march takes beta with read-only results
+        # as its rate, so a march writing into a returned array raises.
+        # Signed zeros, subnormals and saturated tanh arguments make the
+        # slopes zero, subnormal or +-a.
         sched = sin_squared_schedule(1.0)
         speed_at = lambda t: speed(sched, t)
         dt, h = 0.1, 0.05
-        u0 = np.random.default_rng(23).normal(size=(3, 5, 4))
-        u, want = u0.copy(), u0.copy()
-        for k in rk4_march(drift, u, dt, 23, speed_at):
+        special = [0.0, -0.0, 5e-324, -1e-310, 30.0, -30.0, 700.0, -700.0]
+        u0 = np.concatenate((np.random.default_rng(23).normal(size=60),
+                             special)).reshape(4, 17)
+        u, v, want = u0.copy(), u0.copy(), u0.copy()
+        beta = field.beta
+        marches = zip(rk4_march(field.scalar_map, u, dt, 23, speed_at),
+                      rk4_march(_read_only(beta), v, dt, 23, speed_at))
+        for k, k_v in marches:
+            assert k == k_v
             t = (k - 1) * dt
             s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
-            k1 = s1 * drift(want)
-            k2 = s2 * drift(want + h * k1)
-            k3 = s2 * drift(want + h * k2)
-            k4 = s4 * drift(want + dt * k3)
+            k1 = s1 * beta(want)
+            k2 = s2 * beta(want + h * k1)
+            k3 = s2 * beta(want + h * k2)
+            k4 = s4 * beta(want + dt * k3)
             want += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            assert np.array_equal(u, want), k
+            assert u.tobytes() == want.tobytes(), k
+            assert v.tobytes() == want.tobytes(), k
         assert k == 23
 
     @pytest.mark.parametrize("field", [tanh_field(8, 0.9),
@@ -369,6 +380,27 @@ class TestBufferedMarch:
             u += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             assert np.array_equal(y[0], u) and np.array_equal(y[1], p), k
         assert k == 23
+
+    def test_march_holds_two_stage_buffers(self):
+        # Over 20 steps of a 2^16-coordinate march with the in-place drift,
+        # the march allocates its slope sum and stage point and no drift
+        # result: the traced peak stays below three arrays of y's size (a
+        # kernel with three stage buffers and a fresh drift array needs
+        # four).
+        field = tanh_field(8, 0.9)
+        sched = sin_squared_schedule(1.0)
+        u = np.random.default_rng(37).normal(size=2**16)
+        u0 = u.copy()
+        tracemalloc.start()
+        try:
+            for k in rk4_march(field.scalar_map, u, 0.1, 20,
+                               lambda t: speed(sched, t)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k == 20 and not np.array_equal(u, u0)
+        assert 2 * u.nbytes <= peak < 3 * u.nbytes
 
     def test_zero_momentum_keeps_its_bytes(self):
         # 0.0 * normal holds -0.0 entries.  A zero momentum stays zero under

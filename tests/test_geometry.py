@@ -82,6 +82,21 @@ class TestFieldInvariants:
             RandersField(beta=lambda u: u, beta_bound=1.0, dim=2,
                          vjp=lambda u, p: p)
 
+    @pytest.mark.parametrize("field", [tanh_field(8, 0.9),
+                                       constant_field(-0.4, 8), zero_field(8)],
+                             ids=["tanh", "constant", "zero"])
+    def test_scalar_map_overwrites_its_argument_with_beta(self, field):
+        # the componentwise drift works in place: it returns its argument,
+        # holding beta of it byte for byte, and beta leaves its own alone
+        special = [0.0, -0.0, 5e-324, -1e-310, 30.0, -30.0, 700.0, -700.0]
+        x = np.concatenate((np.random.default_rng(6).normal(size=40),
+                            special)).reshape(3, 16)
+        x0 = x.copy()
+        want = field.beta(x0)
+        assert want is not x0 and x0.tobytes() == x.tobytes()
+        assert field.scalar_map(x) is x
+        assert x.tobytes() == want.tobytes()
+
 
 class TestVectorJacobianProduct:
     @pytest.mark.parametrize("make", [

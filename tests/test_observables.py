@@ -14,6 +14,7 @@ from randerslab import observables
 from randerslab.geometry import PhasePoint, constant_field, tanh_field, zero_field
 from randerslab.observables import (
     BLOCK_ELEMS,
+    SLICE_ELEMS,
     SYSTEMS,
     FlowParams,
     Preparation,
@@ -116,14 +117,14 @@ class TestBatchedEvolution:
     def test_blocked_march_equals_one_whole_march(self):
         # Every snapshot must equal, bit for bit, that of one march of the
         # whole array on the global grid: for one coordinate, two, three
-        # full blocks and a partial one, and the positions view of
+        # full slices and a partial one, and the positions view of
         # (trials, N, 8) draws.
         field = tanh_field(8, 0.9)
         sched = sin_squared_schedule(1.0)
         dt, n_cycles, steps_per_T = 0.1, 3, 10
         rng = np.random.default_rng(5)
         arrays = [rng.normal(size=1), rng.normal(size=2),
-                  rng.normal(size=3 * BLOCK_ELEMS + 17),
+                  rng.normal(size=3 * SLICE_ELEMS + 17),
                   rng.normal(size=(7, 1500, 8))[..., :4]]
         for u0 in arrays:
             want = {0: u0.copy()}

@@ -74,9 +74,10 @@ _SCALARS = {int: (lambda x: isinstance(x, int) and not isinstance(x, bool),
             dict: (lambda x: isinstance(x, dict), "object"),
             list: (lambda x: isinstance(x, list), "list")}
 
-# Every RK4 march takes at most MAX_RK4_STEPS steps; the flow trajectory,
-# which stores u and p as doubles at every store_stride-th step, at most
-# this many bytes.
+# Every RK4 march takes at most MAX_RK4_STEPS steps; the flow trajectory
+# CSV, whose rows hold u and p at every store_stride-th step, at most this
+# many bytes of doubles (the march streams its rows to the file, so this
+# bounds the file, not memory).
 MAX_RK4_STEPS = 10**7
 MAX_TRAJECTORY_BYTES = 2**30
 # The arrays a sample count sizes take at most this many bytes: the two
@@ -257,8 +258,8 @@ def _cross_check(params, v):
                          f"period_T = {node['period_T']}")
                 continue
             steps *= 2 * node.get("n_cycles", 1)
-            # only flow has n_molecules and store_stride beside dt; it stores
-            # 2 x 8N doubles at steps 0, store_stride, 2 store_stride, ...
+            # only flow has n_molecules and store_stride beside dt; its CSV
+            # has 2 x 8N doubles at steps 0, store_stride, 2 store_stride, ...
             rows = (steps // node["store_stride"] + 1
                     if "store_stride" in node else 0)
             stored = rows * 128 * node.get("n_molecules", 0)
@@ -359,15 +360,16 @@ def run_flow(params, seed, outdir):
     p0 = init["p_scale"] * rng.standard_normal(dim)
     point = PhasePoint(u=u0, p=p0, n_molecules=params["n_molecules"])
     state = dynamics.make_state(point, schedule)
-    traj, snaps = dynamics.run_cycles(field, schedule, state,
-                                      params["n_cycles"], params["dt"],
-                                      stride=params["store_stride"])
-    traj.to_csv(os.path.join(outdir, "trajectory.csv"))
+    march, snaps = dynamics.run_cycles(
+        field, schedule, state, params["n_cycles"], params["dt"],
+        stride=params["store_stride"],
+        csv_path=os.path.join(outdir, "trajectory.csv"))
     dynamics.snapshots_to_csv(snaps, os.path.join(outdir, "snapshots.csv"))
     summary = {
-        "n_steps": traj.n_steps,
+        "n_steps": march.n_steps,
         "n_snapshots": len(snaps),
-        "final_H": traj.final_h,
+        "final_H": march.final_h,
+        "max_invariant_drift": march.max_invariant_drift,
     }
     return ["trajectory.csv", "snapshots.csv"], summary
 

@@ -191,14 +191,18 @@ def _phase_march(field: RandersField, y: np.ndarray, dt: float, n_steps: int,
     return rk4_march(rate, y, dt, n_steps, speed_at)
 
 
-def _hamiltonian(field, schedule, t, u, p) -> float:
-    return float(speed(schedule, t) * (np.asarray(field.beta(u)) @ p))
+def _hamiltonian(field, schedule, t, u, p) -> tuple:
+    """``(H, G)`` at time t: ``G = beta(u)·p``, which the flow conserves,
+    and ``H = s(t) G``."""
+    g = float(np.asarray(field.beta(u)) @ p)
+    return speed(schedule, t) * g, g
 
 
 def hamiltonian(field: RandersField, schedule: CycleSchedule,
                 state: FlowState) -> float:
     """H_t(u, p) = sqrt(1 - kappa(t)) * sum_k beta_k(u) p_k."""
-    return _hamiltonian(field, schedule, state.t, state.point.u, state.point.p)
+    return _hamiltonian(field, schedule, state.t, state.point.u,
+                        state.point.p)[0]
 
 
 def step_flow(field: RandersField, schedule: CycleSchedule, state: FlowState,
@@ -236,9 +240,20 @@ class EquilibriumSnapshot:
 
 
 @dataclass
-class FlowTrajectory:
-    """Stored flow history on every stride-th grid point, and the step
-    count and Hamiltonian of the march's last step, stored or not."""
+class FlowSummary:
+    """Step count and Hamiltonian of a march's last step, stored or not, and
+    the largest relative drift ``|G - G0| / (1 + |G0|)`` of ``G = beta(u)·p``
+    over the steps where the march evaluates H."""
+
+    n_steps: int
+    final_h: float
+    max_invariant_drift: float
+
+
+@dataclass
+class FlowTrajectory(FlowSummary):
+    """A march's summary and its history stored on every stride-th grid
+    point."""
 
     t: np.ndarray
     tau: np.ndarray
@@ -246,14 +261,6 @@ class FlowTrajectory:
     u: np.ndarray
     p: np.ndarray
     h: np.ndarray
-    n_steps: int
-    final_h: float
-
-    def to_csv(self, path) -> None:
-        rows = ([t, tau, int(c)] + list(u) + list(p) + [h]
-                for t, tau, c, u, p, h in zip(self.t, self.tau, self.cycle,
-                                              self.u, self.p, self.h))
-        atomic_write_csv(path, _phase_header(self.u.shape[1]), rows)
 
 
 def _phase_header(dim: int) -> list:
@@ -261,17 +268,22 @@ def _phase_header(dim: int) -> list:
             + [f"p_{i}" for i in range(dim)] + ["H"])
 
 
+def _phase_row(t, tau, cycle, u, p, h) -> list:
+    """One CSV row of the phase columns, u and p as Python floats."""
+    return [t, tau, cycle] + u.tolist() + p.tolist() + [h]
+
+
 def snapshots_to_csv(snapshots, path) -> None:
     if not snapshots:
         raise ValueError("no snapshots to export")
-    rows = ([s.t, s.tau, s.cycle] + list(s.point.u) + list(s.point.p) + [s.h_value]
+    rows = (_phase_row(s.t, s.tau, s.cycle, s.point.u, s.point.p, s.h_value)
             for s in snapshots)
     atomic_write_csv(path, _phase_header(snapshots[0].point.dim), rows)
 
 
 def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
                n_cycles: int, dt: float, store_trajectory: bool = True,
-               stride: int = 1):
+               stride: int = 1, csv_path=None):
     """Integrate n_cycles fundamental cycles (period 2T each) from t = 0.
 
     Returns ``(trajectory, snapshots)`` where the trajectory stores grid
@@ -280,6 +292,11 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     as k * dt (not accumulated), so with dt dividing T the instants land on
     grid points; each snapshot's Hamiltonian must satisfy
     |H| <= H_BOUND * (1 + |p|).
+
+    With ``store_trajectory=False`` the trajectory is None.  Given
+    ``csv_path``, each stored row is written to that CSV as the march
+    reaches it and a ``FlowSummary`` takes the trajectory's place, so memory
+    does not grow with the row count; a failed march leaves no file there.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -290,45 +307,54 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     total = 2 * n_cycles * steps_per_T
     dim = initial.point.dim
     n_mol = initial.point.n_molecules
-
-    y = np.stack((initial.point.u, initial.point.p))
-    u, p = y
-    if store_trajectory:
-        ts = np.arange(0, total + 1, stride) * dt
-        us = np.empty((ts.size, dim))
-        ps = np.empty((ts.size, dim))
-        hs = np.empty(ts.size)
-        us[0], ps[0] = u, p
-        hs[0] = _hamiltonian(field, schedule, 0.0, u, p)
-
+    summary = FlowSummary(n_steps=total, final_h=math.nan,
+                          max_invariant_drift=0.0)
     snapshots = []
-    for step in _phase_march(field, y, dt, total, lambda t: speed(schedule, t)):
-        t = step * dt
-        if not np.isfinite(y).all():
-            raise BlowUpError(step, t)
-        n = equilibrium_cycle(step, steps_per_T)
-        row, skipped = divmod(step, stride)
-        stored = store_trajectory and not skipped
-        if stored or n or step == total:
-            h_val = _hamiltonian(field, schedule, t, u, p)
-        if stored:
-            us[row], ps[row], hs[row] = u, p, h_val
-        if n:
-            p_norm = float(np.linalg.norm(p))
-            if abs(h_val) > H_BOUND * (1.0 + p_norm):
-                raise ScheduleError(
-                    f"Hamiltonian |H| = {abs(h_val):.3e} at equilibrium "
-                    f"instant t = {t!r} exceeds {H_BOUND:.1e} * (1 + |p|)")
-            snapshots.append(EquilibriumSnapshot(
-                cycle=n, t=t, tau=float(n),
-                point=PhasePoint(u=u.copy(), p=p.copy(), n_molecules=n_mol),
-                h_value=h_val))
 
-    trajectory = None
-    if store_trajectory:
-        cyc = np.minimum(np.floor(ts / (2 * T)).astype(int) + 1, n_cycles)
-        trajectory = FlowTrajectory(t=ts, tau=tau_of_t(ts, schedule), cycle=cyc,
-                                    u=us, p=ps, h=hs, n_steps=total,
-                                    final_h=h_val)
-    return trajectory, snapshots
+    def rows():
+        """March, check and record the snapshots; yield the stored rows."""
+        y = np.stack((initial.point.u, initial.point.p))
+        u, p = y
+        h_val, g0 = _hamiltonian(field, schedule, 0.0, u, p)
+        if store_trajectory:
+            yield _phase_row(0.0, tau_of_t(0.0, schedule), 1, u, p, h_val)
+        march = _phase_march(field, y, dt, total, lambda t: speed(schedule, t))
+        for step in march:
+            t = step * dt
+            if not np.isfinite(y).all():
+                raise BlowUpError(step, t)
+            n = equilibrium_cycle(step, steps_per_T)
+            stored = store_trajectory and step % stride == 0
+            if not (stored or n or step == total):
+                continue
+            h_val, g = _hamiltonian(field, schedule, t, u, p)
+            summary.max_invariant_drift = max(summary.max_invariant_drift,
+                                              abs(g - g0) / (1.0 + abs(g0)))
+            if n:
+                p_norm = float(np.linalg.norm(p))
+                if abs(h_val) > H_BOUND * (1.0 + p_norm):
+                    raise ScheduleError(
+                        f"Hamiltonian |H| = {abs(h_val):.3e} at equilibrium "
+                        f"instant t = {t!r} exceeds {H_BOUND:.1e} * (1 + |p|)")
+                snapshots.append(EquilibriumSnapshot(
+                    cycle=n, t=t, tau=float(n),
+                    point=PhasePoint(u=u.copy(), p=p.copy(), n_molecules=n_mol),
+                    h_value=h_val))
+            if stored:
+                cycle = min(math.floor(t / (2 * T)) + 1, n_cycles)
+                yield _phase_row(t, tau_of_t(t, schedule), cycle, u, p, h_val)
+        summary.final_h = h_val
 
+    if csv_path is not None:
+        atomic_write_csv(csv_path, _phase_header(dim), rows())
+        return summary, snapshots
+    table = np.empty((total // stride + 1 if store_trajectory else 0,
+                      2 * dim + 4))
+    for i, row in enumerate(rows()):
+        table[i] = row
+    if not store_trajectory:
+        return None, snapshots
+    return FlowTrajectory(
+        **vars(summary), t=table[:, 0], tau=table[:, 1],
+        cycle=table[:, 2].astype(int), u=table[:, 3:3 + dim],
+        p=table[:, 3 + dim:-1], h=table[:, -1]), snapshots

@@ -202,6 +202,42 @@ class TestRunners:
         assert [float(r.split(",")[0]) for r in rows] == [
             k * 0.05 for k in range(0, 81, 3)]
 
+    def test_flow_memory_does_not_grow_with_the_row_count(self, tmp_path):
+        # every step is a row: 4 cycles write 4 times the rows of 1, and a
+        # march that held them peaks more than 3 times as high
+        def peak(n_cycles):
+            cfg = flow_config()
+            cfg["parameters"].update(n_molecules=8, dt=0.005,
+                                     n_cycles=n_cycles, store_stride=1)
+            path = write_config(tmp_path, cfg, f"flow{n_cycles}.json")
+            tracemalloc.start()
+            try:
+                assert cli.main(["flow", "--config", path, "--out",
+                                 str(tmp_path / f"out{n_cycles}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations of the imported modules
+        assert peak(4) < 1.1 * peak(1)
+
+    def test_flow_reports_invariant_drift(self, tmp_path):
+        # G = beta(u)·p is conserved by the flow, so its drift measures the
+        # march: near roundoff on the example config, orders of magnitude
+        # larger at a step 50 times as long
+        example = Path(__file__).parent.parent / "scripts/configs/flow.json"
+        cfg = json.loads(example.read_text())
+        dt0, drift = cfg["parameters"]["dt"], {}
+        for dt in (dt0, 0.25):
+            cfg["parameters"]["dt"] = dt
+            out = tmp_path / f"out{dt}"
+            assert cli.main(["flow", "--config", write_config(tmp_path, cfg),
+                             "--out", str(out)]) == 0
+            summary = json.loads((out / "manifest.json").read_text())["summary"]
+            drift[dt] = summary["max_invariant_drift"]
+        assert drift[dt0] <= 1e-9
+        assert drift[0.25] >= 100 * drift[dt0]
+
     def test_wep_row_accounting(self, tmp_path):
         cfg_dict = small_configs()["wep"]
         cfg = write_config(tmp_path, cfg_dict)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from randerslab.dynamics import (
     BlowUpError,
+    FlowSummary,
     GridAlignmentError,
     ScheduleError,
     _phase_march,
@@ -30,6 +32,7 @@ from randerslab.geometry import (
     zero_field,
 )
 from randerslab.observables import evolve_coordinates
+from randerslab.runio import atomic_write_csv
 
 
 def _point(dim, seed=0, p_scale=1.0):
@@ -207,25 +210,33 @@ class TestRunCycles:
         for s in snaps:
             assert abs(s.h_value) <= 1e-9 * (1 + np.linalg.norm(s.point.p))
 
-    @pytest.mark.parametrize("stride", [1, 7])
-    def test_blow_up_reports_grid_step(self, stride):
+    @pytest.mark.parametrize("stride, streamed", [(1, False), (7, False),
+                                                  (1, True), (7, True)],
+                             ids=["1", "7", "1-csv", "7-csv"])
+    def test_blow_up_reports_grid_step(self, stride, streamed, tmp_path):
         # the period keeps the first equilibrium instant (step 100) beyond
-        # the blow-up; a stride that skips step 40 reports it all the same
+        # the blow-up; a stride that skips step 40 reports it all the same,
+        # and a streamed march leaves neither its CSV nor the temp file
         field = linear_field(200.0 * np.eye(8))
         sched = constant_schedule(100.0, 0.0)
         initial = make_state(_point(8, seed=6), sched)
+        csv_path = tmp_path / "trajectory.csv" if streamed else None
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError) as err:
                 run_cycles(field, sched, initial, n_cycles=1, dt=1.0,
-                           stride=stride)
+                           stride=stride, csv_path=csv_path)
         assert (err.value.step_index, err.value.t) == (40, 40.0)
+        assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("stride", [4, 3])
-    def test_stride_stores_every_stride_th_row(self, stride):
-        # 800 steps: 4 divides the step count, 3 does not
+    @pytest.mark.parametrize("stride, p_scale", [(4, 1.0), (3, 1.0), (3, 0.0)],
+                             ids=["4", "3", "3-zero-momentum"])
+    def test_stride_stores_every_stride_th_row(self, stride, p_scale,
+                                               tmp_path):
+        # 800 steps: 4 divides the step count, 3 does not; a zero momentum
+        # takes the u-only march
         field = tanh_field(16, 0.9)
         sched = sin_squared_schedule(1.0)
-        initial = make_state(_point(16, seed=19), sched)
+        initial = make_state(_point(16, seed=19, p_scale=p_scale), sched)
         full, snaps = run_cycles(field, sched, initial, n_cycles=2, dt=0.005)
         part, part_snaps = run_cycles(field, sched, initial, n_cycles=2,
                                       dt=0.005, stride=stride)
@@ -240,17 +251,38 @@ class TestRunCycles:
             assert np.array_equal(a.point.u, b.point.u)
             assert np.array_equal(a.point.p, b.point.p)
 
+        # the streamed CSV holds the bytes of the in-memory rows, formatted
+        # cell by cell from the arrays
+        streamed = tmp_path / "trajectory.csv"
+        run, run_snaps = run_cycles(field, sched, initial, n_cycles=2,
+                                    dt=0.005, stride=stride,
+                                    csv_path=streamed)
+        reference = tmp_path / "reference.csv"
+        header = (["t", "tau", "cycle"] + [f"u_{i}" for i in range(16)]
+                  + [f"p_{i}" for i in range(16)] + ["H"])
+        atomic_write_csv(reference, header, (
+            [t, tau, int(c)] + list(u) + list(p) + [h] for t, tau, c, u, p, h
+            in zip(part.t, part.tau, part.cycle, part.u, part.p, part.h)))
+        assert streamed.read_bytes() == reference.read_bytes()
+        assert run == FlowSummary(n_steps=800, final_h=part.final_h,
+                                  max_invariant_drift=part.max_invariant_drift)
+        assert [(s.t, s.h_value, s.point.u.tobytes(), s.point.p.tobytes())
+                for s in run_snaps] == [
+            (s.t, s.h_value, s.point.u.tobytes(), s.point.p.tobytes())
+            for s in part_snaps]
+
     def test_csv_export_columns(self, tmp_path):
         field = tanh_field(8, 0.5)
         sched = sin_squared_schedule(1.0)
         initial = make_state(_point(8, seed=13), sched)
-        traj, snaps = run_cycles(field, sched, initial, n_cycles=1, dt=0.1)
         out = tmp_path / "traj.csv"
-        traj.to_csv(out)
+        run, snaps = run_cycles(field, sched, initial, n_cycles=1, dt=0.1,
+                                csv_path=out)
         header = out.read_text().splitlines()[0].split(",")
         assert header[:3] == ["t", "tau", "cycle"]
         assert header[3] == "u_0" and header[11] == "p_0" and header[-1] == "H"
-        assert len(out.read_text().splitlines()) == traj.t.size + 1
+        # the header, then steps 0..n_steps
+        assert len(out.read_text().splitlines()) == run.n_steps + 2
 
 
 def _tanh_snapshots_run_cycles(field, sched, u0, dt, n_cycles):

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import __version__, concentration as conc, dynamics, gravity_scales as grav
 from . import lipschitz as lip, observables as obs
-from .geometry import (GeometryError, PhasePoint, constant_field, tanh_field,
-                       zero_field)
+from .geometry import PhasePoint, constant_field, tanh_field, zero_field
 from .runio import atomic_write_json, config_hash, derive_rng
 
 EXPERIMENTS = ("flow", "lipschitz", "concentration", "sphere", "wep", "gravity")
@@ -36,7 +35,7 @@ class NumericRunError(Exception):
 
 
 # The error bases of the package: a run that fails numerically exits 3.
-NUMERIC_ERRORS = (NumericRunError, GeometryError, dynamics.DynamicsError,
+NUMERIC_ERRORS = (NumericRunError, dynamics.DynamicsError,
                   conc.ConcentrationError, lip.LipschitzError,
                   grav.GravityError)
 
@@ -137,8 +136,7 @@ SCHEMAS = {
                     "u_scale": (float, POSITIVE, 1.0),
                     "p_scale": (float, POSITIVE, 1.0)}, None, {}),
         "n_pairs": (int, POSITIVE, REQUIRED),
-        "profile": ({"family": (str, _one_of("inverse_linear"), "inverse_linear"),
-                     "rho0": (("auto", float), POSITIVE, "auto")}, None, {}),
+        "profile": ({"rho0": (("auto", float), POSITIVE, "auto")}, None, {}),
         # absent or null: no flow, hence no constraint split
         "flow": ((None, {**PERIOD, **INITIAL}), None, None),
     },
@@ -350,16 +348,24 @@ def build_preparation(spec: dict, seed: int) -> obs.Preparation:
 # and returns (output file names, summary dict)
 
 
+def _initial_state(n_mol, scales, schedule, seed, tag):
+    """Flow state at t = 0: u, then p, drawn as standard normals from the
+    ``derive_rng(seed, tag)`` stream and scaled by ``scales["u_scale"]``
+    and ``scales["p_scale"]``."""
+    dim = 8 * n_mol
+    rng = derive_rng(seed, tag)
+    u0 = scales["u_scale"] * rng.standard_normal(dim)
+    p0 = scales["p_scale"] * rng.standard_normal(dim)
+    return dynamics.make_state(PhasePoint(u=u0, p=p0, n_molecules=n_mol),
+                               schedule)
+
+
 def run_flow(params, seed, outdir):
-    dim = 8 * params["n_molecules"]
-    field = build_field(params["field"], dim, seed)
+    n_mol = params["n_molecules"]
+    field = build_field(params["field"], 8 * n_mol, seed)
     schedule = dynamics.sin_squared_schedule(params["period_T"])
-    init = params["initial"]
-    rng = derive_rng(seed, "flow-initial")
-    u0 = init["u_scale"] * rng.standard_normal(dim)
-    p0 = init["p_scale"] * rng.standard_normal(dim)
-    point = PhasePoint(u=u0, p=p0, n_molecules=params["n_molecules"])
-    state = dynamics.make_state(point, schedule)
+    state = _initial_state(n_mol, params["initial"], schedule, seed,
+                           "flow-initial")
     march, snaps = dynamics.run_cycles(
         field, schedule, state, params["n_cycles"], params["dt"],
         stride=params["store_stride"],
@@ -393,18 +399,16 @@ def run_lipschitz(params, seed, outdir):
     decomp = lip.radial_decomposition(normalized, box, scale_profile=profile,
                                       n_pairs=n_pairs, seed=seed)
 
-    split = None
+    split = march = None
     flow_spec = params["flow"]
     if flow_spec is not None:
         schedule = dynamics.sin_squared_schedule(flow_spec["period_T"])
-        rng = derive_rng(seed, "lipschitz-flow-initial")
-        u0 = flow_spec["u_scale"] * rng.standard_normal(dim_u)
-        p0 = flow_spec["p_scale"] * rng.standard_normal(dim_u)
-        state = dynamics.make_state(
-            PhasePoint(u=u0, p=p0, n_molecules=n_mol), schedule)
-        _, snaps = dynamics.run_cycles(field, schedule, state,
-                                       flow_spec["n_cycles"], flow_spec["dt"],
-                                       store_trajectory=False)
+        state = _initial_state(n_mol, flow_spec, schedule, seed,
+                               "lipschitz-flow-initial")
+        march, snaps = dynamics.run_cycles(field, schedule, state,
+                                           flow_spec["n_cycles"],
+                                           flow_spec["dt"],
+                                           store_trajectory=False)
         split = lip.check_constraint_split(decomp, snaps)
 
     report = lip.decomposition_report(decomp, split)
@@ -418,6 +422,8 @@ def run_lipschitz(params, seed, outdir):
         "global_estimate": decomp.global_estimate,
         "rho0": decomp.profile.rho0,
         "identity_max_abs_residual": decomp.identity_max_abs_residual,
+        "max_invariant_drift": (None if march is None
+                                else march.max_invariant_drift),
     }
     return ["decomposition_report.json"], summary
 

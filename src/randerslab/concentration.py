@@ -157,17 +157,13 @@ class MMSpaceSampler:
             out[lo:lo + len(x)] = x
         return out
 
-    def observe(self, f: Callable, n: int, stream: int = 0) -> np.ndarray:
-        """f over the n samples of ``stream``, one value per row, evaluated
-        block by block: equal to f(self.sample(n, stream)) for an f acting
-        row by row, without holding the (n, width) array."""
-        return self.observe_streams(f, [(n, stream)])[0]
-
     def observe_streams(self, f: Callable, streams) -> list:
-        """``[observe(f, n, stream) for n, stream in streams]``, with the
-        streams evaluated at the same time as the tasks of a pool with one
-        worker per stream (``_in_threads``), the first in the calling
-        thread.  Each stream is one generator consumed in order, so no
+        """For each ``(n, stream)`` of ``streams``, f over the n samples of
+        ``stream``, one value per row, evaluated block by block: equal to
+        ``f(self.sample(n, stream))`` for an f acting row by row, without
+        holding the (n, width) array.  The streams are evaluated at the
+        same time as the tasks of a pool with one worker per stream
+        (``_in_threads``), the first in the calling thread.  Each stream is one generator consumed in order, so no
         value depends on thread scheduling; the output vectors and block
         buffers are allocated here, before any thread starts.  Every thread
         has ended when this returns or raises, and the error raised is that

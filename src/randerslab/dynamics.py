@@ -293,10 +293,11 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     grid points; each snapshot's Hamiltonian must satisfy
     |H| <= H_BOUND * (1 + |p|).
 
-    With ``store_trajectory=False`` the trajectory is None.  Given
-    ``csv_path``, each stored row is written to that CSV as the march
-    reaches it and a ``FlowSummary`` takes the trajectory's place, so memory
-    does not grow with the row count; a failed march leaves no file there.
+    With ``store_trajectory=False`` no row is stored, and given
+    ``csv_path`` each stored row is written to that CSV as the march
+    reaches it (a failed march leaves no file there); either way a
+    ``FlowSummary`` takes the trajectory's place, so memory does not grow
+    with the row count.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -353,7 +354,7 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     for i, row in enumerate(rows()):
         table[i] = row
     if not store_trajectory:
-        return None, snapshots
+        return summary, snapshots
     return FlowTrajectory(
         **vars(summary), t=table[:, 0], tau=table[:, 1],
         cycle=table[:, 2].astype(int), u=table[:, 3:3 + dim],

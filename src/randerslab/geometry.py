@@ -2,8 +2,7 @@
 
 The configuration chart is a single global ``R^{8N}`` (N molecules, one
 8-block of position/velocity coordinates each).  Drift fields carry a
-certified componentwise sup bound strictly below one, and
-``validate_randers`` checks that bound at runtime.
+certified componentwise sup bound strictly below one.
 """
 
 from dataclasses import dataclass
@@ -12,14 +11,6 @@ from typing import Callable
 import numpy as np
 
 BLOCK_DIM = 8
-
-
-class GeometryError(Exception):
-    pass
-
-
-class FieldEvaluationError(GeometryError):
-    """Drift field produced a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -86,16 +77,6 @@ class RandersField:
         return np.stack(cols, axis=1)
 
 
-@dataclass(frozen=True)
-class RandersValidationReport:
-    passed: bool
-    max_abs_component: float
-    argmax_point: np.ndarray
-    argmax_index: int
-    samples: int
-    seed: int
-
-
 # ---------------------------------------------------------------------------
 # field families
 
@@ -152,9 +133,8 @@ def tanh_field(dim: int, amplitude: float) -> RandersField:
 
 
 def linear_field(matrix: np.ndarray) -> RandersField:
-    """beta(u) = A u.  Unbounded globally; the claimed bound 0.9 certifies
-    the operating domain only and must be checked with validate_randers
-    there."""
+    """beta(u) = A u.  Unbounded globally; the claimed bound 0.9 holds only
+    on the operating domain where the caller keeps u."""
     a = np.asarray(matrix, dtype=float)
     dim = a.shape[0]
     if a.shape != (dim, dim):
@@ -164,41 +144,4 @@ def linear_field(matrix: np.ndarray) -> RandersField:
         beta_bound=0.9,
         dim=dim,
         vjp=lambda u, p: a.T @ p,
-    )
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-def validate_randers(field: RandersField, samples: int, seed: int,
-                     sample_radius: float = 10.0) -> RandersValidationReport:
-    """Empirical check of the componentwise Randers condition |beta_i| < 1.
-
-    Samples uniform points in [-sample_radius, sample_radius]^dim, records
-    the maximizing point, and passes iff the max component stays below one.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-sample_radius, sample_radius, size=(samples, field.dim))
-    vals = np.asarray(field.beta(pts), dtype=float)
-    if vals.shape != pts.shape:
-        raise FieldEvaluationError(
-            f"beta returned shape {vals.shape}, expected {pts.shape}")
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        k = int(np.argwhere(bad.any(axis=1))[0][0])
-        raise FieldEvaluationError(
-            f"non-finite field output at sample {k}: u={pts[k]!r}")
-    flat = int(np.argmax(np.abs(vals)))
-    row, col = divmod(flat, field.dim)
-    max_abs = float(np.abs(vals[row, col]))
-    return RandersValidationReport(
-        passed=bool(max_abs < 1.0),
-        max_abs_component=max_abs,
-        argmax_point=pts[row].copy(),
-        argmax_index=col,
-        samples=samples,
-        seed=seed,
     )

@@ -23,51 +23,38 @@ class SingularCaseError(GravityError):
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Base constants (G, c, hbar) with stored Planck-derived quantities.
-
-    Stored derived values are validated against recomputation from the base
-    triple to 1e-12 relative.
-    """
+    """Base constants (G, c, hbar) and the Planck quantities derived from
+    them."""
 
     G: float
     c: float
     hbar: float
-    l_P: float
-    F_P: float
-    m_P: float
-    E_P: float
-    D_P: float
 
-    def __post_init__(self):
-        derived = _derive(self.G, self.c, self.hbar)
-        for name, value in derived.items():
-            stored = getattr(self, name)
-            if abs(stored - value) > 1e-12 * abs(value):
-                raise ValueError(
-                    f"stored {name} = {stored!r} disagrees with value derived "
-                    f"from (G, c, hbar) = {value!r}")
+    @property
+    def l_P(self) -> float:
+        return math.sqrt(self.hbar * self.G / self.c**3)
 
-    @classmethod
-    def from_base(cls, G: float, c: float, hbar: float) -> "PhysicalConstants":
-        return cls(G=G, c=c, hbar=hbar, **_derive(G, c, hbar))
+    @property
+    def F_P(self) -> float:
+        return self.c**4 / self.G
 
+    @property
+    def m_P(self) -> float:
+        return math.sqrt(self.hbar * self.c / self.G)
 
-def _derive(G, c, hbar):
-    l_p = math.sqrt(hbar * G / c**3)
-    m_p = math.sqrt(hbar * c / G)
-    return {
-        "l_P": l_p,
-        "F_P": c**4 / G,
-        "m_P": m_p,
-        "E_P": m_p * c**2,
-        "D_P": m_p / l_p**3,
-    }
+    @property
+    def E_P(self) -> float:
+        return self.m_P * self.c**2
+
+    @property
+    def D_P(self) -> float:
+        return self.m_P / self.l_P**3
 
 
 def codata2018() -> PhysicalConstants:
     """CODATA 2018: G in m^3 kg^-1 s^-2, c in m/s, hbar in J s."""
-    return PhysicalConstants.from_base(G=6.67430e-11, c=299792458.0,
-                                       hbar=1.054571817e-34)
+    return PhysicalConstants(G=6.67430e-11, c=299792458.0,
+                             hbar=1.054571817e-34)
 
 
 @dataclass(frozen=True)

@@ -278,16 +278,14 @@ def normalize_to_one_lipschitz(f,
 
 @dataclass(frozen=True)
 class ScaleProfile:
-    """Positive nonincreasing radial weight with R(0) = 1."""
+    """Positive nonincreasing radial weight R(rho) = 1 / (1 + rho / rho0),
+    so R(0) = 1."""
 
     rho0: float
-    family: str = "inverse_linear"
 
     def __post_init__(self):
         if self.rho0 <= 0:
             raise ProfileError("rho0 must be positive")
-        if self.family != "inverse_linear":
-            raise ProfileError(f"unknown profile family {self.family!r}")
         if abs(self(0.0) - 1.0) > 1e-12:
             raise ProfileError("scale profile must satisfy R(0) = 1")
 
@@ -311,18 +309,12 @@ class HamiltonianDecomposition:
     identity_max_abs_residual: float
     note: str = ""
 
-    def _parts(self, z):
-        zbar, rho = project_to_box(z, self.box)
-        lip = self.profile(rho) * self.hamiltonian(zbar)
-        return lip, rho
-
     def lipschitz_part(self, z):
-        lip, _ = self._parts(z)
-        return lip
+        zbar, rho = project_to_box(z, self.box)
+        return self.profile(rho) * self.hamiltonian(zbar)
 
     def matter_part(self, z):
-        lip, _ = self._parts(z)
-        return self.hamiltonian(z) - lip
+        return self.hamiltonian(z) - self.lipschitz_part(z)
 
 
 def _part_estimate(h, box: CompactBox, n_pairs: int, seed: int) -> Callable:
@@ -425,8 +417,6 @@ def radial_decomposition(h, box: CompactBox, scale_profile: ScaleProfile | None 
             note = ""
     else:
         profile = scale_profile
-        if abs(profile(0.0) - 1.0) > 1e-12:
-            raise ProfileError("scale profile must satisfy R(0) = 1")
         est = _part_estimate(hb, box, n_pairs, seed)(profile)
         converged = est <= TUNE_TARGET + TUNE_SLACK
         note = "" if converged else (
@@ -502,7 +492,7 @@ def decomposition_report(decomp: HamiltonianDecomposition,
         "metric": {"kind": decomp.box.metric.kind,
                    "u_scale": decomp.box.metric.u_scale,
                    "p_scale": decomp.box.metric.p_scale},
-        "profile": {"family": decomp.profile.family, "rho0": decomp.profile.rho0},
+        "profile": {"family": "inverse_linear", "rho0": decomp.profile.rho0},
         "lipschitz_estimate_global": decomp.global_estimate,
         "identity_max_abs_residual": decomp.identity_max_abs_residual,
         "tuning_converged": decomp.tuning_converged,

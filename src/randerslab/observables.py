@@ -40,7 +40,8 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 @dataclass(frozen=True)
 class Preparation:
-    """Per-molecule i.i.d. Gaussian measure on the 8-dim coordinate block."""
+    """Per-molecule i.i.d. Gaussian measure on the 8-dim coordinate block,
+    with independent coordinates: the covariance is diagonal."""
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -55,14 +56,20 @@ class Preparation:
         object.__setattr__(self, "covariance", cov)
         if cov.shape != (BLOCK_DIM, BLOCK_DIM):
             raise ValueError("covariance must be 8x8 (or a scalar)")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh(cov)[0] < -1e-12:
-            raise ValueError("covariance must be positive semidefinite")
+        var = np.diag(cov)
+        # NaN fails both tests
+        if not (np.array_equal(cov, np.diag(var)) and np.all(var >= 0)):
+            raise ValueError("covariance must be diagonal with nonnegative "
+                             "variances")
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.multivariate_normal(self.mean, self.covariance, size=n,
-                                       method="cholesky")
+        """n molecule blocks, shaped (n, 8), scaled and shifted in place:
+        with positive variances, bit for bit ``rng.multivariate_normal(mean,
+        covariance, n, method="cholesky")``, which draws the same normals."""
+        x = rng.standard_normal((n, BLOCK_DIM))
+        x *= np.sqrt(np.diag(self.covariance))
+        x += self.mean
+        return x
 
     def draw_positions(self, out: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
@@ -73,11 +80,8 @@ class Preparation:
         BLOCK_DIM`` molecules, one ``draw`` call after another, keeping the
         positions of each; so no (n, 8) array and no draw temporaries larger
         than one row block are held.  The generator continues its stream
-        exactly from call to call, so with a diagonal covariance (the only
-        kind the CLI builds) ``out`` equals ``draw(n, rng)[:, :4]`` bit for
-        bit.  With a full covariance the equality holds only to rounding: a
-        one-row block is transformed by a different BLAS routine than a
-        larger one and may differ in the last bit.
+        exactly from call to call and each row is transformed on its own,
+        so ``out`` equals ``draw(n, rng)[:, :4]`` bit for bit.
         """
         rows = BLOCK_ELEMS // BLOCK_DIM
         for lo in range(0, len(out), rows):

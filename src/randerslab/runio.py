@@ -4,8 +4,8 @@
 as ``SeedSequence([root, sha256(tag)[:8], index])``, so independent tasks
 (experiments, trials, parallel workers) get independent streams while a
 rerun with the same root reproduces every stream bit-exactly.  The
-mm-space samplers, the Lipschitz estimators and ``validate_randers`` seed
-``default_rng`` directly instead (README, "Seeding").
+mm-space samplers and the Lipschitz estimators seed ``default_rng``
+directly instead (README, "Seeding").
 """
 
 import hashlib

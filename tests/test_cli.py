@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from randerslab import cli, lipschitz
 from randerslab import observables as obs
-from randerslab.geometry import validate_randers
 from randerslab.runio import (atomic_write_csv, atomic_write_text, config_hash,
                               fmt_float)
 
@@ -56,7 +55,7 @@ def small_configs():
                 "field": {"family": "tanh", "amplitude": 0.9},
                 "box_half_width": 1.0,
                 "n_pairs": 800,
-                "profile": {"family": "inverse_linear", "rho0": "auto"},
+                "profile": {"rho0": "auto"},
                 "flow": {"period_T": 1.0, "dt": 0.05, "n_cycles": 2,
                          "p_scale": 0.5},
             },
@@ -238,6 +237,23 @@ class TestRunners:
         assert drift[dt0] <= 1e-9
         assert drift[0.25] >= 100 * drift[dt0]
 
+    def test_lipschitz_reports_invariant_drift(self, tmp_path):
+        # the same drift over the lipschitz run's flow, null without a flow
+        example = Path(__file__).parent.parent / "scripts/configs/lipschitz.json"
+        small = small_configs()["lipschitz"]
+        small["parameters"]["flow"] = None
+        drift = {}
+        for name, cfg in (("example", json.loads(example.read_text())),
+                          ("no-flow", small)):
+            out = tmp_path / name
+            assert cli.main(["lipschitz", "--config",
+                             write_config(tmp_path, cfg, f"{name}.json"),
+                             "--out", str(out)]) == 0
+            summary = json.loads((out / "manifest.json").read_text())["summary"]
+            drift[name] = summary["max_invariant_drift"]
+        assert 0.0 <= drift["example"] <= 1e-9
+        assert drift["no-flow"] is None
+
     def test_wep_row_accounting(self, tmp_path):
         cfg_dict = small_configs()["wep"]
         cfg = write_config(tmp_path, cfg_dict)
@@ -370,7 +386,9 @@ PROBES = [
                  "parameters.metric.kind", id="metric-kind"),
     pytest.param("lipschitz", {"box_half_width": float("inf")},
                  "parameters.box_half_width", id="box_half_width"),
-    pytest.param("lipschitz", {"profile": {"family": "nonsense"}},
+    # a removed key is unknown, also with the one value it took
+    pytest.param("lipschitz", {"profile": {"family": "inverse_linear",
+                                           "rho0": "auto"}},
                  "parameters.profile.family", id="profile-family"),
     pytest.param("concentration", {"function": {"name": "coordinate",
                                                 "index": 1000}},
@@ -717,7 +735,7 @@ def test_legal_lipschitz_configs_run_to_a_documented_exit(
     cfg = {"experiment": "lipschitz", "seed": seed, "parameters": {
         "n_molecules": 1, "field": field, "box_half_width": half_width,
         "metric": metric, "n_pairs": n_pairs,
-        "profile": {"family": "inverse_linear", "rho0": rho0}, "flow": flow}}
+        "profile": {"rho0": rho0}, "flow": flow}}
     tmp = tmp_path_factory.mktemp("lipschitz-fuzz")
     path = write_config(tmp, cfg)
     out = tmp / "out"
@@ -789,7 +807,9 @@ FAMILY_SPECS = {"zero": {}, "constant": {"value": -0.99},
 @pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
 def test_every_cli_field_is_componentwise_and_bounded(family):
     """Every family the CLI builds acts coordinate by coordinate, has an
-    analytic vjp, and keeps |beta_i| within its bound below one."""
+    analytic vjp, and keeps |beta_i| within its bound below one.  Each
+    family is constant or monotone in each coordinate, so the sup of
+    |beta_i| is its value at u_i = +-inf."""
     assert set(FAMILY_SPECS) == set(cli.FIELD)
     spec = {"family": family, **FAMILY_SPECS[family]}
     cfg = flow_config()
@@ -797,9 +817,11 @@ def test_every_cli_field_is_componentwise_and_bounded(family):
     assert cli.validate_config(cfg) == []
     field = cli.build_field(spec, 16, seed=0)
     assert field.scalar_map is not None and field.vjp is not None
-    report = validate_randers(field, samples=2000, seed=1, sample_radius=50.0)
-    assert report.passed
-    assert report.max_abs_component <= field.beta_bound < 1.0
+    ends = np.tile([np.inf, -np.inf], 8)
+    sup = float(np.max(np.abs(field.beta(ends))))
+    assert sup <= field.beta_bound < 1.0
+    grid = np.linspace(-50.0, 50.0, 16 * 1001).reshape(-1, 16)
+    assert np.abs(field.beta(grid)).max() <= sup
     rng = np.random.default_rng(2)
     u, p = rng.standard_normal(16), rng.standard_normal(16)
     assert np.allclose(field.vjp(u, p), field.jacobian_at(u).T @ p, atol=1e-8)

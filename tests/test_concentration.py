@@ -106,7 +106,8 @@ class TestRowBlocks:
         assert np.array_equal(x, _one_shot(sampler, n, 2))
         for name in ("coordinate", "norm", "coordinate_mean"):
             f = cli._observable({"name": name, "index": 3})
-            assert np.array_equal(sampler.observe(f, n, stream=2), f(x)), name
+            assert np.array_equal(sampler.observe_streams(f, [(n, 2)])[0],
+                                  f(x)), name
 
     def test_nonfinite_names_the_sample_in_a_later_block(self, monkeypatch):
         monkeypatch.setattr(concentration, "SAMPLE_CHUNK_ELEMS", 16)
@@ -114,7 +115,7 @@ class TestRowBlocks:
         bad = sampler.sample(50)[37]
         f = lambda x: np.where((x == bad).all(axis=1), np.nan, x[:, 0])
         with pytest.raises(EvaluationError, match="at sample 37$"):
-            sampler.observe(f, 50)
+            sampler.observe_streams(f, [(50, 0)])
 
 
 OBSERVABLES = [cli._observable({"name": name, "index": 3})
@@ -134,7 +135,6 @@ class TestObserveStreams:
             for f in OBSERVABLES:
                 out = sampler.observe_streams(f, streams)
                 for v, (n, stream) in zip(out, streams):
-                    assert np.array_equal(v, sampler.observe(f, n, stream))
                     assert np.array_equal(v, f(_one_shot(sampler, n, stream)))
         finally:
             sys.setswitchinterval(interval)
@@ -145,9 +145,9 @@ class TestObserveStreams:
         for n in (150, 3001):
             prof = concentration_profile(first_coord, sampler, grid, n,
                                          sigma_f=0.7)
-            med = float(np.median(sampler.observe(first_coord,
-                                                  max(n // 2, 100), 1)))
-            devs = np.abs(sampler.observe(first_coord, n, 2) - med) / 0.7
+            med = float(np.median(first_coord(
+                sampler.sample(max(n // 2, 100), 1))))
+            devs = np.abs(first_coord(sampler.sample(n, 2)) - med) / 0.7
             assert prof.median_hat == med
             assert np.array_equal(prof.exceed_counts,
                                   np.sum(devs[:, None] > grid, axis=0))
@@ -156,8 +156,8 @@ class TestObserveStreams:
         n, grid = 3001, [0.02, 0.1, 0.3]
         report = sphere_isoperimetric_check(16, grid, n, 8)
         s = sphere(16, 8)
-        med = float(np.median(s.observe(first_coord, n, 1)))
-        theta = np.arccos(np.clip(s.observe(first_coord, n, 2), -1, 1))
+        med = float(np.median(first_coord(s.sample(n, 1))))
+        theta = np.arccos(np.clip(first_coord(s.sample(n, 2)), -1, 1))
         dist = np.maximum(math.acos(med) - theta, 0.0)
         assert report.median_hat == med
         assert [r.empirical for r in report.rows] == [
@@ -173,7 +173,7 @@ class TestObserveStreams:
                                np.inf, x[:, 0])
         before = threading.active_count()
         with pytest.raises(EvaluationError) as sequential:
-            sampler.observe(f, 50, 1)
+            sampler.observe_streams(f, [(50, 1)])
         cases = [([(50, 1), (50, 2)], str(sequential.value)),
                  # stream 1 stops short of its bad row
                  ([(30, 1), (50, 2)], "observable non-finite at sample 0"),
@@ -238,7 +238,7 @@ class TestLevyMedian:
         n = 40_000
         sampler = _gaussian(4, 13)
         med = self.median(first_coord, sampler, n)
-        v = sampler.observe(first_coord, median_stream_size(n), stream=1)
+        v = first_coord(sampler.sample(median_stream_size(n), 1))
         above = float(np.mean(v > med))
         assert abs(above - 0.5) <= 2.0 / math.sqrt(v.size)
 
@@ -247,27 +247,27 @@ class TestLevyMedian:
         n = 40_000
         m1 = self.median(first_coord, sampler, n)
         m2 = self.median(first_coord, sampler, 2 * n)
-        v = sampler.observe(first_coord, median_stream_size(n), stream=1)
+        v = first_coord(sampler.sample(median_stream_size(n), 1))
         iqr = float(np.subtract(*np.percentile(v, [75, 25])))
         assert abs(m2 - m1) < 4.0 / math.sqrt(v.size) * iqr
 
     def test_nonfinite_observable_raises(self):
         f = lambda x: np.where(x[:, 0] > 0, x[:, 0], np.nan)
         with pytest.raises(EvaluationError):
-            _gaussian(2, 15).observe(f, 200)
+            _gaussian(2, 15).observe_streams(f, [(200, 0)])
 
     def test_wrong_shape_observable_raises(self):
         # one value per row is the contract; there is no row-loop retry
         with pytest.raises(EvaluationError,
                            match=r"shape \(200, 2\).*expected \(200,\)"):
-            _gaussian(2, 15).observe(lambda x: x, 200)
+            _gaussian(2, 15).observe_streams(lambda x: x, [(200, 0)])
 
     def test_minimum_sample_size(self):
         # a small profile still takes its median over 100 draws
         sampler = _gaussian(2, 0)
         assert median_stream_size(50) == 100
         assert self.median(first_coord, sampler, 50) == float(
-            np.median(sampler.observe(first_coord, 100, stream=1)))
+            np.median(first_coord(sampler.sample(100, 1))))
 
 
 class TestConcentrationProfile:

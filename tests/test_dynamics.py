@@ -250,6 +250,14 @@ class TestRunCycles:
         for a, b in zip(part_snaps, snaps):
             assert np.array_equal(a.point.u, b.point.u)
             assert np.array_equal(a.point.p, b.point.p)
+        # with no row stored, the summary alone; it checks G on fewer steps
+        bare, bare_snaps = run_cycles(field, sched, initial, n_cycles=2,
+                                      dt=0.005, store_trajectory=False)
+        assert type(bare) is FlowSummary
+        assert (bare.n_steps, bare.final_h) == (800, full.h[-1])
+        assert 0.0 <= bare.max_invariant_drift <= full.max_invariant_drift
+        assert [(s.t, s.h_value) for s in bare_snaps] == [
+            (s.t, s.h_value) for s in snaps]
 
         # the streamed CSV holds the bytes of the in-memory rows, formatted
         # cell by cell from the arrays

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from randerslab.geometry import (
-    FieldEvaluationError,
     PhasePoint,
     RandersField,
     constant_field,
     linear_field,
     tanh_field,
-    validate_randers,
     zero_field,
 )
 
@@ -27,53 +25,6 @@ class TestPhasePoint:
         u[3] = np.nan
         with pytest.raises(ValueError):
             PhasePoint(u=u, p=np.zeros(8), n_molecules=1)
-
-
-class TestValidateRanders:
-    def test_zero_field_passes_with_zero_max(self):
-        report = validate_randers(zero_field(8), samples=50, seed=1)
-        assert report.passed
-        assert report.max_abs_component == 0.0
-
-    def test_tanh_09_passes_below_grid_supremum(self):
-        # analytic sup of 0.9 tanh on [-10, 10] is at the edge; a dense grid
-        # evaluation of one component is the oracle for the sampled max
-        field = tanh_field(8, 0.9)
-        grid = np.linspace(-10.0, 10.0, 200001)
-        grid_sup = np.max(np.abs(0.9 * np.tanh(grid)))
-        report = validate_randers(field, samples=10_000, seed=2)
-        assert report.passed
-        assert report.max_abs_component < 0.9
-        assert report.max_abs_component <= grid_sup
-
-    def test_scaled_tanh_fails_at_saturation(self):
-        # 1.5 tanh(u) exceeds 1 once |u| is large: 1.5 tanh(10) > 1
-        assert 1.5 * np.tanh(10.0) > 1.0
-        # a field whose certified bound is false: validation must catch it
-        field = RandersField(beta=lambda u: 1.5 * np.tanh(u), beta_bound=0.9,
-                             dim=8, vjp=lambda u, p: 1.5 / np.cosh(u) ** 2 * p)
-        report = validate_randers(field, samples=10_000, seed=3)
-        assert not report.passed
-        assert report.max_abs_component > 1.0
-
-    def test_nonfinite_output_names_sample(self):
-        field = RandersField(beta=lambda u: np.full_like(np.asarray(u, float), np.nan),
-                             beta_bound=0.5, dim=4, vjp=lambda u, p: np.zeros_like(p))
-        with pytest.raises(FieldEvaluationError, match="sample"):
-            validate_randers(field, samples=10, seed=0)
-
-    def test_requires_at_least_one_sample(self):
-        with pytest.raises(ValueError):
-            validate_randers(zero_field(8), samples=0, seed=0)
-
-    @pytest.mark.parametrize("scale", [0.1, 0.5, 0.9])
-    def test_scaling_keeps_validation_passing(self, scale):
-        # Randers condition is monotone: shrinking a passing drift never
-        # flips the validation to failing.
-        base = tanh_field(8, 0.9)
-        assert validate_randers(base, 2000, seed=4).passed
-        shrunk = tanh_field(8, 0.9 * scale)
-        assert validate_randers(shrunk, 2000, seed=4).passed
 
 
 class TestFieldInvariants:

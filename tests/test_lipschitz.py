@@ -256,8 +256,6 @@ class TestRadialDecomposition:
     def test_profile_validation(self):
         with pytest.raises(ProfileError):
             ScaleProfile(rho0=-1.0)
-        with pytest.raises(ProfileError):
-            ScaleProfile(rho0=1.0, family="gaussian")
 
 
 def normalized_tanh_hamiltonian(dim_u, metric, n_pairs, seed):

@@ -491,16 +491,15 @@ class TestEnsembleInvariants:
         assert got is out
         assert np.array_equal(out, prep.draw(n, derive_rng(4, "t"))[:, :4])
 
-    @pytest.mark.parametrize("n", [1, ROWS + 1, 3 * ROWS + 2])
-    def test_block_draw_positions_with_full_covariance(self, n):
-        # a one-row block goes through BLAS gemv, a larger one through gemm:
-        # equal to rounding only
-        a = np.random.default_rng(1).normal(size=(8, 8))
-        prep = Preparation(mean=np.arange(8.0),
-                           covariance=a @ a.T + 0.1 * np.eye(8), seed=0)
-        out = prep.draw_positions(np.empty((n, 4)), derive_rng(4, "t"))
-        want = prep.draw(n, derive_rng(4, "t"))[:, :4]
-        assert np.allclose(out, want, rtol=1e-14, atol=1e-14)
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1])
+    def test_draw_equals_cholesky_multivariate_normal(self, n):
+        # numpy's Cholesky draw is the reference, bit for bit
+        mean = np.array([0.7, -3.0, 0.0, 1e3, -1e-3, 2.5, 0.0, -0.25])
+        var = np.array([2.25, 1e-8, 1.0, 37.0, 0.5, 1e4, 3.0, 1e-3])
+        prep = Preparation(mean=mean, covariance=np.diag(var), seed=0)
+        want = derive_rng(4, "t").multivariate_normal(
+            mean, np.diag(var), size=n, method="cholesky")
+        assert prep.draw(n, derive_rng(4, "t")).tobytes() == want.tobytes()
 
     def test_iid_draws_reproducible(self):
         prep = _prep(seed=5)
@@ -510,5 +509,10 @@ class TestEnsembleInvariants:
         assert np.array_equal(u1, u2)
 
     def test_preparation_validates_covariance(self):
-        with pytest.raises(ValueError):
-            Preparation(mean=0.0, covariance=-np.eye(8), seed=0)
+        off_diagonal = np.eye(8)
+        off_diagonal[0, 1] = off_diagonal[1, 0] = 0.5
+        nan = np.eye(8)
+        nan[2, 2] = np.nan
+        for cov in (off_diagonal, -np.eye(8), nan):
+            with pytest.raises(ValueError, match="diagonal"):
+                Preparation(mean=0.0, covariance=cov, seed=0)

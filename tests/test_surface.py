@@ -4,7 +4,7 @@ Walks the syntax trees of ``src/randerslab/*.py`` and collects each public
 module-level function and class and each public method.  A name passes
 when code under ``src/``, ``scripts/`` or ``perfbench/`` refers to it (as a
 name, an attribute or an import) outside the name's own definition, or when
-it is in ``TEST_ONLY`` below.  Identifier strings count only under
+it is in ``TEST_ONLY`` below, whose names tests must refer to.  Identifier strings count only under
 ``scripts/`` and ``perfbench/``, where names are patched by ``getattr``; in
 the library they are schema values such as a sampler kind, which would hide
 a function of the same name.  A definition that only tests call fails here.
@@ -15,29 +15,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "randerslab").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 PROGRAM = sorted(p for d in ("src", "scripts", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
 # Program directories whose identifier strings count as references.
 PATCHERS = ("scripts", "perfbench")
 
-# Names no program code calls that tests still need.
+# Names no program code calls that tests still need, with the tests that
+# call them; each must be referenced under tests/.
 TEST_ONLY = {
-    # the acceptance suite (criteria 2-5) calls these
+    # test_acceptance.py::test_criterion_3_flow_correctness
     "step_flow",
     "constant_schedule",
     "linear_field",
     "hamiltonian",
+    # test_acceptance.py::test_criterion_1_sphere_concentration
     "fit_decay_constant",
-    "validate_randers",
-    # reference Jacobian for the analytic vjp (also patched by perfbench)
+    # reference Jacobian for the analytic vjp in
+    # test_geometry.py::TestVectorJacobianProduct and
+    # test_cli.py::test_every_cli_field_is_componentwise_and_bounded (also
+    # patched by perfbench)
     "jacobian_at",
-    # the scale relation of the gravity study, still to reach the CLI
+    # test_observables.py::TestScaleRelation; the scale relation of the
+    # gravity study, still to reach the CLI
     "scale_relation_check",
-    # one-stream MMSpaceSampler.observe_streams, which the sampler tests
-    # check block-by-block evaluation and observable errors through
-    "observe",
 }
-
 
 def _definitions(tree):
     """(name, node) of the public module-level functions and classes and
@@ -100,3 +102,10 @@ def test_allowlisted_names_are_defined():
     defined = {name for path in LIBRARY
                for name, _ in _definitions(ast.parse(path.read_text()))}
     assert TEST_ONLY <= defined
+
+
+def test_allowlisted_names_are_referenced_by_tests():
+    referenced = {name for path in TESTS
+                  for name, _ in _references(ast.parse(path.read_text()),
+                                             strings=False)}
+    assert sorted(TEST_ONLY - referenced) == []

@@ -24,12 +24,6 @@ from .runio import atomic_write_json, config_hash, derive_rng
 EXPERIMENTS = ("flow", "lipschitz", "concentration", "sphere", "wep", "gravity")
 
 
-class ValidationFailure(Exception):
-    def __init__(self, violations):
-        self.violations = violations
-        super().__init__("; ".join(violations))
-
-
 class NumericRunError(Exception):
     pass
 
@@ -338,11 +332,6 @@ def build_field(spec: dict, dim: int, seed: int):
     raise ValueError(f"unknown field family {family!r}")
 
 
-def build_preparation(spec: dict, seed: int) -> obs.Preparation:
-    return obs.Preparation(mean=np.asarray(spec["mean"], dtype=float),
-                           covariance=spec["scale"]**2 * np.eye(8), seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # experiment runners; each takes parameters with every default filled in
 # and returns (output file names, summary dict)
@@ -356,6 +345,9 @@ def _initial_state(n_mol, scales, schedule, seed, tag):
     rng = derive_rng(seed, tag)
     u0 = scales["u_scale"] * rng.standard_normal(dim)
     p0 = scales["p_scale"] * rng.standard_normal(dim)
+    if not (np.isfinite(u0).all() and np.isfinite(p0).all()):
+        raise NumericRunError("initial point overflows: a scaled coordinate "
+                              "is not finite")
     return dynamics.make_state(PhasePoint(u=u0, p=p0, n_molecules=n_mol),
                                schedule)
 
@@ -473,13 +465,15 @@ def run_sphere(params, seed, outdir):
 def run_wep(params, seed, outdir):
     n_list = params["n_list"]
     field = build_field(params["field"], 8 * max(n_list), seed)
-    prep = build_preparation(params["preparation"], seed)
+    prep = params["preparation"]
     config = obs.WepConfig(
         n_list=n_list,
         n_trials=params["n_trials"],
         flow=obs.FlowParams(field=field, period_T=params["period_T"],
                             dt=params["dt"]),
-        preparation=prep,
+        preparation=obs.Preparation(
+            mean=np.asarray(prep["mean"], dtype=float),
+            covariance=prep["scale"]**2 * np.eye(8), seed=seed),
         n_cycles=params["n_cycles"],
         rho_grid=np.asarray(params["rho_grid"], dtype=float),
         seed=seed,
@@ -527,10 +521,8 @@ RUNNERS = {
 
 
 def run(config: dict, outdir: str | None = None) -> dict:
-    """Validate, dispatch and persist one experiment; returns the manifest."""
-    violations = validate_config(config)
-    if violations:
-        raise ValidationFailure(violations)
+    """Dispatch and persist one experiment whose config ``main`` has
+    validated; returns the manifest."""
     filled, _ = _walk_config(config)
     experiment = filled["experiment"]
     seed = filled["seed"]
@@ -579,27 +571,24 @@ def main(argv=None) -> int:
     if args.seed is not None and isinstance(config, dict):
         config["seed"] = args.seed
 
-    if args.command == "validate":
-        violations = validate_config(config)
-        if violations:
-            for item in violations:
-                print(f"violation: {item}")
-            return 2
-        print("config ok")
-        return 0
-
-    if isinstance(config, dict) and config.get("experiment") != args.command:
+    checking = args.command == "validate"
+    if (not checking and isinstance(config, dict)
+            and config.get("experiment") != args.command):
         print(f"validation failure: config experiment "
               f"{config.get('experiment')!r} does not match subcommand "
               f"{args.command!r}", file=sys.stderr)
         return 2
+    violations = validate_config(config)
+    for item in violations:
+        print(f"violation: {item}", file=sys.stdout if checking else sys.stderr)
+    if violations:
+        return 2
+    if checking:
+        print("config ok")
+        return 0
 
     try:
         manifest = run(config, outdir=args.out)
-    except ValidationFailure as exc:
-        for item in exc.violations:
-            print(f"violation: {item}", file=sys.stderr)
-        return 2
     except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

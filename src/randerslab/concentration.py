@@ -27,7 +27,7 @@ class ConcentrationError(Exception):
 
 
 class EvaluationError(ConcentrationError):
-    """Observable returned a non-finite value on a sample, or an output
+    """A non-finite observable value or deviation, or an observable output
     whose shape is not one value per sample."""
 
 
@@ -269,13 +269,17 @@ def tail_profile_from_deviations(devs: np.ndarray, rho_grid, *, rho_p: float,
                                  sigma_f: float = 1.0, median_hat: float = 0.0,
                                  dimension: int = 0,
                                  seed: int = 0) -> ConcentrationProfile:
-    """Profile from precomputed nonnegative deviations (already centered)."""
+    """Profile from precomputed nonnegative deviations (already centered);
+    a non-finite deviation raises ``EvaluationError``."""
     rho_grid = np.asarray(rho_grid, dtype=float)
     if rho_grid.ndim != 1 or np.any(np.diff(rho_grid) <= 0) or np.any(rho_grid <= 0):
         raise ValueError("rho_grid must be ascending and positive")
     devs = np.asarray(devs, dtype=float)
     if devs.size == 0:
         raise ValueError("no deviations to profile")
+    if not np.isfinite(devs).all():
+        raise EvaluationError("non-finite deviation: a zero scale or an "
+                              "overflow")
     counts = _tail_counts(devs, rho_grid)
     n = devs.size
     return ConcentrationProfile(
@@ -355,9 +359,6 @@ class IsoperimetricRow:
 
 @dataclass(frozen=True)
 class IsoperimetricReport:
-    n_dim: int
-    n_samples: int
-    seed: int
     median_hat: float
     rows: tuple
 
@@ -393,8 +394,7 @@ def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int,
         rows.append(IsoperimetricRow(
             epsilon=float(eps), empirical=p_hat, bound=bound, stderr=se,
             passed=bool(p_hat >= bound - 3.0 * se)))
-    return IsoperimetricReport(n_dim=n_dim, n_samples=n, seed=seed,
-                               median_hat=med, rows=tuple(rows))
+    return IsoperimetricReport(median_hat=med, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -284,10 +284,8 @@ class ScaleProfile:
     rho0: float
 
     def __post_init__(self):
-        if self.rho0 <= 0:
+        if not self.rho0 > 0:  # NaN fails too
             raise ProfileError("rho0 must be positive")
-        if abs(self(0.0) - 1.0) > 1e-12:
-            raise ProfileError("scale profile must satisfy R(0) = 1")
 
     def __call__(self, rho):
         return 1.0 / (1.0 + np.asarray(rho, dtype=float) / self.rho0)

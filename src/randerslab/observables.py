@@ -50,12 +50,10 @@ class Preparation:
     def __post_init__(self):
         mean = np.broadcast_to(np.asarray(self.mean, dtype=float), (BLOCK_DIM,)).copy()
         cov = np.asarray(self.covariance, dtype=float)
-        if cov.ndim == 0:
-            cov = float(cov) * np.eye(BLOCK_DIM)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
         if cov.shape != (BLOCK_DIM, BLOCK_DIM):
-            raise ValueError("covariance must be 8x8 (or a scalar)")
+            raise ValueError("covariance must be 8x8")
         var = np.diag(cov)
         # NaN fails both tests
         if not (np.array_equal(cov, np.diag(var)) and np.all(var >= 0)):
@@ -153,7 +151,7 @@ class FlowParams:
 
 
 def mean_guide(preparation: Preparation, flow: FlowParams, n_cycles: int,
-               n_reference: int = 100_000, seed: int = 0):
+               n_reference: int, seed: int):
     """Guide trajectory M(tau): preparation-measure mean of the molecule
     positions at each equilibrium instant, estimated from one large
     reference ensemble evolved under the same field.
@@ -190,7 +188,7 @@ class WepConfig:
     n_cycles: int
     rho_grid: np.ndarray
     seed: int
-    n_reference: int = 100_000
+    n_reference: int
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -210,12 +208,10 @@ class WepConfig:
 
 @dataclass
 class PerSizeResult:
-    n_molecules: int
     sigma_x: float
     x_obs: np.ndarray        # (n_trials, n_cycles+1, 3 systems, 4)
     d_ab: np.ndarray         # (n_trials, n_cycles+1)
-    d_to_guide: dict         # tag -> (n_trials, n_cycles+1)
-    sup_d_ab: np.ndarray     # (n_trials,)
+    d_sm: np.ndarray         # (n_trials, n_cycles+1): S to the guide
     median_sup_d_ab: float
     profiles: dict           # tag -> ConcentrationProfile of pooled D/sigma_x
     x_step_max_ratio: float  # max |Delta X| / T over trials, systems, steps
@@ -289,24 +285,18 @@ def wep_experiment(config: WepConfig) -> WepReport:
         x_obs = x_obs_of[n_mol]
         sigma_x = float(np.sqrt(np.mean(np.var(x_obs[:, 0, 2, :], axis=0))))
         d_ab = np.abs(x_obs[:, :, 0, :] - x_obs[:, :, 1, :]).max(axis=2)
-        d_to_guide = {}
-        profiles = {}
-        for idx, tag in enumerate(SYSTEMS):
-            d = np.abs(x_obs[:, :, idx, :] - guide[None, :, :]).max(axis=2)
-            d_to_guide[tag] = d
-            profiles[tag] = tail_profile_from_deviations(
-                (d / sigma_x).reshape(-1), config.rho_grid, rho_p=1.0,
-                sigma_f=sigma_x, dimension=n_mol, seed=config.seed)
-        sup_d_ab = d_ab.max(axis=1)
+        d = {tag: np.abs(x_obs[:, :, idx, :] - guide[None, :, :]).max(axis=2)
+             for idx, tag in enumerate(SYSTEMS)}
+        profiles = {tag: tail_profile_from_deviations(
+                        (d[tag] / sigma_x).reshape(-1), config.rho_grid,
+                        rho_p=1.0) for tag in SYSTEMS}
         x_steps = np.abs(np.diff(x_obs, axis=1)).max()
         per_size[n_mol] = PerSizeResult(
-            n_molecules=n_mol,
             sigma_x=sigma_x,
             x_obs=x_obs,
             d_ab=d_ab,
-            d_to_guide=d_to_guide,
-            sup_d_ab=sup_d_ab,
-            median_sup_d_ab=float(np.median(sup_d_ab)),
+            d_sm=d["S"],
+            median_sup_d_ab=float(np.median(d_ab.max(axis=1))),
             profiles=profiles,
             x_step_max_ratio=float(x_steps / flow.period_T),
         )
@@ -347,35 +337,31 @@ def _first_rho_below(rho_grid, tail, threshold):
     return float(rho_grid[below[0]])
 
 
-def scale_relation_check(source, n_list=None, threshold: float | None = None,
-                         tag: str = "S") -> ScaleRelationReport:
+def scale_relation_check(source,
+                         threshold: float | None = None) -> ScaleRelationReport:
     """Scaling of the tail-extinction scale rho* with system size.
 
-    ``source`` is a WepReport (raw rho* = sigma_X times the normalized grid
-    value) or a dict ``{N: (rho_grid, tail)}`` of raw tail curves.  The
-    exponent is the log-log slope of rho*(N); a slope near -1/2 is the
-    CLT regime, near -1 the regime whose concentration exponent grows like
-    N^2.  This is a consistency report on an assumed relation, not an
-    assertion.
+    ``source`` is a WepReport (the profiles of S; raw rho* = sigma_X times
+    the normalized grid value) or a dict ``{N: (rho_grid, tail)}`` of raw
+    tail curves.  The exponent is the log-log slope of rho*(N); a slope
+    near -1/2 is the CLT regime, near -1 the regime whose concentration
+    exponent grows like N^2.  This is a consistency report on an assumed
+    relation, not an assertion.
     """
     if isinstance(source, WepReport):
         if threshold is None:
             threshold = 10.0 / source.config.n_trials
         curves = {}
         for n_mol, res in source.per_size.items():
-            prof = res.profiles[tag]
+            prof = res.profiles["S"]
             curves[n_mol] = (prof.rho_grid * res.sigma_x, prof.tail_prob)
     else:
         curves = {int(k): (np.asarray(g, dtype=float), np.asarray(t, dtype=float))
                   for k, (g, t) in source.items()}
         if threshold is None:
             raise ValueError("threshold is required for raw tail curves")
-    if n_list is None:
-        n_list = sorted(curves)
-    n_list = [n for n in n_list if n in curves]
-
     rho_star = {}
-    for n_mol in n_list:
+    for n_mol in sorted(curves):
         grid, tail = curves[n_mol]
         r = _first_rho_below(grid, tail, threshold)
         if r is not None:
@@ -426,7 +412,7 @@ def wep_to_csv(report: WepReport, path) -> None:
                            + list(x[0]) + list(x[1]) + list(x[2])
                            + list(report.guide[tau])
                            + [res.d_ab[trial, tau],
-                              res.d_to_guide["S"][trial, tau]])
+                              res.d_sm[trial, tau]])
 
     atomic_write_csv(path, header, rows())
 

@@ -459,6 +459,19 @@ PROBES = [
                  id="wep-n_list-1e11"),
     pytest.param("wep", {"n_trials": 10**11}, "parameters.n_trials",
                  id="wep-n_trials-1e11"),
+    # the largest double times a standard normal of modulus above 1
+    # overflows in the initial point of the flow march
+    pytest.param("flow", {"initial": {"u_scale": sys.float_info.max}}, None,
+                 id="flow-u_scale-max"),
+    pytest.param("lipschitz", {"flow": {
+        "period_T": 1.0, "dt": 0.05, "n_cycles": 2,
+        "u_scale": sys.float_info.max}}, None, id="lipschitz-flow-u_scale-max"),
+    # at mean 1e306 the unit normals are absorbed, so the trial spread
+    # sigma_x is 0; at 1e308 the centers of mass overflow to inf and NaN
+    pytest.param("wep", {"preparation": {"mean": 1e306}}, None,
+                 id="wep-mean-1e306"),
+    pytest.param("wep", {"preparation": {"mean": 1e308}}, None,
+                 id="wep-mean-1e308"),
 ]
 
 

@@ -329,6 +329,14 @@ class TestConcentrationProfile:
             tail_profile_from_deviations(np.ones(10), np.array([0.5, 0.2]),
                                          rho_p=1.0)
 
+    # d / sigma_x of a WEP run whose trial spread is zero (0 / 0, x / 0) or
+    # whose positions overflow (inf - inf)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_deviation_is_an_evaluation_error(self, bad):
+        devs = np.array([0.1, 0.4, bad, 2.0])
+        with pytest.raises(EvaluationError, match="non-finite deviation"):
+            tail_profile_from_deviations(devs, [0.5, 1.0], rho_p=1.0)
+
 
 class TestFitDecayConstant:
     def test_exact_synthetic_recovery(self):

@@ -257,6 +257,13 @@ class TestRadialDecomposition:
         with pytest.raises(ProfileError):
             ScaleProfile(rho0=-1.0)
 
+    # R(0) = 1 / (1 + 0 / rho0) is 1 for every positive rho0, and NaN for a
+    # NaN rho0, which the positivity check must reject (-1.0: above)
+    @pytest.mark.parametrize("rho0", [math.nan, 0.0])
+    def test_rho0_must_be_positive(self, rho0):
+        with pytest.raises(ProfileError, match="rho0 must be positive"):
+            ScaleProfile(rho0=rho0)
+
 
 def normalized_tanh_hamiltonian(dim_u, metric, n_pairs, seed):
     """The lipschitz CLI's tanh Hamiltonian, normalized on the unit cube."""

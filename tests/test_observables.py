@@ -445,12 +445,21 @@ class TestScaleRelation:
         tails = self._synthetic(lambda n, rho: np.exp(-n * rho ** 2))
         report = scale_relation_check(tails, threshold=0.01)
         assert report.exponent == pytest.approx(-0.5, abs=0.05)
+        assert report.exponent_stderr < 0.01
         assert report.regime == "clt"
+        assert report.threshold == 0.01
+        # exp(-n rho^2) < 0.01 first at the grid point at or above the
+        # root sqrt(ln 100 / n)
+        grid = tails[16][0]
+        assert report.rho_star == {
+            n: grid[np.searchsorted(grid, math.sqrt(math.log(100) / n))]
+            for n in (16, 64, 256, 1024)}
 
     def test_quadratic_exponent_regime(self):
         tails = self._synthetic(lambda n, rho: np.exp(-0.5 * n**2 * rho ** 2))
         report = scale_relation_check(tails, threshold=0.01)
         assert report.exponent == pytest.approx(-1.0, abs=0.05)
+        assert report.exponent_stderr < 0.01
         assert report.regime == "quadratic-exponent"
 
     def test_insufficient_coverage_rejected(self):
@@ -467,6 +476,8 @@ class TestScaleRelation:
                              n_cycles=1, n_reference=400_000, seed=3)
         report = wep_experiment(config)
         scaling = scale_relation_check(report)
+        # without a threshold, ten expected exceedances over the trials
+        assert scaling.threshold == 10 / 80
         assert scaling.exponent == pytest.approx(-0.5, abs=0.15)
         assert scaling.regime == "clt"
 

@@ -8,6 +8,11 @@ it is in ``TEST_ONLY`` below, whose names tests must refer to.  Identifier strin
 ``scripts/`` and ``perfbench/``, where names are patched by ``getattr``; in
 the library they are schema values such as a sampler kind, which would hide
 a function of the same name.  A definition that only tests call fails here.
+
+Every field of a library dataclass must also be read: some code under
+``src/``, ``scripts/``, ``perfbench/`` or ``tests/`` loads an attribute of
+that name, or, under ``scripts/`` and ``perfbench/``, names it in a string.
+A field that is only ever set fails here.
 """
 
 import ast
@@ -40,6 +45,22 @@ TEST_ONLY = {
     # gravity study, still to reach the CLI
     "scale_relation_check",
 }
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _dataclass_fields(tree):
+    """(class name, field name) of the fields of module-level dataclasses."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    yield node.name, item.target.id
+
 
 def _definitions(tree):
     """(name, node) of the public module-level functions and classes and
@@ -109,3 +130,30 @@ def test_allowlisted_names_are_referenced_by_tests():
                   for name, _ in _references(ast.parse(path.read_text()),
                                              strings=False)}
     assert sorted(TEST_ONLY - referenced) == []
+
+
+def _fields_never_read():
+    read = set()
+    for path in PROGRAM + TESTS:
+        strings = path.relative_to(ROOT).parts[0] in PATCHERS
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif (strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                read.add(node.value)
+    return [f"{path.stem}.{cls}.{field}" for path in LIBRARY
+            for cls, field in _dataclass_fields(ast.parse(path.read_text()))
+            if field not in read]
+
+
+def test_every_dataclass_field_is_read():
+    assert _fields_never_read() == []
+
+
+def test_field_scan_finds_the_fields():
+    fields = {(cls, field) for path in LIBRARY
+              for cls, field in _dataclass_fields(ast.parse(path.read_text()))}
+    assert {("PerSizeResult", "sigma_x"), ("ScaleProfile", "rho0"),
+            ("Preparation", "covariance")} <= fields

@@ -3,12 +3,3 @@ Lipschitz decompositions, concentration-of-measure checks and
 center-of-mass equivalence experiments."""
 
 __version__ = "0.1.0"
-
-from . import (  # noqa: F401
-    concentration,
-    dynamics,
-    geometry,
-    gravity_scales,
-    lipschitz,
-    observables,
-)

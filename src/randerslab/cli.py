@@ -1,8 +1,8 @@
 """Experiment runner: strict JSON configs, seeded runs, atomic outputs.
 
 Subcommands: flow, lipschitz, concentration, sphere, wep, gravity,
-validate.  Exit codes: 0 success, 2 validation failure, 3 numeric failure
-(any module's error, a failed fit or sweep expectation), 4 I/O failure.
+validate, each importing only the modules it calls.  Exit codes: 0 success,
+2 validation failure, 3 numeric failure (runio.NumericError), 4 I/O failure.
 Rerunning a config with the same seed reproduces every CSV/JSON output byte
 for byte; only the manifest timestamp differs.  The schema tables below are
 the reference for every config key, its type, its check and its default.
@@ -12,26 +12,21 @@ import argparse
 import datetime
 import json
 import os
+import platform
 import sys
 
 import numpy as np
 
-from . import __version__, concentration as conc, dynamics, gravity_scales as grav
-from . import lipschitz as lip, observables as obs
+from . import __version__, dynamics
 from .geometry import PhasePoint, constant_field, tanh_field, zero_field
-from .runio import atomic_write_json, config_hash, derive_rng
+from .runio import (NumericError, atomic_write_json, config_hash, derive_rng,
+                    usable_cores)
 
 EXPERIMENTS = ("flow", "lipschitz", "concentration", "sphere", "wep", "gravity")
 
 
-class NumericRunError(Exception):
+class NumericRunError(NumericError):
     pass
-
-
-# The error bases of the package: a run that fails numerically exits 3.
-NUMERIC_ERRORS = (NumericRunError, dynamics.DynamicsError,
-                  conc.ConcentrationError, lip.LipschitzError,
-                  grav.GravityError)
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +256,23 @@ def _cross_check(params, v):
             elif stored > MAX_TRAJECTORY_BYTES:
                 v.append(f"{path}dt: the stored trajectory exceeds "
                          f"{MAX_TRAJECTORY_BYTES} bytes")
-    n = params.get("n", 0)
+    n, n_list = params.get("n"), params.get("n_list")
+    if n is not None:  # imported only for the configs that size by them
+        from . import concentration as conc
+    if n_list is not None:
+        from . import observables as obs
     doubles = {
         # sphere draws n values on each of two streams, concentration takes
         # its median from a smaller stream
-        "n": n + (n if "sphere_dimension" in params
-                  else conc.median_stream_size(n)),
+        "n": 0 if n is None else n + (n if "sphere_dimension" in params
+                                      else conc.median_stream_size(n)),
         # (n, 4) positions, marched in place; the bound counts twice the 4
         # doubles per molecule they take
         "n_reference": 8 * params.get("n_reference", 0),
         # the same for the trials at the largest N that the WORKERS of the
         # pool march at once, one trial per task at a large N
-        "n_list": 8 * max(params.get("n_list", [0]))
-                  * min(params.get("n_trials", 1), obs.WORKERS),
+        "n_list": 0 if n_list is None else (
+            8 * max(n_list) * min(params.get("n_trials", 1), obs.WORKERS)),
         # per trial and instant: the A, B and S centers of mass (4 each),
         # D_AB and the three distances to the guide
         "n_trials": 16 * params.get("n_trials", 0)
@@ -343,8 +342,9 @@ def _initial_state(n_mol, scales, schedule, seed, tag):
     and ``scales["p_scale"]``."""
     dim = 8 * n_mol
     rng = derive_rng(seed, tag)
-    u0 = scales["u_scale"] * rng.standard_normal(dim)
-    p0 = scales["p_scale"] * rng.standard_normal(dim)
+    with np.errstate(over="ignore"):  # reported below
+        u0 = scales["u_scale"] * rng.standard_normal(dim)
+        p0 = scales["p_scale"] * rng.standard_normal(dim)
     if not (np.isfinite(u0).all() and np.isfinite(p0).all()):
         raise NumericRunError("initial point overflows: a scaled coordinate "
                               "is not finite")
@@ -368,11 +368,13 @@ def run_flow(params, seed, outdir):
         "n_snapshots": len(snaps),
         "final_H": march.final_h,
         "max_invariant_drift": march.max_invariant_drift,
+        "randers_margin": march.randers_margin,
     }
     return ["trajectory.csv", "snapshots.csv"], summary
 
 
 def run_lipschitz(params, seed, outdir):
+    from . import lipschitz as lip
     n_mol = params["n_molecules"]
     dim_u = 8 * n_mol
     field = build_field(params["field"], dim_u, seed)
@@ -416,6 +418,7 @@ def run_lipschitz(params, seed, outdir):
         "identity_max_abs_residual": decomp.identity_max_abs_residual,
         "max_invariant_drift": (None if march is None
                                 else march.max_invariant_drift),
+        "randers_margin": None if march is None else march.randers_margin,
     }
     return ["decomposition_report.json"], summary
 
@@ -428,6 +431,7 @@ def _observable(fn_spec):
 
 
 def run_concentration(params, seed, outdir):
+    from . import concentration as conc
     space = params["space"]
     sampler = conc.MMSpaceSampler(
         kind=space["kind"], dimension=space["dimension"], seed=seed,
@@ -450,6 +454,7 @@ def run_concentration(params, seed, outdir):
 
 
 def run_sphere(params, seed, outdir):
+    from . import concentration as conc
     report = conc.sphere_isoperimetric_check(
         params["sphere_dimension"],
         np.asarray(params["epsilon_grid"], dtype=float),
@@ -463,6 +468,7 @@ def run_sphere(params, seed, outdir):
 
 
 def run_wep(params, seed, outdir):
+    from . import observables as obs
     n_list = params["n_list"]
     field = build_field(params["field"], 8 * max(n_list), seed)
     prep = params["preparation"]
@@ -490,6 +496,7 @@ def run_wep(params, seed, outdir):
 
 
 def run_gravity(params, seed, outdir):
+    from . import gravity_scales as grav
     constants = grav.codata2018()
     spec = params["cases"]
     if spec == "default":
@@ -537,6 +544,10 @@ def run(config: dict, outdir: str | None = None) -> dict:
         "seeds_used": [seed],
         "output_files": outputs,
         "summary": summary,
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "platform": platform.platform(),
+                        "usable_cores": usable_cores()},
     }
     atomic_write_json(os.path.join(outdir, "manifest.json"), manifest)
     return manifest
@@ -589,7 +600,7 @@ def main(argv=None) -> int:
 
     try:
         manifest = run(config, outdir=args.out)
-    except NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .runio import atomic_write_csv, atomic_write_json
+from .runio import NumericError, atomic_write_csv, atomic_write_json
 
 # A tail fit uses only grid points with at least this many exceedances.
 MIN_EXCEED = 10
@@ -22,7 +22,7 @@ MIN_EXCEED = 10
 SAMPLE_CHUNK_ELEMS = 2**16
 
 
-class ConcentrationError(Exception):
+class ConcentrationError(NumericError):
     pass
 
 

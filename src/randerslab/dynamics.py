@@ -17,13 +17,13 @@ from typing import Callable
 import numpy as np
 
 from .geometry import PhasePoint, RandersField
-from .runio import atomic_write_csv
+from .runio import NumericError, atomic_write_csv
 
 
 H_BOUND = 1e-9
 
 
-class DynamicsError(Exception):
+class DynamicsError(NumericError):
     pass
 
 
@@ -192,10 +192,12 @@ def _phase_march(field: RandersField, y: np.ndarray, dt: float, n_steps: int,
 
 
 def _hamiltonian(field, schedule, t, u, p) -> tuple:
-    """``(H, G)`` at time t: ``G = beta(u)·p``, which the flow conserves,
-    and ``H = s(t) G``."""
-    g = float(np.asarray(field.beta(u)) @ p)
-    return speed(schedule, t) * g, g
+    """``(H, G, margin)`` at time t: ``G = beta(u)·p``, which the flow
+    conserves, ``H = s(t) G`` and the Randers margin ``1 - max|beta_i(u)|``
+    of the same ``beta(u)``."""
+    beta = np.asarray(field.beta(u))
+    g = float(beta @ p)
+    return speed(schedule, t) * g, g, 1.0 - float(np.abs(beta).max())
 
 
 def hamiltonian(field: RandersField, schedule: CycleSchedule,
@@ -241,13 +243,15 @@ class EquilibriumSnapshot:
 
 @dataclass
 class FlowSummary:
-    """Step count and Hamiltonian of a march's last step, stored or not, and
-    the largest relative drift ``|G - G0| / (1 + |G0|)`` of ``G = beta(u)·p``
-    over the steps where the march evaluates H."""
+    """Step count and Hamiltonian of a march's last step, stored or not;
+    over the steps where the march evaluates H, the largest relative drift
+    ``|G - G0| / (1 + |G0|)`` of ``G = beta(u)·p`` and the smallest Randers
+    margin ``1 - max|beta_i(u)|``."""
 
     n_steps: int
     final_h: float
     max_invariant_drift: float
+    randers_margin: float
 
 
 @dataclass
@@ -309,14 +313,15 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     dim = initial.point.dim
     n_mol = initial.point.n_molecules
     summary = FlowSummary(n_steps=total, final_h=math.nan,
-                          max_invariant_drift=0.0)
+                          max_invariant_drift=0.0, randers_margin=math.nan)
     snapshots = []
 
     def rows():
         """March, check and record the snapshots; yield the stored rows."""
         y = np.stack((initial.point.u, initial.point.p))
         u, p = y
-        h_val, g0 = _hamiltonian(field, schedule, 0.0, u, p)
+        h_val, g0, summary.randers_margin = _hamiltonian(field, schedule,
+                                                         0.0, u, p)
         if store_trajectory:
             yield _phase_row(0.0, tau_of_t(0.0, schedule), 1, u, p, h_val)
         march = _phase_march(field, y, dt, total, lambda t: speed(schedule, t))
@@ -328,9 +333,10 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
             stored = store_trajectory and step % stride == 0
             if not (stored or n or step == total):
                 continue
-            h_val, g = _hamiltonian(field, schedule, t, u, p)
+            h_val, g, margin = _hamiltonian(field, schedule, t, u, p)
             summary.max_invariant_drift = max(summary.max_invariant_drift,
                                               abs(g - g0) / (1.0 + abs(g0)))
+            summary.randers_margin = min(summary.randers_margin, margin)
             if n:
                 p_norm = float(np.linalg.norm(p))
                 if abs(h_val) > H_BOUND * (1.0 + p_norm):

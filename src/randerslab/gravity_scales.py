@@ -9,10 +9,10 @@ order one appears only at the Planck point.
 import math
 from dataclasses import dataclass
 
-from .runio import atomic_write_csv, atomic_write_json
+from .runio import NumericError, atomic_write_csv, atomic_write_json
 
 
-class GravityError(Exception):
+class GravityError(NumericError):
     pass
 
 

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import H_BOUND
+from .runio import NumericError
 
 # Profile tuning: see tune_profile.
 TUNE_TARGET = 1.0
@@ -22,7 +23,7 @@ MAX_BISECTIONS = 40
 N_IDENTITY_CHECK = 2000  # sample points checking the decomposition identity
 
 
-class LipschitzError(Exception):
+class LipschitzError(NumericError):
     pass
 
 

@@ -8,7 +8,6 @@ are profiled with the concentration machinery.
 """
 
 import functools
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +17,8 @@ from .concentration import _in_threads, _ols_slope, tail_profile_from_deviations
 from .dynamics import (CycleSchedule, rk4_march, sin_squared_schedule, speed,
                        steps_per_period)
 from .geometry import BLOCK_DIM, RandersField
-from .runio import atomic_write_csv, atomic_write_json, derive_rng
+from .runio import (atomic_write_csv, atomic_write_json, derive_rng,
+                    usable_cores)
 
 SYSTEMS = ("A", "B", "S")
 # The batched march advances slices of at most this many coordinates: a
@@ -32,10 +32,8 @@ BLOCK_ELEMS = 2**15
 # constant, so that memory does not grow with the core count.
 TRIAL_CHUNK_ELEMS = 4 * BLOCK_ELEMS
 # The WEP marches run as tasks of a pool of this many workers, one per core
-# the process may use (sched_getaffinity is Linux-only; elsewhere every core
-# counts).
-WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-           else os.cpu_count() or 1)
+# the process may use.
+WORKERS = usable_cores()
 
 
 @dataclass(frozen=True)
@@ -91,8 +89,11 @@ class Preparation:
 def center_of_mass(blocks: np.ndarray) -> np.ndarray:
     """Center-of-mass 4-vector of molecule blocks shaped (..., n, 8), or of
     their positions shaped (..., n, 4): the mean of the position
-    coordinates over the molecule axis; velocities never enter."""
-    return blocks[..., :4].mean(axis=-2)
+    coordinates over the molecule axis; velocities never enter.  A sum
+    that overflows gives inf or NaN without a warning, for the caller's
+    finite check to report (the WEP deviation profiles)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return blocks[..., :4].mean(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +284,17 @@ def wep_experiment(config: WepConfig) -> WepReport:
     per_size = {}
     for n_mol in config.n_list:
         x_obs = x_obs_of[n_mol]
-        sigma_x = float(np.sqrt(np.mean(np.var(x_obs[:, 0, 2, :], axis=0))))
-        d_ab = np.abs(x_obs[:, :, 0, :] - x_obs[:, :, 1, :]).max(axis=2)
-        d = {tag: np.abs(x_obs[:, :, idx, :] - guide[None, :, :]).max(axis=2)
-             for idx, tag in enumerate(SYSTEMS)}
-        profiles = {tag: tail_profile_from_deviations(
-                        (d[tag] / sigma_x).reshape(-1), config.rho_grid,
-                        rho_p=1.0) for tag in SYSTEMS}
+        # an overflow or a zero spread gives a non-finite deviation, which
+        # the tail profiles report as an EvaluationError
+        with np.errstate(all="ignore"):
+            sigma_x = float(np.sqrt(np.mean(np.var(x_obs[:, 0, 2, :],
+                                                   axis=0))))
+            d_ab = np.abs(x_obs[:, :, 0, :] - x_obs[:, :, 1, :]).max(axis=2)
+            d = {tag: np.abs(x_obs[:, :, i, :] - guide[None, :, :]).max(axis=2)
+                 for i, tag in enumerate(SYSTEMS)}
+            profiles = {tag: tail_profile_from_deviations(
+                            (d[tag] / sigma_x).reshape(-1), config.rho_grid,
+                            rho_p=1.0) for tag in SYSTEMS}
         x_steps = np.abs(np.diff(x_obs, axis=1)).max()
         per_size[n_mol] = PerSizeResult(
             sigma_x=sigma_x,

@@ -18,6 +18,17 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+class NumericError(Exception):
+    """Base of every error by which a run fails numerically (exit 3)."""
+
+
+def usable_cores() -> int:
+    """Cores the process may use (sched_getaffinity is Linux-only;
+    elsewhere every core counts)."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def tag_entropy(tag: str) -> int:
     """Stable 64-bit entropy word for a task tag (platform independent)."""
     return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "big")

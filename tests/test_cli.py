@@ -1,10 +1,14 @@
 import copy
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -15,8 +19,8 @@ from hypothesis import strategies as st
 
 from randerslab import cli, lipschitz
 from randerslab import observables as obs
-from randerslab.runio import (atomic_write_csv, atomic_write_text, config_hash,
-                              fmt_float)
+from randerslab.runio import (NumericError, atomic_write_csv, atomic_write_text,
+                              config_hash, fmt_float)
 
 EXAMPLE_CONFIGS = sorted(
     (Path(__file__).parent.parent / "scripts" / "configs").glob("*.json"))
@@ -242,7 +246,7 @@ class TestRunners:
         example = Path(__file__).parent.parent / "scripts/configs/lipschitz.json"
         small = small_configs()["lipschitz"]
         small["parameters"]["flow"] = None
-        drift = {}
+        drift, margin = {}, {}
         for name, cfg in (("example", json.loads(example.read_text())),
                           ("no-flow", small)):
             out = tmp_path / name
@@ -251,8 +255,12 @@ class TestRunners:
                              "--out", str(out)]) == 0
             summary = json.loads((out / "manifest.json").read_text())["summary"]
             drift[name] = summary["max_invariant_drift"]
+            margin[name] = summary["randers_margin"]
         assert 0.0 <= drift["example"] <= 1e-9
         assert drift["no-flow"] is None
+        # the example's tanh field has amplitude 0.9
+        assert 0.1 <= margin["example"] < 1.0
+        assert margin["no-flow"] is None
 
     def test_wep_row_accounting(self, tmp_path):
         cfg_dict = small_configs()["wep"]
@@ -298,6 +306,11 @@ class TestRunners:
         assert cli.main(["flow", "--config", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_hash"] == config_hash(flow_config())
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count())
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "platform": platform.platform(), "usable_cores": cores}
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_config(tmp_path, flow_config())
@@ -487,6 +500,97 @@ def test_bad_config_exits_with_documented_code(tmp_path, capsys, name, over,
         assert code == 3 and "numeric failure" in err
     else:
         assert code == 2 and f"violation: {key}:" in err
+
+
+OVERFLOWS = ("flow-u_scale-max", "lipschitz-flow-u_scale-max",
+             "wep-mean-1e306", "wep-mean-1e308")
+
+
+@pytest.mark.parametrize("name, over, key",
+                         [p for p in PROBES if p.id in OVERFLOWS])
+def test_overflow_prints_only_its_numeric_failure(tmp_path, capsys, name,
+                                                  over, key):
+    """An overflow that a finite check reports raises no RuntimeWarning,
+    in the calling thread or in a WEP worker's (the filters are global),
+    and the run prints one line on stderr."""
+    cfg = small_configs()[name]
+    cfg["parameters"].update(over)
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([name, "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+# Runs each argv through cli.main in a fresh interpreter and prints the exit
+# codes and the randerslab modules loaded.
+IMPORTS_RUN = """
+import json, sys
+from randerslab import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "modules": sorted(
+    m for m in sys.modules if m.startswith("randerslab."))}))
+"""
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("flow", []), ("wep", ["concentration", "observables"])])
+def test_subcommand_imports_only_its_modules(tmp_path, name, extra):
+    cfg = write_config(tmp_path, small_configs()[name])
+    argvs = [["validate", "--config", cfg],
+             [name, "--config", cfg, "--out", str(tmp_path / "out")]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_RUN,
+                           json.dumps(argvs)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    assert report["modules"] == sorted(
+        f"randerslab.{m}" for m in ["cli", "dynamics", "geometry", "runio",
+                                    *extra])
+
+
+LIBRARY_MODULES = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py")
+                         if not p.stem.startswith("__"))
+
+
+def test_every_library_error_is_a_numeric_error():
+    errors = {cls for name in LIBRARY_MODULES
+              for _, cls in inspect.getmembers(
+                  importlib.import_module(f"randerslab.{name}"),
+                  inspect.isclass)
+              if issubclass(cls, Exception) and cls.__module__.startswith(
+                  "randerslab.") and cls is not NumericError}
+    assert {cls.__name__ for cls in errors} >= {
+        "NumericRunError", "DynamicsError", "ConcentrationError",
+        "LipschitzError", "GravityError"}
+    assert all(issubclass(cls, NumericError) for cls in errors)
+
+
+@pytest.mark.parametrize("module, base", [
+    ("cli", "NumericRunError"), ("dynamics", "DynamicsError"),
+    ("concentration", "ConcentrationError"), ("lipschitz", "LipschitzError"),
+    ("gravity_scales", "GravityError")])
+def test_bare_error_subclass_exits_3(tmp_path, capsys, monkeypatch, module,
+                                     base):
+    class Bare(getattr(importlib.import_module(f"randerslab.{module}"), base)):
+        pass
+
+    def runner(params, seed, outdir):
+        raise Bare("probe")
+
+    monkeypatch.setitem(cli.RUNNERS, "flow", runner)
+    path = write_config(tmp_path, flow_config())
+    assert cli.main(["flow", "--config", path, "--out",
+                     str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "numeric failure: probe\n"
 
 
 class TestDeterminism:

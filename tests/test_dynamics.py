@@ -165,6 +165,23 @@ class TestRunCycles:
             assert np.array_equal(s.point.u, initial.point.u)
             assert np.array_equal(s.point.p, initial.point.p)
 
+    def test_randers_margin_over_the_rows_where_h_is_evaluated(self):
+        # with every step stored H is evaluated at each row; without, at
+        # step 0, the equilibrium steps 20 and 60 and the last step 80
+        a = 0.9
+        sched = sin_squared_schedule(1.0)
+        initial = make_state(_point(16, seed=7), sched)
+        traj, _ = run_cycles(tanh_field(16, a), sched, initial, n_cycles=2,
+                             dt=0.05)
+        assert traj.randers_margin == 1 - a * np.abs(np.tanh(traj.u)).max()
+        bare, _ = run_cycles(tanh_field(16, a), sched, initial, n_cycles=2,
+                             dt=0.05, store_trajectory=False)
+        rows = traj.u[[0, 20, 60, 80]]
+        assert bare.randers_margin == 1 - a * np.abs(np.tanh(rows)).max()
+        zero, _ = run_cycles(zero_field(16), sched, initial, n_cycles=2,
+                             dt=0.05)
+        assert zero.randers_margin == 1.0
+
     def test_zero_momentum_keeps_snapshot_h_zero(self):
         field = tanh_field(16, 0.9)
         sched = sin_squared_schedule(1.0)
@@ -273,7 +290,8 @@ class TestRunCycles:
             in zip(part.t, part.tau, part.cycle, part.u, part.p, part.h)))
         assert streamed.read_bytes() == reference.read_bytes()
         assert run == FlowSummary(n_steps=800, final_h=part.final_h,
-                                  max_invariant_drift=part.max_invariant_drift)
+                                  max_invariant_drift=part.max_invariant_drift,
+                                  randers_margin=part.randers_margin)
         assert [(s.t, s.h_value, s.point.u.tobytes(), s.point.p.tobytes())
                 for s in run_snaps] == [
             (s.t, s.h_value, s.point.u.tobytes(), s.point.p.tobytes())

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Run every example config through the CLI and report exit codes and
 the sha256 of every CSV/JSON output except manifest.json, so that two
-checkouts can be compared by diffing this script's output.
+checkouts can be compared by diffing this script's output.  After each
+config it also prints the process's peak resident set so far
+(``ru_maxrss``, in MB as the benchmark's ``peak_rss_mb`` counts them), on
+its own line, so the digest lines diff cleanly.
 
 Usage: python scripts/run_all.py [--out-root OUT]
 """
@@ -10,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 
 from randerslab.cli import main as cli_main
@@ -46,6 +50,8 @@ def main():
         code = cli_main([experiment, "--config", path, "--out", out])
         print(f"   exit code {code}")
         print_digests(out)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(f"   peak so far {peak:.2f} MB")
         failures += code != 0
     return 1 if failures else 0
 

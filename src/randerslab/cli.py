@@ -527,6 +527,16 @@ RUNNERS = {
 }
 
 
+def _platform() -> str:
+    """System, release, machine and C library, as in
+    ``platform.platform()`` on Linux, without the processor field, which
+    Linux resolves by running ``uname -p`` in a subprocess."""
+    u = platform.uname()
+    libc = "".join(platform.libc_ver())
+    return "-".join([u.system, u.release, u.machine]
+                    + (["with", libc] if libc else []))
+
+
 def run(config: dict, outdir: str | None = None) -> dict:
     """Dispatch and persist one experiment whose config ``main`` has
     validated; returns the manifest."""
@@ -546,7 +556,7 @@ def run(config: dict, outdir: str | None = None) -> dict:
         "summary": summary,
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
-                        "platform": platform.platform(),
+                        "platform": _platform(),
                         "usable_cores": usable_cores()},
     }
     atomic_write_json(os.path.join(outdir, "manifest.json"), manifest)

@@ -118,13 +118,16 @@ class MMSpaceSampler:
         """Iterator of (first row, block) over the n rows of ``stream`` in
         order.  The generator and the buffers are made by this call, so the
         thread that calls it allocates them even when another thread
-        iterates.  Every block is a view of the same buffer, overwritten by
-        the next block: a consumer copies what it keeps."""
+        iterates.  Every block is a view of the same buffer of at most
+        ``SAMPLE_CHUNK_ELEMS`` doubles, overwritten by the next block: a
+        consumer copies what it keeps.  A sphere stream also holds a
+        squares buffer of a quarter of the block's rows."""
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, stream]))
         rows = max(1, min(n, SAMPLE_CHUNK_ELEMS // self.width))
         buf = np.empty((rows, self.width))
         if self.kind == "sphere":
-            squares, norms = np.empty_like(buf), np.empty((rows, 1))
+            few = max(1, rows // 4)
+            squares, norms = np.empty((few, self.width)), np.empty((rows, 1))
         low, high = map(float, self.bounds)
 
         def blocks():
@@ -134,10 +137,14 @@ class MMSpaceSampler:
                 if self.kind == "sphere":
                     rng.standard_normal(out=x)
                     # the steps of np.linalg.norm(x, axis=1, keepdims=True)
-                    # in place, so the rows stay bit-identical
+                    # in place, the squares a few rows at a time; each row's
+                    # sum runs over its own contiguous width, so the rows
+                    # stay bit-identical
                     r = norms[:m]
-                    np.add.reduce(np.multiply(x, x, out=squares[:m]), axis=1,
-                                  keepdims=True, out=r)
+                    for s in range(0, m, few):
+                        y = x[s:s + few]
+                        np.add.reduce(np.multiply(y, y, out=squares[:len(y)]),
+                                      axis=1, keepdims=True, out=r[s:s + few])
                     x /= np.sqrt(r, out=r)
                 elif self.kind == "gaussian":
                     rng.standard_normal(out=x)
@@ -161,9 +168,12 @@ class MMSpaceSampler:
         """For each ``(n, stream)`` of ``streams``, f over the n samples of
         ``stream``, one value per row, evaluated block by block: equal to
         ``f(self.sample(n, stream))`` for an f acting row by row, without
-        holding the (n, width) array.  The streams are evaluated at the
-        same time as the tasks of a pool with one worker per stream
-        (``_in_threads``), the first in the calling thread.  Each stream is one generator consumed in order, so no
+        holding the (n, width) array: a call holds the output n-vectors
+        and, per stream, one block of at most ``SAMPLE_CHUNK_ELEMS``
+        doubles and, on the sphere, a few-row squares buffer.  The streams
+        are evaluated at the same time as the tasks of a pool with one
+        worker per stream (``_in_threads``), the first in the calling
+        thread.  Each stream is one generator consumed in order, so no
         value depends on thread scheduling; the output vectors and block
         buffers are allocated here, before any thread starts.  Every thread
         has ended when this returns or raises, and the error raised is that
@@ -237,8 +247,9 @@ class ConcentrationProfile:
 
 
 def _tail_counts(devs: np.ndarray, rho_grid: np.ndarray) -> np.ndarray:
-    s = np.sort(devs)
-    return devs.size - np.searchsorted(s, rho_grid, side="right")
+    """Exceedances of each grid point; sorts ``devs`` in place."""
+    devs.sort()
+    return devs.size - np.searchsorted(devs, rho_grid, side="right")
 
 
 def _ols_slope(x, y):
@@ -270,7 +281,8 @@ def tail_profile_from_deviations(devs: np.ndarray, rho_grid, *, rho_p: float,
                                  dimension: int = 0,
                                  seed: int = 0) -> ConcentrationProfile:
     """Profile from precomputed nonnegative deviations (already centered);
-    a non-finite deviation raises ``EvaluationError``."""
+    a non-finite deviation raises ``EvaluationError``.  A float array
+    ``devs`` is sorted in place: pass one that is no longer read."""
     rho_grid = np.asarray(rho_grid, dtype=float)
     if rho_grid.ndim != 1 or np.any(np.diff(rho_grid) <= 0) or np.any(rho_grid <= 0):
         raise ValueError("rho_grid must be ascending and positive")
@@ -301,15 +313,23 @@ def concentration_profile(f: Callable, sampler: MMSpaceSampler, rho_grid, n: int
 
     The median is estimated on an independent half-size substream to avoid
     selection bias; the decay fit uses only grid points with at least
-    ``MIN_EXCEED`` exceedances and is marked unavailable otherwise.
+    ``MIN_EXCEED`` exceedances and is marked unavailable otherwise.  A run
+    holds the two vectors of f values (``median_stream_size(n)`` and n),
+    and while they are drawn one block and a few-row squares buffer per
+    stream (``MMSpaceSampler.observe_streams``); the median partitions its
+    vector in place and the deviations overwrite the other.
     """
     if rho_p is None:
         rho_p = sampler.default_rho_p(sigma_f)
     f_med, f_x = sampler.observe_streams(f, [(median_stream_size(n), 1), (n, 2)])
-    med = float(np.median(f_med))
-    devs = np.abs(f_x - med) / sigma_f
+    med = float(np.median(f_med, overwrite_input=True))
+    del f_med
+    # |f_x - med| / sigma_f, step by step in place
+    np.subtract(f_x, med, out=f_x)
+    np.abs(f_x, out=f_x)
+    f_x /= sigma_f
     return tail_profile_from_deviations(
-        devs, rho_grid, rho_p=rho_p, sigma_f=sigma_f, median_hat=med,
+        f_x, rho_grid, rho_p=rho_p, sigma_f=sigma_f, median_hat=med,
         dimension=sampler.dimension, seed=sampler.seed)
 
 
@@ -373,17 +393,23 @@ def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int,
     against the isoperimetric lower bound; mu(A) >= 1/2 by construction.
 
     A is a cap, so the geodesic distance to it has a closed form, the
-    polar-angle deficit, which stays exact in any dimension.
+    polar-angle deficit, which stays exact in any dimension.  A run holds
+    the two n-vectors of x_0 (while they are drawn, one block and a
+    few-row squares buffer per stream); the distances overwrite the second.
     """
     if n_dim < 2:
         raise DimensionError("sphere dimension must be >= 2")
     f_ref, f_x = sphere(n_dim, seed).observe_streams(
         lambda pts: pts[:, 0], [(n, 1), (n, 2)])
-    med = float(np.median(f_ref))
+    med = float(np.median(f_ref, overwrite_input=True))
+    del f_ref
     eps_grid = np.asarray(epsilon_grid, dtype=float)
     theta_m = math.acos(max(-1.0, min(1.0, med)))
-    theta = np.arccos(np.clip(f_x, -1.0, 1.0))
-    dist_to_a = np.maximum(theta_m - theta, 0.0)
+    # max(theta_m - arccos(clip(x_0, -1, 1)), 0), step by step in place
+    dist_to_a = np.clip(f_x, -1.0, 1.0, out=f_x)
+    np.arccos(dist_to_a, out=dist_to_a)
+    np.subtract(theta_m, dist_to_a, out=dist_to_a)
+    np.maximum(dist_to_a, 0.0, out=dist_to_a)
 
     rows = []
     for eps in eps_grid:

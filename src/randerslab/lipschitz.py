@@ -28,7 +28,8 @@ class LipschitzError(NumericError):
 
 
 class EstimationError(LipschitzError):
-    """All sampled pairs were degenerate, or the estimate is not finite."""
+    """All sampled pairs were degenerate, the box diameter overflows, or
+    the estimate is not finite."""
 
 
 class ProfileError(LipschitzError):
@@ -196,6 +197,13 @@ class _PairSample:
     @classmethod
     def draw(cls, g, domain: CompactBox, n_pairs: int,
              seed: int) -> "_PairSample":
+        # a box whose diameter overflows gives infinite pair distances,
+        # hence zero quotients, and NaN probe offsets: refuse it first
+        with np.errstate(over="ignore"):  # reported below
+            delta = 1e-4 * domain.diameter
+        if not math.isfinite(delta):
+            raise EstimationError("the box diameter overflows the double "
+                                  "range")
         rng = np.random.default_rng(seed)
         # each end is evaluated before the next array is drawn and dropped
         # after its last use, so at most two point arrays are alive at once
@@ -212,7 +220,6 @@ class _PairSample:
             ends = (a, b) if keep.all() else (a[..., keep], b[..., keep])
         # short-separation refinement points, kept off the faces so the
         # aligned pairs stay inside the domain
-        delta = 1e-4 * domain.diameter
         inner = CompactBox(lower=domain.lower + delta,
                            upper=domain.upper - delta,
                            metric=domain.metric) \
@@ -353,8 +360,8 @@ def tune_profile(h, box: CompactBox, n_pairs: int = 4000, seed: int = 0):
     fresh samples may sit a few percent above it), the statistical
     ``TUNE_SLACK`` is allowed before the tuning is reported as failed.
     """
-    diam = box.diameter
     part = _part_estimate(h, box, n_pairs, seed)
+    diam = box.diameter
 
     @functools.cache
     def global_est(rho0):

@@ -308,9 +308,14 @@ class TestRunners:
         assert manifest["config_hash"] == config_hash(flow_config())
         cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count())
+        # platform.platform()'s fields but the processor, whose lookup
+        # runs a subprocess
+        u, libc = os.uname(), "".join(platform.libc_ver())
         assert manifest["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
-            "platform": platform.platform(), "usable_cores": cores}
+            "platform": "-".join([u.sysname, u.release, u.machine]
+                                 + (["with", libc] if libc else [])),
+            "usable_cores": cores}
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_config(tmp_path, flow_config())
@@ -503,7 +508,7 @@ def test_bad_config_exits_with_documented_code(tmp_path, capsys, name, over,
 
 
 OVERFLOWS = ("flow-u_scale-max", "lipschitz-flow-u_scale-max",
-             "wep-mean-1e306", "wep-mean-1e308")
+             "wep-mean-1e306", "wep-mean-1e308", "box_half_width-1e300")
 
 
 @pytest.mark.parametrize("name, over, key",
@@ -527,13 +532,14 @@ def test_overflow_prints_only_its_numeric_failure(tmp_path, capsys, name,
 
 
 # Runs each argv through cli.main in a fresh interpreter and prints the exit
-# codes and the randerslab modules loaded.
+# codes, the randerslab modules loaded and whether subprocess was imported.
 IMPORTS_RUN = """
 import json, sys
 from randerslab import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "modules": sorted(
-    m for m in sys.modules if m.startswith("randerslab."))}))
+    m for m in sys.modules if m.startswith("randerslab.")),
+    "subprocess": "subprocess" in sys.modules}))
 """
 
 
@@ -555,6 +561,8 @@ def test_subcommand_imports_only_its_modules(tmp_path, name, extra):
     assert report["modules"] == sorted(
         f"randerslab.{m}" for m in ["cli", "dynamics", "geometry", "runio",
                                     *extra])
+    # the manifest spawns no process
+    assert not report["subprocess"]
 
 
 LIBRARY_MODULES = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py")

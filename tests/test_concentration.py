@@ -98,7 +98,11 @@ def _one_shot(sampler, n, stream):
 
 
 class TestRowBlocks:
-    @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: s.kind)
+    # on S^256 a block of 255 rows is squared 63 rows at a time, and the
+    # last 3 rows of each block on their own
+    @pytest.mark.parametrize(
+        "sampler", SAMPLERS + [pytest.param(sphere(256, 3), id="sphere-257")],
+        ids=lambda s: s.kind)
     def test_blocks_cross_into_the_same_stream(self, sampler):
         # five full blocks and a remainder
         n = 5 * (concentration.SAMPLE_CHUNK_ELEMS // sampler.width) + 17
@@ -140,28 +144,48 @@ class TestObserveStreams:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: s.kind)
-    def test_profile_equals_sequential_reference(self, sampler):
+    def test_profile_equals_sequential_reference(self, sampler, monkeypatch):
+        """The deviations formed in place equal the expression form, and
+        the counts of the sort in place those of a sorted copy."""
+        seen = []
+
+        def record(devs, *args, **kwargs):
+            seen.append(devs.copy())
+            return tail_profile_from_deviations(devs, *args, **kwargs)
+
+        monkeypatch.setattr(concentration, "tail_profile_from_deviations",
+                            record)
         grid = np.linspace(0.1, 2.0, 9)
-        for n in (150, 3001):
+        # within one block (150 and 3001 rows), and two full blocks and a
+        # partial one
+        for n in (150, 3001, 10_001):
             prof = concentration_profile(first_coord, sampler, grid, n,
                                          sigma_f=0.7)
             med = float(np.median(first_coord(
                 sampler.sample(max(n // 2, 100), 1))))
             devs = np.abs(first_coord(sampler.sample(n, 2)) - med) / 0.7
             assert prof.median_hat == med
+            assert np.array_equal(seen.pop(), devs)
+            assert np.array_equal(prof.exceed_counts,
+                                  n - np.searchsorted(np.sort(devs), grid,
+                                                      side="right"))
             assert np.array_equal(prof.exceed_counts,
                                   np.sum(devs[:, None] > grid, axis=0))
 
     def test_sphere_check_equals_sequential_reference(self):
-        n, grid = 3001, [0.02, 0.1, 0.3]
-        report = sphere_isoperimetric_check(16, grid, n, 8)
+        # within one block, and two full blocks and a partial one; the
+        # reference forms the clip, arccos, difference and maximum as four
+        # temporaries
         s = sphere(16, 8)
-        med = float(np.median(first_coord(s.sample(n, 1))))
-        theta = np.arccos(np.clip(first_coord(s.sample(n, 2)), -1, 1))
-        dist = np.maximum(math.acos(med) - theta, 0.0)
-        assert report.median_hat == med
-        assert [r.empirical for r in report.rows] == [
-            float((dist <= eps).mean()) for eps in grid]
+        for n, grid in ((3001, [0.02, 0.1, 0.3]),
+                        (10_001, np.linspace(0.0, 0.6, 25))):
+            report = sphere_isoperimetric_check(16, grid, n, 8)
+            med = float(np.median(first_coord(s.sample(n, 1))))
+            theta = np.arccos(np.clip(first_coord(s.sample(n, 2)), -1, 1))
+            dist = np.maximum(math.acos(med) - theta, 0.0)
+            assert report.median_hat == med
+            assert [r.empirical for r in report.rows] == [
+                float((dist <= eps).mean()) for eps in grid]
 
     def test_first_stream_error_wins_and_no_thread_remains(self, monkeypatch):
         monkeypatch.setattr(concentration, "SAMPLE_CHUNK_ELEMS", 16)
@@ -203,6 +227,37 @@ class TestBoundedMemory:
         peak = traced_peak(lambda: concentration_profile(
             first_coord, sphere(self.N_DIM, 21), grid, self.N))
         assert peak < self.ARRAY_BYTES / 4
+
+    @staticmethod
+    def _example_configs():
+        configs = Path(__file__).parent.parent / "scripts" / "configs"
+        sph = json.loads((configs / "sphere.json").read_text())
+        conc = json.loads((configs / "concentration.json").read_text())
+        p, q = sph["parameters"], conc["parameters"]
+        sampler = MMSpaceSampler(kind=q["space"]["kind"],
+                                 dimension=q["space"]["dimension"],
+                                 seed=conc["seed"])
+        f = cli._observable(q["function"])
+        return {
+            "sphere": (lambda: sphere_isoperimetric_check(
+                p["sphere_dimension"], p["epsilon_grid"], p["n"], sph["seed"]),
+                2 * p["n"]),
+            "concentration": (lambda: concentration_profile(
+                f, sampler, np.asarray(q["rho_grid"]), q["n"]),
+                median_stream_size(q["n"]) + q["n"]),
+        }
+
+    @pytest.mark.parametrize("name", ["sphere", "concentration"])
+    def test_example_holds_its_vectors_and_a_block_per_stream(
+            self, traced_peak, name):
+        """The example sphere check and concentration profile hold their
+        two vectors of observable values and, per stream, one block and a
+        squares buffer of a quarter block: nothing of n doubles more."""
+        run, values = self._example_configs()[name]
+        run()  # numpy's lazy set-up is not the run's
+        peak = traced_peak(run)
+        block = 8 * concentration.SAMPLE_CHUNK_ELEMS
+        assert peak <= 1.1 * (8 * values + 2 * 1.25 * block)
 
 
 class TestLevyMedian:

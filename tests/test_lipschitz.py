@@ -115,6 +115,17 @@ class TestEstimate:
         with pytest.raises(EstimationError):
             estimate_lipschitz(f, tiny, n_pairs=3, seed=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_box_whose_diameter_overflows_raises(self):
+        # its pair distances would be infinite and every quotient zero
+        dim_u = 8
+        h = randers_hamiltonian(tanh_field(dim_u, 0.9), dim_u)
+        box = CompactBox.cube(2 * dim_u, 1e300)
+        with pytest.raises(EstimationError, match="diameter overflows"):
+            estimate_lipschitz(h, box, n_pairs=50, seed=0)
+        with pytest.raises(EstimationError, match="diameter overflows"):
+            radial_decomposition(h, box, n_pairs=50, seed=0)
+
 
 class TestNormalize:
     def test_rescales_to_unit_constant(self):

@@ -17,10 +17,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, dynamics
+from . import __version__, dynamics, runio
 from .geometry import PhasePoint, constant_field, tanh_field, zero_field
-from .runio import (NumericError, atomic_write_json, config_hash, derive_rng,
-                    usable_cores)
+from .runio import NumericError, atomic_write_json, config_hash, derive_rng
 
 EXPERIMENTS = ("flow", "lipschitz", "concentration", "sphere", "wep", "gravity")
 
@@ -257,10 +256,8 @@ def _cross_check(params, v):
                 v.append(f"{path}dt: the stored trajectory exceeds "
                          f"{MAX_TRAJECTORY_BYTES} bytes")
     n, n_list = params.get("n"), params.get("n_list")
-    if n is not None:  # imported only for the configs that size by them
+    if n is not None:  # imported only for the configs that size by it
         from . import concentration as conc
-    if n_list is not None:
-        from . import observables as obs
     doubles = {
         # sphere draws n values on each of two streams, concentration takes
         # its median from a smaller stream
@@ -269,10 +266,10 @@ def _cross_check(params, v):
         # (n, 4) positions, marched in place; the bound counts twice the 4
         # doubles per molecule they take
         "n_reference": 8 * params.get("n_reference", 0),
-        # the same for the trials at the largest N that the WORKERS of the
-        # pool march at once, one trial per task at a large N
-        "n_list": 0 if n_list is None else (
-            8 * max(n_list) * min(params.get("n_trials", 1), obs.WORKERS)),
+        # the same for the trials at the largest N that the pool marches at
+        # once, one trial per task at a large N on each usable core
+        "n_list": 0 if n_list is None else (8 * max(n_list) * min(
+            params.get("n_trials", 1), runio.usable_cores())),
         # per trial and instant: the A, B and S centers of mass (4 each),
         # D_AB and the three distances to the guide
         "n_trials": 16 * params.get("n_trials", 0)
@@ -336,10 +333,12 @@ def build_field(spec: dict, dim: int, seed: int):
 # and returns (output file names, summary dict)
 
 
-def _initial_state(n_mol, scales, schedule, seed, tag):
-    """Flow state at t = 0: u, then p, drawn as standard normals from the
-    ``derive_rng(seed, tag)`` stream and scaled by ``scales["u_scale"]``
-    and ``scales["p_scale"]``."""
+def _march_from_draw(field, n_mol, spec, scales, seed, tag, **options):
+    """``dynamics.run_cycles(field, ...)`` with ``options`` over
+    ``spec["n_cycles"]`` cycles of the sin^2 schedule of period
+    ``spec["period_T"]`` in steps of ``spec["dt"]``, from t = 0 and u, then
+    p, drawn as standard normals from the ``derive_rng(seed, tag)`` stream
+    and scaled by ``scales["u_scale"]`` and ``scales["p_scale"]``."""
     dim = 8 * n_mol
     rng = derive_rng(seed, tag)
     with np.errstate(over="ignore"):  # reported below
@@ -348,18 +347,18 @@ def _initial_state(n_mol, scales, schedule, seed, tag):
     if not (np.isfinite(u0).all() and np.isfinite(p0).all()):
         raise NumericRunError("initial point overflows: a scaled coordinate "
                               "is not finite")
-    return dynamics.make_state(PhasePoint(u=u0, p=p0, n_molecules=n_mol),
-                               schedule)
+    schedule = dynamics.sin_squared_schedule(spec["period_T"])
+    state = dynamics.make_state(PhasePoint(u=u0, p=p0, n_molecules=n_mol),
+                                schedule)
+    return dynamics.run_cycles(field, schedule, state, spec["n_cycles"],
+                               spec["dt"], **options)
 
 
 def run_flow(params, seed, outdir):
     n_mol = params["n_molecules"]
     field = build_field(params["field"], 8 * n_mol, seed)
-    schedule = dynamics.sin_squared_schedule(params["period_T"])
-    state = _initial_state(n_mol, params["initial"], schedule, seed,
-                           "flow-initial")
-    march, snaps = dynamics.run_cycles(
-        field, schedule, state, params["n_cycles"], params["dt"],
+    march, snaps = _march_from_draw(
+        field, n_mol, params, params["initial"], seed, "flow-initial",
         stride=params["store_stride"],
         csv_path=os.path.join(outdir, "trajectory.csv"))
     dynamics.snapshots_to_csv(snaps, os.path.join(outdir, "snapshots.csv"))
@@ -396,13 +395,9 @@ def run_lipschitz(params, seed, outdir):
     split = march = None
     flow_spec = params["flow"]
     if flow_spec is not None:
-        schedule = dynamics.sin_squared_schedule(flow_spec["period_T"])
-        state = _initial_state(n_mol, flow_spec, schedule, seed,
-                               "lipschitz-flow-initial")
-        march, snaps = dynamics.run_cycles(field, schedule, state,
-                                           flow_spec["n_cycles"],
-                                           flow_spec["dt"],
-                                           store_trajectory=False)
+        march, snaps = _march_from_draw(field, n_mol, flow_spec, flow_spec,
+                                        seed, "lipschitz-flow-initial",
+                                        store_trajectory=False)
         split = lip.check_constraint_split(decomp, snaps)
 
     report = lip.decomposition_report(decomp, split)
@@ -440,8 +435,10 @@ def run_concentration(params, seed, outdir):
     profile = conc.concentration_profile(
         f, sampler, np.asarray(params["rho_grid"], dtype=float), params["n"],
         sigma_f=params["sigma_f"], rho_p=params["rho_p"])
-    conc.profile_to_csv(profile, os.path.join(outdir, "profile.csv"))
-    conc.fit_summary_json(profile, os.path.join(outdir, "fit_summary.json"))
+    conc.profile_to_csv(profile, os.path.join(outdir, "profile.csv"),
+                        space["dimension"])
+    conc.fit_summary_json(profile, os.path.join(outdir, "fit_summary.json"),
+                          seed)
     if profile.fit is None:
         raise NumericRunError(
             "tail fit unavailable: no 3 grid points with enough exceedances")
@@ -557,7 +554,7 @@ def run(config: dict, outdir: str | None = None) -> dict:
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
                         "platform": _platform(),
-                        "usable_cores": usable_cores()},
+                        "usable_cores": runio.usable_cores()},
     }
     atomic_write_json(os.path.join(outdir, "manifest.json"), manifest)
     return manifest

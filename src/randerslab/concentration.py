@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import runio
 from .runio import NumericError, atomic_write_csv, atomic_write_json
 
 # A tail fit uses only grid points with at least this many exceedances.
@@ -39,15 +40,15 @@ class DimensionError(ConcentrationError):
     pass
 
 
-def _in_threads(work: Callable, n: int, workers: int) -> None:
-    """Call ``work(k, stop)`` for the tasks k = 0..n-1 on a pool of at most
-    ``workers`` workers: the first in the calling thread, each further one
-    on its own thread.  A worker takes the lowest task not yet taken, so
-    tasks start in order of k.  ``stop()`` turns true once a lower k has
-    failed, whose error is the one raised, so task k may return early; no
-    task starts after a lower one has failed.  Every thread has ended when
-    this returns or raises, and the error raised is that of the lowest
-    failing k, as in sequential calls."""
+def in_threads(work: Callable, n: int) -> None:
+    """Call ``work(k, stop)`` for the tasks k = 0..n-1 on a pool of
+    ``min(n, runio.usable_cores())`` workers: the first in the calling
+    thread, each further one on its own thread.  A worker takes the lowest
+    task not yet taken, so tasks start in order of k.  ``stop()`` turns
+    true once a lower k has failed, whose error is the one raised, so task
+    k may return early; no task starts after a lower one has failed.  Every
+    thread has ended when this returns or raises, and the error raised is
+    that of the lowest failing k, as in sequential calls."""
     errors = [None] * n
     lock = threading.Lock()
     taken = 0
@@ -67,7 +68,7 @@ def _in_threads(work: Callable, n: int, workers: int) -> None:
                 errors[k] = exc
 
     threads = [threading.Thread(target=run)
-               for _ in range(1, min(workers, n))]
+               for _ in range(1, min(n, runio.usable_cores()))]
     for t in threads:
         t.start()
     try:
@@ -171,14 +172,14 @@ class MMSpaceSampler:
         holding the (n, width) array: a call holds the output n-vectors
         and, per stream, one block of at most ``SAMPLE_CHUNK_ELEMS``
         doubles and, on the sphere, a few-row squares buffer.  The streams
-        are evaluated at the same time as the tasks of a pool with one
-        worker per stream (``_in_threads``), the first in the calling
-        thread.  Each stream is one generator consumed in order, so no
-        value depends on thread scheduling; the output vectors and block
-        buffers are allocated here, before any thread starts.  Every thread
-        has ended when this returns or raises, and the error raised is that
-        of the first failing stream, as in sequential evaluation (a failing
-        stream stops the streams after it at their next block)."""
+        are the tasks of one pool (``in_threads``), at most one worker per
+        usable core, the first in the calling thread; with one usable core
+        no thread starts.  Each stream is one generator consumed in order,
+        so no value depends on thread scheduling; the output vectors and
+        block buffers are allocated here, before any thread starts.  Every
+        thread has ended when this returns or raises, and the error raised
+        is that of the first failing stream, as in sequential evaluation (a
+        failing stream stops the streams after it at their next block)."""
         jobs = [(np.empty(n), self._row_blocks(n, stream))
                 for n, stream in streams]
 
@@ -189,7 +190,7 @@ class MMSpaceSampler:
                     return
                 v[lo:lo + len(x)] = _eval_observable(f, x, lo)
 
-        _in_threads(fill, len(jobs), len(jobs))
+        in_threads(fill, len(jobs))
         return [v for v, _ in jobs]
 
     def default_rho_p(self, sigma_f: float = 1.0) -> float:
@@ -232,11 +233,8 @@ class ConcentrationProfile:
     exceed_counts: np.ndarray
     median_hat: float
     n_samples: int
-    sigma_f: float
     rho_p: float
     fit: TailFit | None
-    dimension: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         tail = np.asarray(self.tail_prob, dtype=float)
@@ -252,7 +250,7 @@ def _tail_counts(devs: np.ndarray, rho_grid: np.ndarray) -> np.ndarray:
     return devs.size - np.searchsorted(devs, rho_grid, side="right")
 
 
-def _ols_slope(x, y):
+def ols_slope(x, y):
     """Least-squares line through (x, y): (slope, intercept, slope stderr)."""
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
@@ -271,15 +269,13 @@ def _fit_tail(rho_grid, counts, n, rho_p):
     y = -np.log(counts[usable] / n)
     if np.ptp(x) <= 0:
         return None
-    slope, intercept, stderr = _ols_slope(x, y)
+    slope, intercept, stderr = ols_slope(x, y)
     return TailFit(C1_hat=float(np.exp(-intercept)), C2_hat=slope,
                    stderr=stderr, n_points=int(x.size))
 
 
 def tail_profile_from_deviations(devs: np.ndarray, rho_grid, *, rho_p: float,
-                                 sigma_f: float = 1.0, median_hat: float = 0.0,
-                                 dimension: int = 0,
-                                 seed: int = 0) -> ConcentrationProfile:
+                                 median_hat: float = 0.0) -> ConcentrationProfile:
     """Profile from precomputed nonnegative deviations (already centered);
     a non-finite deviation raises ``EvaluationError``.  A float array
     ``devs`` is sorted in place: pass one that is no longer read."""
@@ -296,9 +292,8 @@ def tail_profile_from_deviations(devs: np.ndarray, rho_grid, *, rho_p: float,
     n = devs.size
     return ConcentrationProfile(
         rho_grid=rho_grid, tail_prob=counts / n, exceed_counts=counts,
-        median_hat=median_hat, n_samples=n, sigma_f=sigma_f, rho_p=rho_p,
-        fit=_fit_tail(rho_grid, counts, n, rho_p),
-        dimension=dimension, seed=seed)
+        median_hat=median_hat, n_samples=n, rho_p=rho_p,
+        fit=_fit_tail(rho_grid, counts, n, rho_p))
 
 
 def median_stream_size(n: int) -> int:
@@ -328,9 +323,8 @@ def concentration_profile(f: Callable, sampler: MMSpaceSampler, rho_grid, n: int
     np.subtract(f_x, med, out=f_x)
     np.abs(f_x, out=f_x)
     f_x /= sigma_f
-    return tail_profile_from_deviations(
-        f_x, rho_grid, rho_p=rho_p, sigma_f=sigma_f, median_hat=med,
-        dimension=sampler.dimension, seed=sampler.seed)
+    return tail_profile_from_deviations(f_x, rho_grid, rho_p=rho_p,
+                                        median_hat=med)
 
 
 def fit_decay_constant(profile: ConcentrationProfile) -> TailFit:
@@ -427,9 +421,9 @@ def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int,
 # exports
 
 
-def profile_to_csv(profile: ConcentrationProfile, path) -> None:
+def profile_to_csv(profile: ConcentrationProfile, path, dimension: int) -> None:
     header = ["rho", "tail_prob", "bound_sphere", "bound_gaussian", "n_exceed"]
-    nd = max(profile.dimension, 2)
+    nd = max(dimension, 2)
     bs = sphere_tail_bound(profile.rho_grid, nd)
     bg = gaussian_tail_bound(profile.rho_grid, profile.rho_p)
     rows = ([profile.rho_grid[i], profile.tail_prob[i], bs[i], bg[i],
@@ -437,7 +431,7 @@ def profile_to_csv(profile: ConcentrationProfile, path) -> None:
     atomic_write_csv(path, header, rows)
 
 
-def fit_summary_json(profile: ConcentrationProfile, path) -> None:
+def fit_summary_json(profile: ConcentrationProfile, path, seed: int) -> None:
     fit = profile.fit
     atomic_write_json(path, {
         "median_hat": profile.median_hat,
@@ -445,7 +439,7 @@ def fit_summary_json(profile: ConcentrationProfile, path) -> None:
         "C2_hat": None if fit is None else fit.C2_hat,
         "stderr": None if fit is None else fit.stderr,
         "n_samples": profile.n_samples,
-        "seed": profile.seed,
+        "seed": seed,
     })
 
 

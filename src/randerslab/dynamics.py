@@ -288,7 +288,8 @@ def snapshots_to_csv(snapshots, path) -> None:
 def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
                n_cycles: int, dt: float, store_trajectory: bool = True,
                stride: int = 1, csv_path=None):
-    """Integrate n_cycles fundamental cycles (period 2T each) from t = 0.
+    """Integrate n_cycles fundamental cycles (period 2T each) from t = 0,
+    the time ``initial`` must be at (ValueError otherwise).
 
     Returns ``(trajectory, snapshots)`` where the trajectory stores grid
     steps 0, stride, 2 stride, ... and the snapshots sit at the
@@ -305,6 +306,9 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
+    if initial.t != 0.0:
+        raise ValueError(f"the march starts at t = 0; the initial state "
+                         f"is at t = {initial.t!r}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     T = schedule.period_T

@@ -108,16 +108,12 @@ def tanh_field(dim: int, amplitude: float) -> RandersField:
     """beta_i(u) = amplitude * tanh(u_i); sup of each component is |amplitude|."""
     a = float(amplitude)
 
-    def drift(x):
-        # scaled in place: one array per call, the same values as a * tanh(x)
-        t = np.tanh(np.asarray(x, dtype=float))
+    def drift(x, out=None):
+        # scaled in place: one array per call (none given ``out``), the
+        # same values as a * tanh(x)
+        t = np.tanh(np.asarray(x, dtype=float), out=out)
         t *= a
         return t
-
-    def in_place(x):
-        np.tanh(x, out=x)
-        x *= a
-        return x
 
     def vjp(u, p):
         t = np.tanh(np.asarray(u, dtype=float))
@@ -128,7 +124,7 @@ def tanh_field(dim: int, amplitude: float) -> RandersField:
         beta_bound=abs(a),
         dim=dim,
         vjp=vjp,
-        scalar_map=in_place,
+        scalar_map=lambda x: drift(x, out=x),
     )
 
 

@@ -13,12 +13,11 @@ from typing import Callable
 
 import numpy as np
 
-from .concentration import _in_threads, _ols_slope, tail_profile_from_deviations
+from .concentration import in_threads, ols_slope, tail_profile_from_deviations
 from .dynamics import (CycleSchedule, rk4_march, sin_squared_schedule, speed,
                        steps_per_period)
 from .geometry import BLOCK_DIM, RandersField
-from .runio import (atomic_write_csv, atomic_write_json, derive_rng,
-                    usable_cores)
+from .runio import atomic_write_csv, atomic_write_json, derive_rng
 
 SYSTEMS = ("A", "B", "S")
 # The batched march advances slices of at most this many coordinates: a
@@ -31,9 +30,6 @@ BLOCK_ELEMS = 2**15
 # overhead) while the chunks stay many enough to keep every worker busy; a
 # constant, so that memory does not grow with the core count.
 TRIAL_CHUNK_ELEMS = 4 * BLOCK_ELEMS
-# The WEP marches run as tasks of a pool of this many workers, one per core
-# the process may use.
-WORKERS = usable_cores()
 
 
 @dataclass(frozen=True)
@@ -278,7 +274,7 @@ def wep_experiment(config: WepConfig) -> WepReport:
         tasks += [functools.partial(march_trials, n_mol, lo,
                                     min(lo + chunk, config.n_trials))
                   for lo in range(0, config.n_trials, chunk)]
-    _in_threads(lambda k, stop: tasks[k](), len(tasks), WORKERS)
+    in_threads(lambda k, stop: tasks[k](), len(tasks))
     tau_grid, guide = guide_out
 
     per_size = {}
@@ -378,7 +374,7 @@ def scale_relation_check(source,
 
     lx = np.log(np.array(sorted(rho_star)))
     ly = np.log(np.array([rho_star[n] for n in sorted(rho_star)]))
-    slope, _, stderr = _ols_slope(lx, ly)
+    slope, _, stderr = ols_slope(lx, ly)
 
     if abs(slope + 0.5) <= 0.15:
         regime = "clt"

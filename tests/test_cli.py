@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randerslab import cli, lipschitz
-from randerslab import observables as obs
+from randerslab import cli, lipschitz, runio
 from randerslab.runio import (NumericError, atomic_write_csv, atomic_write_text,
                               config_hash, fmt_float)
 
@@ -161,13 +160,12 @@ class TestValidate:
         assert cli.main(["validate", "--config", path]) == 0
 
 
-    @pytest.mark.parametrize("workers, code", [(8, 2), (1, 0)])
+    @pytest.mark.parametrize("cores, code", [(8, 2), (1, 0)])
     def test_wep_budget_counts_the_trials_in_flight(self, tmp_path, capsys,
-                                                    monkeypatch, workers,
-                                                    code):
+                                                    monkeypatch, cores, code):
         # one trial at N = 2^24 takes exactly MAX_SAMPLE_BYTES at 8 bytes
-        # per coordinate; 8 workers would march 8 such trials at once
-        monkeypatch.setattr(obs, "WORKERS", workers)
+        # per coordinate; 8 cores would march 8 such trials at once
+        monkeypatch.setattr(runio, "usable_cores", lambda: cores)
         cfg = small_configs()["wep"]
         cfg["parameters"].update(n_list=[2, 2**24], n_trials=8)
         path = write_config(tmp_path, cfg)
@@ -543,12 +541,7 @@ print(json.dumps({"codes": codes, "modules": sorted(
 """
 
 
-@pytest.mark.parametrize("name, extra", [
-    ("flow", []), ("wep", ["concentration", "observables"])])
-def test_subcommand_imports_only_its_modules(tmp_path, name, extra):
-    cfg = write_config(tmp_path, small_configs()[name])
-    argvs = [["validate", "--config", cfg],
-             [name, "--config", cfg, "--out", str(tmp_path / "out")]]
+def _imports_run(argvs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parent.parent),
          os.environ.get("PYTHONPATH", "")]))
@@ -556,13 +549,26 @@ def test_subcommand_imports_only_its_modules(tmp_path, name, extra):
                            json.dumps(argvs)], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("flow", []), ("wep", ["concentration", "observables"])])
+def test_subcommand_imports_only_its_modules(tmp_path, name, extra):
+    cfg = write_config(tmp_path, small_configs()[name])
+    core = ["cli", "dynamics", "geometry", "runio"]
+    validate = ["validate", "--config", cfg]
+    report = _imports_run([validate, [name, "--config", cfg, "--out",
+                                      str(tmp_path / "out")]])
     assert report["codes"] == [0, 0]
-    assert report["modules"] == sorted(
-        f"randerslab.{m}" for m in ["cli", "dynamics", "geometry", "runio",
-                                    *extra])
+    assert report["modules"] == sorted(f"randerslab.{m}"
+                                       for m in core + extra)
     # the manifest spawns no process
     assert not report["subprocess"]
+    # validation alone loads no experiment module
+    report = _imports_run([validate])
+    assert report["codes"] == [0]
+    assert report["modules"] == sorted(f"randerslab.{m}" for m in core)
 
 
 LIBRARY_MODULES = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py")
@@ -668,12 +674,12 @@ def test_outputs_match_pinned_digests(tmp_path, name):
     assert digests == PINNED_DIGESTS[name]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("cores", [1, 2, 3])
 def test_wep_digests_do_not_depend_on_worker_count(tmp_path, monkeypatch,
-                                                   workers):
+                                                   cores):
     # the guide and the trial chunks run as tasks of a pool of one, two or
-    # three workers
-    monkeypatch.setattr(obs, "WORKERS", workers)
+    # three workers, one per usable core
+    monkeypatch.setattr(runio, "usable_cores", lambda: cores)
     cfg = write_config(tmp_path, small_configs()["wep"])
     out = tmp_path / "out"
     assert cli.main(["wep", "--config", cfg, "--out", str(out)]) == 0

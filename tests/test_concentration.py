@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from randerslab import cli, concentration
+from randerslab import cli, concentration, runio
 from randerslab.concentration import (
     ConcentrationProfile,
     DimensionError,
@@ -34,17 +34,17 @@ def _gaussian(dim, seed, sigma=1.0):
                           sigma=sigma)
 
 
-def _sphere_coordinate_z(prof, n_dim):
-    """z-scores of the tail counts of |x_0 - median_hat| against the exact
-    law on S^d: x_0^2 ~ Beta(1/2, d/2), so P(x_0 > c) = I_{1-c^2}(d/2, 1/2)
-    / 2 for c >= 0, and x_0 is symmetric.  The median comes from an
-    independent stream, so each count is binomial given it."""
+def _sphere_coordinate_z(prof, n_dim, sigma_f=1.0):
+    """z-scores of the tail counts of |x_0 - median_hat| / sigma_f against
+    the exact law on S^d: x_0^2 ~ Beta(1/2, d/2), so P(x_0 > c) =
+    I_{1-c^2}(d/2, 1/2) / 2 for c >= 0, and x_0 is symmetric.  The median
+    comes from an independent stream, so each count is binomial given it."""
     def above(c):
         upper = 0.5 * special.betainc(n_dim / 2, 0.5,
                                       np.clip(1.0 - c * c, 0.0, 1.0))
         return np.where(c >= 0, upper, 1.0 - upper)
 
-    m, r, n = prof.median_hat, prof.rho_grid * prof.sigma_f, prof.n_samples
+    m, r, n = prof.median_hat, prof.rho_grid * sigma_f, prof.n_samples
     p = above(m + r) + above(r - m)
     return (prof.exceed_counts - n * p) / np.sqrt(n * p * (1.0 - p))
 
@@ -186,6 +186,19 @@ class TestObserveStreams:
             assert report.median_hat == med
             assert [r.empirical for r in report.rows] == [
                 float((dist <= eps).mean()) for eps in grid]
+
+    def test_one_usable_core_starts_no_thread(self, monkeypatch):
+        streams = [(3001, 1), (2000, 2)]
+        for sampler in SAMPLERS:
+            monkeypatch.setattr(runio, "usable_cores", lambda: 2)
+            two = sampler.observe_streams(first_coord, streams)
+            monkeypatch.setattr(runio, "usable_cores", lambda: 1)
+            with monkeypatch.context() as m:
+                m.setattr(threading.Thread, "start",
+                          lambda self: pytest.fail("a thread started"))
+                one = sampler.observe_streams(first_coord, streams)
+            for a, b in zip(one, two):
+                assert np.array_equal(a, b), sampler.kind
 
     def test_first_stream_error_wins_and_no_thread_remains(self, monkeypatch):
         monkeypatch.setattr(concentration, "SAMPLE_CHUNK_ELEMS", 16)
@@ -361,7 +374,8 @@ class TestConcentrationProfile:
         prof = concentration_profile(first_coord, sphere(n_dim, cfg["seed"]),
                                      np.array(params["rho_grid"]), n,
                                      sigma_f=params["sigma_f"])
-        assert np.all(np.abs(_sphere_coordinate_z(prof, n_dim)) <= 4.0)
+        assert np.all(np.abs(_sphere_coordinate_z(
+            prof, n_dim, params["sigma_f"])) <= 4.0)
 
     def test_sphere_coordinate_law_sees_the_sphere_of_one_dimension_less(self):
         # A sampler on S^(d-1) in place of S^d fails the law of S^d.
@@ -402,7 +416,7 @@ class TestFitDecayConstant:
         tail = c1 * np.exp(-(grid ** 2) / 2.0)
         prof = ConcentrationProfile(
             rho_grid=grid, tail_prob=tail, exceed_counts=tail * n,
-            median_hat=0.0, n_samples=n, sigma_f=1.0, rho_p=1.0, fit=None)
+            median_hat=0.0, n_samples=n, rho_p=1.0, fit=None)
         fit = fit_decay_constant(prof)
         assert fit.C2_hat == pytest.approx(1.0, abs=1e-6)
         assert fit.C1_hat == pytest.approx(c1, rel=1e-6)

@@ -219,6 +219,14 @@ class TestRunCycles:
         with pytest.raises(GridAlignmentError):
             run_cycles(field, sched, initial, n_cycles=1, dt=0.3)
 
+    def test_start_state_must_be_at_t_zero(self):
+        # the march runs from t = 0 and would ignore any other start time
+        field = tanh_field(8, 0.5)
+        sched = sin_squared_schedule(1.0)
+        initial = make_state(_point(8, seed=11), sched, t=0.37)
+        with pytest.raises(ValueError, match="t = 0.37"):
+            run_cycles(field, sched, initial, n_cycles=1, dt=0.1)
+
     def test_equilibrium_h_vanishes_with_generic_momentum(self):
         field = tanh_field(16, 0.9)
         sched = sin_squared_schedule(1.0)

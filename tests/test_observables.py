@@ -10,7 +10,8 @@ import pytest
 from randerslab.dynamics import (CycleSchedule, ScheduleError,
                                  equilibrium_cycle, make_state, rk4_march,
                                  run_cycles, sin_squared_schedule, speed)
-from randerslab import observables
+from randerslab import observables, runio
+from randerslab.concentration import in_threads
 from randerslab.geometry import PhasePoint, constant_field, tanh_field, zero_field
 from randerslab.observables import (
     BLOCK_ELEMS,
@@ -182,7 +183,7 @@ class TestBatchedEvolution:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 3):
-                monkeypatch.setattr(observables, "WORKERS", workers)
+                monkeypatch.setattr(runio, "usable_cores", lambda: workers)
                 report = wep_experiment(config)
                 assert np.array_equal(report.guide, guide), workers
                 for n in n_list:
@@ -216,9 +217,10 @@ class TestBatchedEvolution:
                 assert time.monotonic() < deadline
                 time.sleep(1e-3)
 
+        monkeypatch.setattr(runio, "usable_cores", lambda: workers)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="task 0"):
-            observables._in_threads(work, 8, workers)
+            in_threads(work, 8)
         assert sorted(started) == list(range(workers))
         assert len(set(started.values())) == workers
         assert threading.main_thread() in started.values()
@@ -226,7 +228,6 @@ class TestBatchedEvolution:
 
         # a failing trial chunk of the WEP run: its error is raised from
         # the pool, and no thread remains either
-        monkeypatch.setattr(observables, "WORKERS", workers)
         field = tanh_field(8, 0.9)
 
         def drift(x):

@@ -13,6 +13,9 @@ Every field of a library dataclass must also be read: some code under
 ``src/``, ``scripts/``, ``perfbench/`` or ``tests/`` loads an attribute of
 that name, or, under ``scripts/`` and ``perfbench/``, names it in a string.
 A field that is only ever set fails here.
+
+No library module imports a ``_``-prefixed name from a sibling module: a
+name another module needs is public.
 """
 
 import ast
@@ -157,3 +160,22 @@ def test_field_scan_finds_the_fields():
               for cls, field in _dataclass_fields(ast.parse(path.read_text()))}
     assert {("PerSizeResult", "sigma_x"), ("ScaleProfile", "rho0"),
             ("Preparation", "covariance")} <= fields
+
+
+def _private_sibling_imports():
+    """``module: sibling.name`` of each ``_``-prefixed name, dunders aside,
+    that a library module imports from a sibling."""
+    found = []
+    for path in LIBRARY:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("randerslab")):
+                found += [f"{path.stem}: {node.module}.{alias.name}"
+                          for alias in node.names
+                          if alias.name.startswith("_")
+                          and not alias.name.endswith("__")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    assert _private_sibling_imports() == []

@@ -392,15 +392,14 @@ def run_lipschitz(params, seed, outdir):
     decomp = lip.radial_decomposition(normalized, box, scale_profile=profile,
                                       n_pairs=n_pairs, seed=seed)
 
-    split = march = None
+    snaps = march = None
     flow_spec = params["flow"]
     if flow_spec is not None:
         march, snaps = _march_from_draw(field, n_mol, flow_spec, flow_spec,
                                         seed, "lipschitz-flow-initial",
                                         store_trajectory=False)
-        split = lip.check_constraint_split(decomp, snaps)
 
-    report = lip.decomposition_report(decomp, split)
+    report = lip.decomposition_report(decomp, snaps)
     report["raw_estimate"] = est.constant_hat
     report["normalization_scale"] = normalized.scale
     atomic_write_json(os.path.join(outdir, "decomposition_report.json"), report)

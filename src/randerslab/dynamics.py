@@ -234,11 +234,20 @@ def step_flow(field: RandersField, schedule: CycleSchedule, state: FlowState,
 
 @dataclass(frozen=True)
 class EquilibriumSnapshot:
+    """Phase point and Hamiltonian at the equilibrium instant
+    t = (2 cycle - 1) T, where the cycle time tau is ``cycle``."""
+
     cycle: int
     t: float
-    tau: float
     point: PhasePoint
     h_value: float
+
+    @property
+    def h_within_bound(self) -> bool:
+        """|H| <= H_BOUND * (1 + |p|), the vanishing of the Hamiltonian
+        that an equilibrium instant requires; false for a NaN H."""
+        p_norm = float(np.linalg.norm(self.point.p))
+        return abs(self.h_value) <= H_BOUND * (1.0 + p_norm)
 
 
 @dataclass
@@ -280,8 +289,8 @@ def _phase_row(t, tau, cycle, u, p, h) -> list:
 def snapshots_to_csv(snapshots, path) -> None:
     if not snapshots:
         raise ValueError("no snapshots to export")
-    rows = (_phase_row(s.t, s.tau, s.cycle, s.point.u, s.point.p, s.h_value)
-            for s in snapshots)
+    rows = (_phase_row(s.t, float(s.cycle), s.cycle, s.point.u, s.point.p,
+                       s.h_value) for s in snapshots)
     atomic_write_csv(path, _phase_header(snapshots[0].point.dim), rows)
 
 
@@ -295,8 +304,11 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     steps 0, stride, 2 stride, ... and the snapshots sit at the
     equilibrium instants t = (2n - 1) T, n = 1..n_cycles.  Times are taken
     as k * dt (not accumulated), so with dt dividing T the instants land on
-    grid points; each snapshot's Hamiltonian must satisfy
-    |H| <= H_BOUND * (1 + |p|).
+    grid points; each snapshot must be ``h_within_bound`` (ScheduleError
+    otherwise).  Instants and the stored rows' cycle labels are numbered
+    from the integer step: cycle k holds steps 2 (k - 1) T/dt <= step <
+    2 k T/dt, and the last step belongs to n_cycles.  A row's tau is
+    ``tau_of_t`` of its float time.
 
     With ``store_trajectory=False`` no row is stored, and given
     ``csv_path`` each stored row is written to that CSV as the march
@@ -311,8 +323,7 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
                          f"is at t = {initial.t!r}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    T = schedule.period_T
-    steps_per_T = steps_per_period(T, dt)
+    steps_per_T = steps_per_period(schedule.period_T, dt)
     total = 2 * n_cycles * steps_per_T
     dim = initial.point.dim
     n_mol = initial.point.n_molecules
@@ -342,17 +353,16 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
                                               abs(g - g0) / (1.0 + abs(g0)))
             summary.randers_margin = min(summary.randers_margin, margin)
             if n:
-                p_norm = float(np.linalg.norm(p))
-                if abs(h_val) > H_BOUND * (1.0 + p_norm):
+                snapshots.append(EquilibriumSnapshot(
+                    cycle=n, t=t,
+                    point=PhasePoint(u=u.copy(), p=p.copy(), n_molecules=n_mol),
+                    h_value=h_val))
+                if not snapshots[-1].h_within_bound:
                     raise ScheduleError(
                         f"Hamiltonian |H| = {abs(h_val):.3e} at equilibrium "
                         f"instant t = {t!r} exceeds {H_BOUND:.1e} * (1 + |p|)")
-                snapshots.append(EquilibriumSnapshot(
-                    cycle=n, t=t, tau=float(n),
-                    point=PhasePoint(u=u.copy(), p=p.copy(), n_molecules=n_mol),
-                    h_value=h_val))
             if stored:
-                cycle = min(math.floor(t / (2 * T)) + 1, n_cycles)
+                cycle = min(step // (2 * steps_per_T) + 1, n_cycles)
                 yield _phase_row(t, tau_of_t(t, schedule), cycle, u, p, h_val)
         summary.final_h = h_val
 

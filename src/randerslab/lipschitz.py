@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import H_BOUND
 from .runio import NumericError
 
 # Profile tuning: see tune_profile.
@@ -33,7 +32,7 @@ class EstimationError(LipschitzError):
 
 
 class ProfileError(LipschitzError):
-    """Scale profile violates R(0) = 1 or positivity."""
+    """Scale profile with a decay scale rho0 that is not positive."""
 
 
 def _batch(f: Callable) -> Callable:
@@ -440,58 +439,17 @@ def radial_decomposition(h, box: CompactBox, scale_profile: ScaleProfile | None 
     return decomp
 
 
-@dataclass(frozen=True)
-class ConstraintSplitRow:
-    t: float
-    h: float
-    lipschitz_part: float
-    matter_part: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ConstraintSplitReport:
-    rows: tuple
-    passed: bool
-    sign_note: str
-
-
-def check_constraint_split(decomp: HamiltonianDecomposition,
-                           snapshots) -> ConstraintSplitReport:
-    """Constraint check at equilibrium snapshots.
-
-    The flow Hamiltonian (with its vanishing equilibrium prefactor) must
-    satisfy |H| <= H_BOUND * (1 + |p|) at each snapshot; the decomposition's
-    two pieces are evaluated at the same phase-space point without that
-    suppression and reported, since each may individually differ from zero.
-    """
-    rows = []
-    n_pos_matter = 0
-    n_lip_nonpos = 0
-    for s in snapshots:
-        z = np.concatenate([s.point.u, s.point.p])
-        lip = float(decomp.lipschitz_part(z))
-        mat = float(decomp.matter_part(z))
-        ok = abs(s.h_value) <= H_BOUND * (1.0 + float(np.linalg.norm(s.point.p)))
-        if mat > 0:
-            n_pos_matter += 1
-            if lip <= 0:
-                n_lip_nonpos += 1
-        rows.append(ConstraintSplitRow(t=s.t, h=s.h_value, lipschitz_part=lip,
-                                       matter_part=mat, passed=ok))
-    if n_pos_matter:
-        sign_note = (f"{n_lip_nonpos}/{n_pos_matter} snapshots with positive "
-                     "matter part have a nonpositive Lipschitz part")
-    else:
-        sign_note = "no snapshot had a positive matter part"
-    return ConstraintSplitReport(rows=tuple(rows),
-                                 passed=all(r.passed for r in rows),
-                                 sign_note=sign_note)
-
-
 def decomposition_report(decomp: HamiltonianDecomposition,
-                         split: ConstraintSplitReport | None = None) -> dict:
-    """JSON-ready report recording the full construction."""
+                         snapshots=None) -> dict:
+    """JSON-ready report recording the full construction.
+
+    Given the equilibrium snapshots of a flow, it adds the constraint split
+    at each: the flow Hamiltonian (with its vanishing equilibrium prefactor)
+    and the decomposition's two pieces evaluated at the same phase-space
+    point without that suppression, since each may individually differ from
+    zero; ``constraint_passed`` says whether every snapshot is
+    ``h_within_bound``.
+    """
     report = {
         "box": {"lower": decomp.box.lower.tolist(),
                 "upper": decomp.box.upper.tolist()},
@@ -505,10 +463,21 @@ def decomposition_report(decomp: HamiltonianDecomposition,
         "note": decomp.note,
         "snapshots": [],
     }
-    if split is not None:
-        report["snapshots"] = [
-            {"t": r.t, "H": r.h, "lipschitz_part": r.lipschitz_part,
-             "matter_part": r.matter_part} for r in split.rows]
-        report["constraint_passed"] = split.passed
-        report["sign_note"] = split.sign_note
+    if snapshots is None:
+        return report
+    n_pos_matter = n_lip_nonpos = 0
+    for s in snapshots:
+        z = np.concatenate([s.point.u, s.point.p])
+        lip = float(decomp.lipschitz_part(z))
+        mat = float(decomp.matter_part(z))
+        if mat > 0:
+            n_pos_matter += 1
+            n_lip_nonpos += lip <= 0
+        report["snapshots"].append({"t": s.t, "H": s.h_value,
+                                    "lipschitz_part": lip, "matter_part": mat})
+    report["constraint_passed"] = all(s.h_within_bound for s in snapshots)
+    report["sign_note"] = (
+        f"{n_lip_nonpos}/{n_pos_matter} snapshots with positive matter part "
+        "have a nonpositive Lipschitz part" if n_pos_matter
+        else "no snapshot had a positive matter part")
     return report

@@ -157,8 +157,8 @@ def mean_guide(preparation: Preparation, flow: FlowParams, n_cycles: int,
     Whole molecule blocks are drawn in row blocks (``draw_positions``),
     which keeps their random stream, and only the positions are kept and
     marched in place: the reference ensemble holds 4 doubles per molecule.
-    Returns (tau_grid, M) with M of shape (n_cycles + 1, 4); the continuous
-    tau view is linear interpolation between integer snapshots.
+    Returns M, shaped (n_cycles + 1, 4): row tau is the mean at cycle time
+    tau = 0..n_cycles.
     """
     rng = derive_rng(seed, "mean-guide", preparation.seed)
     u0 = preparation.draw_positions(np.empty((n_reference, 4)), rng)
@@ -169,7 +169,7 @@ def mean_guide(preparation: Preparation, flow: FlowParams, n_cycles: int,
         m[tau] = center_of_mass(u)
 
     evolve_coordinates(u0, flow.field, schedule, flow.dt, n_cycles, collect)
-    return np.arange(n_cycles + 1), m
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +217,7 @@ class PerSizeResult:
 @dataclass
 class WepReport:
     config: WepConfig
-    tau_grid: np.ndarray
-    guide: np.ndarray
+    guide: np.ndarray        # (n_cycles+1, 4): M at tau = 0..n_cycles
     per_size: dict
     monotonicity: list       # [(N, median_sup_d_ab)]
     monotonic_ok: bool
@@ -242,7 +241,7 @@ def wep_experiment(config: WepConfig) -> WepReport:
                 for n_mol in config.n_list}
 
     def march_guide():
-        guide_out.extend(mean_guide(config.preparation, flow, config.n_cycles,
+        guide_out.append(mean_guide(config.preparation, flow, config.n_cycles,
                                     n_reference=config.n_reference,
                                     seed=config.seed))
 
@@ -275,7 +274,7 @@ def wep_experiment(config: WepConfig) -> WepReport:
                                     min(lo + chunk, config.n_trials))
                   for lo in range(0, config.n_trials, chunk)]
     in_threads(lambda k, stop: tasks[k](), len(tasks))
-    tau_grid, guide = guide_out
+    guide, = guide_out
 
     per_size = {}
     for n_mol in config.n_list:
@@ -308,7 +307,6 @@ def wep_experiment(config: WepConfig) -> WepReport:
     allowed = max(1, (len(meds) - 1) // 10)
     return WepReport(
         config=config,
-        tau_grid=tau_grid,
         guide=guide,
         per_size=per_size,
         monotonicity=monotonicity,
@@ -407,9 +405,9 @@ def wep_to_csv(report: WepReport, path) -> None:
         for n_mol in report.config.n_list:
             res = report.per_size[n_mol]
             for trial in range(report.config.n_trials):
-                for tau in report.tau_grid:
+                for tau in range(report.config.n_cycles + 1):
                     x = res.x_obs[trial, tau]
-                    yield ([n_mol, trial, int(tau)]
+                    yield ([n_mol, trial, tau]
                            + list(x[0]) + list(x[1]) + list(x[2])
                            + list(report.guide[tau])
                            + [res.d_ab[trial, tau],

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from randerslab.dynamics import (
     BlowUpError,
+    EquilibriumSnapshot,
     FlowSummary,
     GridAlignmentError,
     ScheduleError,
@@ -211,6 +212,47 @@ class TestRunCycles:
         initial = make_state(_point(16, seed=10), fake)
         with pytest.raises(ScheduleError):
             run_cycles(field, fake, initial, n_cycles=1, dt=0.01)
+
+    def test_nan_hamiltonian_at_an_instant_breaks_the_bound(self):
+        # G = beta(u)·p overflows to inf, so H = s G is NaN where s = 0
+        field = constant_field(0.5, 16)
+        sched = sin_squared_schedule(1.0)
+        pt = PhasePoint(u=np.zeros(16), p=np.full(16, 1e308), n_molecules=2)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ScheduleError, match="nan"):
+                run_cycles(field, sched, make_state(pt, sched), n_cycles=1,
+                           dt=0.1, store_trajectory=False)
+
+    @pytest.mark.parametrize("h, within", [
+        (0.0, True), (1e-9 * 3.0, True), (-1e-9 * 3.0, True),
+        (1e-9 * 3.0 * (1 + 1e-12), False), (math.nan, False)])
+    def test_h_within_bound_scales_with_the_momentum(self, h, within):
+        # |p| = 2, so the bound is 1e-9 * (1 + 2)
+        pt = PhasePoint(u=np.zeros(8), p=np.array([2.0] + [0.0] * 7),
+                        n_molecules=1)
+        snap = EquilibriumSnapshot(cycle=1, t=1.0, point=pt, h_value=h)
+        assert snap.h_within_bound is within
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["memory", "csv"])
+    def test_cycle_labels_come_from_the_step(self, streamed, tmp_path):
+        # T/dt = 3: step 6 is t = 2T, which reads 1.7999999999999998 as
+        # 6 * 0.3, below 2 * 0.9 = 1.8; it opens cycle 2
+        field = tanh_field(8, 0.5)
+        sched = sin_squared_schedule(0.9)
+        initial = make_state(_point(8, seed=14), sched)
+        out = tmp_path / "trajectory.csv"
+        run, snaps = run_cycles(field, sched, initial, n_cycles=2, dt=0.3,
+                                stride=1, csv_path=out if streamed else None)
+        if streamed:
+            rows = [line.split(",") for line in
+                    out.read_text().splitlines()[1:]]
+            t = [float(r[0]) for r in rows]
+            cycle = [int(r[2]) for r in rows]
+        else:
+            t, cycle = run.t.tolist(), run.cycle.tolist()
+        assert t[6] == 1.7999999999999998
+        assert cycle == [min(step // 6 + 1, 2) for step in range(13)]
+        assert [(s.cycle, s.t) for s in snaps] == [(1, 3 * 0.3), (2, 9 * 0.3)]
 
     def test_grid_alignment_checked(self):
         field = zero_field(8)

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randerslab import lipschitz
-from randerslab.dynamics import make_state, run_cycles, sin_squared_schedule
+from randerslab.dynamics import (
+    EquilibriumSnapshot,
+    make_state,
+    run_cycles,
+    sin_squared_schedule,
+)
 from randerslab.geometry import PhasePoint, tanh_field
 from randerslab.lipschitz import (
     N_IDENTITY_CHECK,
@@ -17,7 +22,6 @@ from randerslab.lipschitz import (
     ProfileError,
     ScaleProfile,
     _part_estimate,
-    check_constraint_split,
     decomposition_report,
     estimate_lipschitz,
     normalize_to_one_lipschitz,
@@ -382,26 +386,25 @@ class TestConstraintSplit:
 
     def test_generic_momentum_sum_suppressed_parts_reported(self):
         decomp, snaps = self._decomposed_flow(p_scale=1.0, seed=20)
-        report = check_constraint_split(decomp, snaps)
-        assert report.passed
+        report = decomposition_report(decomp, snaps)
+        assert report["constraint_passed"]
         # the equilibrium prefactor kills the sum while the unsuppressed
         # parts stay generically nonzero
-        assert all(abs(r.h) <= 1e-9 * 10 for r in report.rows)
-        assert any(abs(r.lipschitz_part) > 0 for r in report.rows)
+        assert all(abs(r["H"]) <= 1e-9 * 10 for r in report["snapshots"])
+        assert any(abs(r["lipschitz_part"]) > 0 for r in report["snapshots"])
 
     def test_zero_momentum_all_parts_vanish(self):
         decomp, snaps = self._decomposed_flow(p_scale=0.0, seed=21)
-        report = check_constraint_split(decomp, snaps)
-        assert report.passed
-        for r in report.rows:
-            assert r.h == 0.0
-            assert abs(r.lipschitz_part) < 1e-12
-            assert abs(r.matter_part) < 1e-12
+        report = decomposition_report(decomp, snaps)
+        assert report["constraint_passed"]
+        for r in report["snapshots"]:
+            assert r["H"] == 0.0
+            assert abs(r["lipschitz_part"]) < 1e-12
+            assert abs(r["matter_part"]) < 1e-12
 
     def test_report_schema(self):
         decomp, snaps = self._decomposed_flow(p_scale=0.5, seed=22)
-        split = check_constraint_split(decomp, snaps)
-        report = decomposition_report(decomp, split)
+        report = decomposition_report(decomp, snaps)
         assert set(report) >= {"box", "metric", "profile",
                                "lipschitz_estimate_global",
                                "identity_max_abs_residual", "snapshots"}
@@ -409,3 +412,53 @@ class TestConstraintSplit:
         row = report["snapshots"][0]
         assert set(row) == {"t", "H", "lipschitz_part", "matter_part"}
         assert isinstance(report["sign_note"], str)
+        # without snapshots the split is left out
+        bare = decomposition_report(decomp)
+        assert bare["snapshots"] == []
+        assert not {"constraint_passed", "sign_note"} & set(bare)
+
+
+def _snapshots(points, h_values):
+    return [EquilibriumSnapshot(cycle=k + 1, t=2.0 * k + 1.0,
+                                point=PhasePoint(u=z[:8], p=z[8:],
+                                                 n_molecules=1),
+                                h_value=h)
+            for k, (z, h) in enumerate(zip(points, h_values))]
+
+
+class TestSnapshotReport:
+    """decomposition_report's split at snapshots outside a small box, where
+    the matter part is generically nonzero."""
+
+    @pytest.fixture(scope="class")
+    def decomp(self):
+        h = randers_hamiltonian(tanh_field(8, 0.9), 8)
+        return radial_decomposition(h, CompactBox.cube(16, 0.1),
+                                    scale_profile=ScaleProfile(rho0=0.5),
+                                    n_pairs=200, seed=0)
+
+    def test_sign_note_counts_positive_matter_snapshots(self, decomp):
+        points = np.random.default_rng(30).normal(size=(40, 16))
+        report = decomposition_report(decomp, _snapshots(points, [0.0] * 40))
+        mat = [float(decomp.matter_part(z)) for z in points]
+        lip = [float(decomp.lipschitz_part(z)) for z in points]
+        n_pos = sum(m > 0 for m in mat)
+        n_lip_nonpos = sum(m > 0 and l <= 0 for m, l in zip(mat, lip))
+        assert 0 < n_lip_nonpos < n_pos < 40
+        assert report["sign_note"] == (
+            f"{n_lip_nonpos}/{n_pos} snapshots with positive matter part "
+            "have a nonpositive Lipschitz part")
+        assert [(r["lipschitz_part"], r["matter_part"])
+                for r in report["snapshots"]] == list(zip(lip, mat))
+        assert report["constraint_passed"]
+
+    @pytest.mark.parametrize("h", [1e-8, -1e-8, math.nan])
+    def test_constraint_fails_when_a_snapshot_breaks_the_bound(self, decomp,
+                                                               h):
+        # |p| is about 4, so the bound is about 5e-9
+        points = np.random.default_rng(31).normal(size=(3, 16))
+        snaps = _snapshots(points, [0.0, h, 1e-10])
+        assert not snaps[1].h_within_bound
+        report = decomposition_report(decomp, snaps)
+        assert report["constraint_passed"] is False
+        assert [r["H"] for r in report["snapshots"]][0::2] == [0.0, 1e-10]

@@ -69,10 +69,11 @@ MAX_RK4_STEPS = 10**7
 MAX_TRAJECTORY_BYTES = 2**30
 # The arrays a sample count sizes take at most this many bytes: the two
 # stream vectors of concentration and sphere, both allocated before either
-# stream is drawn, the wep reference positions, the positions of the wep
-# trials at the largest N that the workers march at once (each marched in
-# place, and counted at twice its size), the wep observables and the
-# lipschitz pair ends.
+# stream is drawn, the wep observables and the lipschitz pair ends.  The
+# wep reference positions and those of the trials at the largest N that
+# the workers march at once are counted at twice their size as if held
+# whole; the wep march holds one chunk per worker, so for these two the
+# cap bounds the size of the ensembles a run draws, not its memory.
 MAX_SAMPLE_BYTES = 2**30
 
 POSITIVE = (lambda x: x > 0, "must be positive")
@@ -263,8 +264,8 @@ def _cross_check(params, v):
         # its median from a smaller stream
         "n": 0 if n is None else n + (n if "sphere_dimension" in params
                                       else conc.median_stream_size(n)),
-        # (n, 4) positions, marched in place; the bound counts twice the 4
-        # doubles per molecule they take
+        # twice the 4 doubles per molecule of the (n, 4) positions: the
+        # march holds one chunk of them, so this caps the ensemble's size
         "n_reference": 8 * params.get("n_reference", 0),
         # the same for the trials at the largest N that the pool marches at
         # once, one trial per task at a large N on each usable core

@@ -124,9 +124,16 @@ def steps_per_period(period_T: float, dt: float) -> int:
     return n
 
 
+def instant_step(n: int, steps_per_T: int) -> int:
+    """Grid step of the n-th equilibrium instant t = (2n - 1) T; the
+    inverse of ``equilibrium_cycle``."""
+    return (2 * n - 1) * steps_per_T
+
+
 def equilibrium_cycle(step: int, steps_per_T: int) -> int:
-    """Cycle n whose equilibrium instant t = (2n - 1) T is grid step
-    ``step``, or 0 when that step is no equilibrium instant."""
+    """Cycle n whose equilibrium instant is grid step ``step`` (``step ==
+    instant_step(n, steps_per_T)``), or 0 when that step is no equilibrium
+    instant."""
     n, rem = divmod(step + steps_per_T, 2 * steps_per_T)
     return n if rem == 0 else 0
 

@@ -14,22 +14,21 @@ from typing import Callable
 import numpy as np
 
 from .concentration import in_threads, ols_slope, tail_profile_from_deviations
-from .dynamics import (CycleSchedule, rk4_march, sin_squared_schedule, speed,
+from .dynamics import (CycleSchedule, equilibrium_cycle, instant_step,
+                       rk4_march, sin_squared_schedule, speed,
                        steps_per_period)
 from .geometry import BLOCK_DIM, RandersField
 from .runio import atomic_write_csv, atomic_write_json, derive_rng
 
 SYSTEMS = ("A", "B", "S")
-# The batched march advances slices of at most this many coordinates: a
-# slice and its two RK4 stage arrays (1.5 MiB) fit in a 2 MiB L2 cache.
-SLICE_ELEMS = 2**16
 # Molecule blocks are drawn in row blocks of this many coordinates.
 BLOCK_ELEMS = 2**15
-# Trials of one size march together in chunks of about this many position
-# coordinates, so that small ensembles share slices (and their per-step
-# overhead) while the chunks stay many enough to keep every worker busy; a
-# constant, so that memory does not grow with the core count.
-TRIAL_CHUNK_ELEMS = 4 * BLOCK_ELEMS
+# The WEP draws and marches its ensembles in chunks of at most this many
+# position coordinates: a chunk and its two RK4 stage arrays (1.5 MiB) fit
+# in a 2 MiB L2 cache, whatever the ensemble sizes.  A chunk holds whole row
+# blocks (BLOCK_ELEMS // 8 molecules), so every stream is drawn in the same
+# calls as in one piece.
+CHUNK_ELEMS = 2**16
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,8 @@ class Preparation:
 def center_of_mass(blocks: np.ndarray) -> np.ndarray:
     """Center-of-mass 4-vector of molecule blocks shaped (..., n, 8), or of
     their positions shaped (..., n, 4): the mean of the position
-    coordinates over the molecule axis; velocities never enter.  A sum
-    that overflows gives inf or NaN without a warning, for the caller's
-    finite check to report (the WEP deviation profiles)."""
+    coordinates over the molecule axis; velocities never enter.  The WEP
+    march's chunked means equal it bit for bit (``_march_means``)."""
     with np.errstate(over="ignore", invalid="ignore"):
         return blocks[..., :4].mean(axis=-2)
 
@@ -110,32 +108,23 @@ def evolve_coordinates(u0: np.ndarray, field: RandersField,
     every equilibrium instant tau = 1..n_cycles; the march stops at the
     last equilibrium instant.
 
-    The march runs in the calling thread.  The flat array is cut into the
-    fewest slices of near-equal length within ``SLICE_ELEMS``, so a slice
-    and the two RK4 stage arrays stay in cache, and cycle by cycle each
-    slice is marched from one equilibrium instant to the next, with the
-    in-place ``scalar_map`` as the rate.  Drift, RK4 and the schedule act
-    element by element, so every step is the same arithmetic on the same
-    values as one march of the whole array.  Callers run independent
-    marches at the same time as tasks of one pool (``wep_experiment``).
+    The march runs in the calling thread, as one ``rk4_march`` with the
+    in-place ``scalar_map`` as the rate, so its two stage arrays are
+    allocated once.  Callers keep the array cache-sized (``_march_means``)
+    and run independent marches at the same time as tasks of one pool
+    (``wep_experiment``).
     """
     if field.scalar_map is None:
         raise ValueError("batched evolution requires a componentwise field")
     steps_per_T = steps_per_period(schedule.period_T, dt)
     u = np.ascontiguousarray(u0, dtype=float)
-    flat = u.reshape(-1)
-    slices = np.array_split(flat, max(1, -(-flat.size // SLICE_ELEMS)))
     collect(0, u)
-    speed_at = lambda t: speed(schedule, t)
-    done = 0
-    for n in range(1, n_cycles + 1):
-        end = (2 * n - 1) * steps_per_T
-        for block in slices:
-            for _ in rk4_march(field.scalar_map, block, dt, end - done,
-                               speed_at, start=done):
-                pass
-        done = end
-        collect(n, u)
+    for step in rk4_march(field.scalar_map, u, dt,
+                          instant_step(n_cycles, steps_per_T),
+                          lambda t: speed(schedule, t)):
+        n = equilibrium_cycle(step, steps_per_T)
+        if n:
+            collect(n, u)
 
 
 @dataclass(frozen=True)
@@ -147,6 +136,47 @@ class FlowParams:
     dt: float
 
 
+def _march_means(preparation: Preparation, flow: FlowParams, n_cycles: int,
+                 rngs: list, n_mol: int, parts: list,
+                 out: np.ndarray) -> None:
+    """Draw an ensemble of ``n_mol`` molecules from each generator in
+    ``rngs``, march their positions through ``n_cycles`` and set ``out[k,
+    tau, j]``, shaped (len(rngs), n_cycles + 1, len(parts), 4), to the mean
+    position of rows ``parts[j] = (a, b)`` of ensemble k at cycle time tau.
+
+    The ensembles are drawn and marched chunk by chunk in one buffer of at
+    most ``CHUNK_ELEMS`` coordinates: all in one chunk, which needs
+    ``len(rngs) * n_mol <= CHUNK_ELEMS // 4``, or one ensemble in chunks of
+    ``CHUNK_ELEMS // 4`` rows.  At each instant a part's rows in the chunk
+    are added to its running sum in row order, the order in which numpy
+    reduces the molecule axis, so each mean equals ``center_of_mass`` of
+    the part of the whole marched ensemble bit for bit.  A sum that
+    overflows gives inf or NaN without a warning, for the caller's finite
+    check to report (the WEP deviation profiles).
+    """
+    schedule = sin_squared_schedule(flow.period_T)
+    rows = min(n_mol, CHUNK_ELEMS // 4)
+    buf = np.empty((len(rngs), rows, 4))
+    for lo in range(0, n_mol, rows):
+        chunk = buf[:, :n_mol - lo]
+        for rng, positions in zip(rngs, chunk):
+            preparation.draw_positions(positions, rng)
+
+        def collect(tau, u, lo=lo):
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j, (a, b) in enumerate(parts):
+                    x = u[:, max(a - lo, 0):max(b - lo, 0)]
+                    if x.shape[1] == 0:  # no row of the part in this chunk
+                        continue
+                    if a < lo:  # the part began in an earlier chunk
+                        x = np.concatenate((out[:, tau, j, None], x), axis=1)
+                    np.add.reduce(x, axis=1, out=out[:, tau, j])
+
+        evolve_coordinates(chunk, flow.field, schedule, flow.dt, n_cycles,
+                           collect)
+    out /= np.array([[b - a] for a, b in parts])
+
+
 def mean_guide(preparation: Preparation, flow: FlowParams, n_cycles: int,
                n_reference: int, seed: int):
     """Guide trajectory M(tau): preparation-measure mean of the molecule
@@ -154,22 +184,17 @@ def mean_guide(preparation: Preparation, flow: FlowParams, n_cycles: int,
     reference ensemble evolved under the same field.
 
     Depends only on the preparation and the field, never on subsystem tags.
-    Whole molecule blocks are drawn in row blocks (``draw_positions``),
-    which keeps their random stream, and only the positions are kept and
-    marched in place: the reference ensemble holds 4 doubles per molecule.
+    The reference ensemble is drawn and marched chunk by chunk
+    (``_march_means``), so it holds at most ``CHUNK_ELEMS`` position
+    coordinates at a time, whatever ``n_reference``.
     Returns M, shaped (n_cycles + 1, 4): row tau is the mean at cycle time
     tau = 0..n_cycles.
     """
-    rng = derive_rng(seed, "mean-guide", preparation.seed)
-    u0 = preparation.draw_positions(np.empty((n_reference, 4)), rng)
-    schedule = sin_squared_schedule(flow.period_T)
-    m = np.empty((n_cycles + 1, 4))
-
-    def collect(tau, u):
-        m[tau] = center_of_mass(u)
-
-    evolve_coordinates(u0, flow.field, schedule, flow.dt, n_cycles, collect)
-    return m
+    m = np.empty((1, n_cycles + 1, 1, 4))
+    _march_means(preparation, flow, n_cycles,
+                 [derive_rng(seed, "mean-guide", preparation.seed)],
+                 n_reference, [(0, n_reference)], m)
+    return m[0, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +258,6 @@ def wep_experiment(config: WepConfig) -> WepReport:
     draws are independent.
     """
     flow = config.flow
-    schedule = sin_squared_schedule(flow.period_T)
     n_tau = config.n_cycles + 1
 
     guide_out = []
@@ -246,33 +270,25 @@ def wep_experiment(config: WepConfig) -> WepReport:
                                     seed=config.seed))
 
     def march_trials(n_mol, lo, hi):
-        # Whole molecule blocks are drawn (one random stream per trial), but
-        # only their positions are kept; the chunk writes only its own rows.
+        # one random stream per trial; the task writes only its own rows
         n_a = n_mol // 2
-        x_obs = x_obs_of[n_mol][lo:hi]
-        u0 = np.empty((hi - lo, n_mol, 4))
-        for k in range(lo, hi):
-            rng = derive_rng(config.seed, f"wep-N{n_mol}-trial", k)
-            config.preparation.draw_positions(u0[k - lo], rng)
+        rngs = [derive_rng(config.seed, f"wep-N{n_mol}-trial", k)
+                for k in range(lo, hi)]
+        _march_means(config.preparation, flow, config.n_cycles, rngs, n_mol,
+                     [(0, n_a), (n_a, n_mol), (0, n_mol)],
+                     x_obs_of[n_mol][lo:hi])
 
-        def collect(tau, u):
-            x_obs[:, tau, 0, :] = center_of_mass(u[:, :n_a])
-            x_obs[:, tau, 1, :] = center_of_mass(u[:, n_a:])
-            x_obs[:, tau, 2, :] = center_of_mass(u)
-
-        evolve_coordinates(u0, flow.field, schedule, flow.dt,
-                           config.n_cycles, collect)
-
-    # The guide and the trial chunks are independent marches, run as tasks
-    # of one pool, each through all its cycles: the guide first, then the
-    # sizes from the largest down, so that the small chunks fill in last and
-    # the workers finish close together.
+    # The guide and the groups of trials are independent marches, run as
+    # tasks of one pool, each through all its cycles: the guide first, then
+    # the sizes from the largest down, so that the small groups fill in last
+    # and the workers finish close together.  A group holds the trials of
+    # one size that fit in one chunk, or one trial that does not.
     tasks = [march_guide]
     for n_mol in reversed(config.n_list):
-        chunk = max(1, min(config.n_trials, TRIAL_CHUNK_ELEMS // (4 * n_mol)))
+        group = max(1, min(config.n_trials, CHUNK_ELEMS // (4 * n_mol)))
         tasks += [functools.partial(march_trials, n_mol, lo,
-                                    min(lo + chunk, config.n_trials))
-                  for lo in range(0, config.n_trials, chunk)]
+                                    min(lo + group, config.n_trials))
+                  for lo in range(0, config.n_trials, group)]
     in_threads(lambda k, stop: tasks[k](), len(tasks))
     guide, = guide_out
 

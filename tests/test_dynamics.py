@@ -17,7 +17,9 @@ from randerslab.dynamics import (
     ScheduleError,
     _phase_march,
     constant_schedule,
+    equilibrium_cycle,
     hamiltonian,
+    instant_step,
     make_state,
     rk4_march,
     run_cycles,
@@ -70,6 +72,15 @@ class TestSchedule:
         for n in range(4):
             assert s.kappa((2 * n + 1) * 1.0) == 1.0
             assert s.kappa(2 * n * 1.0) == 0.0
+
+    @pytest.mark.parametrize("steps_per_T", [1, 3, 10, 200])
+    def test_instant_step_and_equilibrium_cycle_are_inverses(self,
+                                                             steps_per_T):
+        # instant n sits at step (2n - 1) T/dt; every other step is none
+        instants = {instant_step(n, steps_per_T): n for n in range(1, 101)}
+        assert instants[steps_per_T] == 1
+        for step in range(instant_step(101, steps_per_T)):
+            assert equilibrium_cycle(step, steps_per_T) == instants.get(step, 0)
 
 
 class TestHamiltonian:

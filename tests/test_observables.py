@@ -15,7 +15,7 @@ from randerslab.concentration import in_threads
 from randerslab.geometry import PhasePoint, constant_field, tanh_field, zero_field
 from randerslab.observables import (
     BLOCK_ELEMS,
-    SLICE_ELEMS,
+    CHUNK_ELEMS,
     SYSTEMS,
     FlowParams,
     Preparation,
@@ -125,7 +125,7 @@ class TestBatchedEvolution:
         dt, n_cycles, steps_per_T = 0.1, 3, 10
         rng = np.random.default_rng(5)
         arrays = [rng.normal(size=1), rng.normal(size=2),
-                  rng.normal(size=3 * SLICE_ELEMS + 17),
+                  rng.normal(size=3 * CHUNK_ELEMS + 17),
                   rng.normal(size=(7, 1500, 8))[..., :4]]
         for u0 in arrays:
             want = {0: u0.copy()}
@@ -146,9 +146,9 @@ class TestBatchedEvolution:
                 assert np.array_equal(got[n], want[n]), (u0.shape, n)
 
     def test_wep_arrays_do_not_depend_on_worker_count(self, monkeypatch):
-        # The guide and the trial chunks (three sizes, split into ten
-        # tasks) run on a pool of one, two or three workers; every x_obs
-        # and guide row must equal, bit for bit, the centers of mass of one
+        # The guide and the groups of trials (three sizes) run on a pool of
+        # one, two or three workers, at three chunk sizes; every x_obs and
+        # guide row must equal, bit for bit, the centers of mass of one
         # whole march of that ensemble alone.
         field = tanh_field(8, 0.9)
         n_list, n_trials, n_cycles, n_reference = [16, 300, 5000], 5, 2, 20_000
@@ -176,19 +176,29 @@ class TestBatchedEvolution:
                      config.seed, f"wep-N{n}-trial", k))
                      for k in range(n_trials)])
                  for n in n_list}
-        # chunks of 2 trials at N = 300 and of 1 at N = 5000
-        monkeypatch.setattr(observables, "TRIAL_CHUNK_ELEMS", 4 * 600)
+        # (molecules per draw block, per chunk): chunks of 600 put the A/B
+        # boundary 2500 of N = 5000 inside a chunk, group N = 300 in twos
+        # and cut the guide into 34 chunks; chunks of 2500 put that
+        # boundary on a chunk edge and cut the guide into 8 full chunks; in
+        # chunks of 20480 every ensemble, the guide's too, fits in one
+        chunkings = [(300, 600), (500, 2500), (ROWS, 5 * ROWS)]
         # more threads than cores, switching as often as the interpreter can
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(runio, "usable_cores", lambda: workers)
-                report = wep_experiment(config)
-                assert np.array_equal(report.guide, guide), workers
-                for n in n_list:
-                    assert np.array_equal(report.per_size[n].x_obs,
-                                          x_obs[n]), (workers, n)
+            for block_rows, chunk_rows in chunkings:
+                monkeypatch.setattr(observables, "BLOCK_ELEMS", 8 * block_rows)
+                monkeypatch.setattr(observables, "CHUNK_ELEMS", 4 * chunk_rows)
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(runio, "usable_cores",
+                                        lambda: workers)
+                    report = wep_experiment(config)
+                    assert np.array_equal(report.guide, guide), (
+                        chunk_rows, workers)
+                    for n in n_list:
+                        assert np.array_equal(report.per_size[n].x_obs,
+                                              x_obs[n]), (chunk_rows,
+                                                          workers, n)
         finally:
             sys.setswitchinterval(interval)
 
@@ -307,6 +317,25 @@ class TestMeanGuide:
                                               n_reference=n_ref, seed=10))
         assert peak < 8 * 8 * n_ref, peak / (8 * n_ref)
 
+    def test_traced_peak_does_not_grow_with_the_ensembles(self, monkeypatch,
+                                                          traced_peak):
+        # One worker holds one chunk of positions, its two RK4 stage arrays
+        # and, at an instant, the chunk's rows joined to a running sum; or,
+        # while it draws, one row block: the same bound for a guide of 2e5
+        # or 8e5 molecules and for two trials of 1e5.
+        monkeypatch.setattr(runio, "usable_cores", lambda: 1)
+        bound = 4 * 8 * CHUNK_ELEMS + 8 * BLOCK_ELEMS
+        prep = _prep(seed=3)
+        flow = FlowParams(field=tanh_field(8, 0.9), period_T=1.0, dt=0.1)
+        for n_ref in (200_000, 800_000):
+            peak = traced_peak(lambda: mean_guide(prep, flow, n_cycles=1,
+                                                  n_reference=n_ref, seed=10))
+            assert peak < bound, (n_ref, peak / (8 * CHUNK_ELEMS))
+        config = _wep_config(tanh_field(8, 0.9), [100_000], 2, n_cycles=1,
+                             n_reference=1000)
+        peak = traced_peak(lambda: wep_experiment(config))
+        assert peak < bound, peak / (8 * CHUNK_ELEMS)
+
     def test_split_sample_agreement(self):
         prep = _prep(seed=3)
         flow = FlowParams(field=tanh_field(8, 0.9), period_T=1.0, dt=0.1)
@@ -373,6 +402,10 @@ class TestWepExperiment:
         config = _wep_config(zero_field(8), n_list, n_trials, n_cycles=1,
                              n_reference=n_reference)
         wep_experiment(config)
+        # in chunks of one row block, the guide spans three chunks and each
+        # trial of the larger N two: the draw calls stay the same
+        monkeypatch.setattr(observables, "CHUNK_ELEMS", 4 * ROWS)
+        wep_experiment(config)
 
         # The pool's tasks draw at the same time, so the calls of different
         # streams interleave; each stream is one generator, drawn in order.
@@ -388,12 +421,12 @@ class TestWepExperiment:
             return [ROWS] * (total // ROWS) + [total % ROWS] * (total % ROWS > 0)
 
         # the guide and each trial of each size, in row blocks of ROWS
-        # molecules, and nothing else
+        # molecules, and nothing else, in both runs
         want = {stream("mean-guide", config.preparation.seed):
-                row_blocks(n_reference)}
+                2 * row_blocks(n_reference)}
         for n in n_list:
             for k in range(n_trials):
-                want[stream(f"wep-N{n}-trial", k)] = row_blocks(n)
+                want[stream(f"wep-N{n}-trial", k)] = 2 * row_blocks(n)
         assert drawn == want
 
     def test_marches_only_positions_up_to_the_last_instant(self):

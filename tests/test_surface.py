@@ -47,6 +47,9 @@ TEST_ONLY = {
     # test_observables.py::TestScaleRelation; the scale relation of the
     # gravity study, still to reach the CLI
     "scale_relation_check",
+    # test_observables.py: the whole-array reference that the WEP march's
+    # chunked running sums must equal bit for bit
+    "center_of_mass",
 }
 
 def _is_dataclass(node):

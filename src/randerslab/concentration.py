@@ -296,6 +296,21 @@ def tail_profile_from_deviations(devs: np.ndarray, rho_grid, *, rho_p: float,
         fit=_fit_tail(rho_grid, counts, n, rho_p))
 
 
+def median_in_place(v: np.ndarray) -> float:
+    """Median of a non-empty 1-d float vector, by the steps numpy 2.4's
+    ``numpy.lib._function_base_impl._median`` takes with
+    ``overwrite_input=True``, so with the same bits, but without the NaN
+    check that imports ``numpy.ma``.  Partitions ``v`` in place with
+    numpy's kth list, the mean of the middle slice is the median, and a NaN
+    (partitioned to the end) gives NaN.  The kth list keeps numpy's -1:
+    another list can leave another of several equal values (-0.0 or 0.0)
+    in the middle."""
+    k, odd = divmod(v.size, 2)
+    v.partition([k, -1] if odd else [k - 1, k, -1])
+    med = v[k:k + 1].mean() if odd else v[k - 1:k + 1].mean()
+    return float(v[-1] if np.isnan(v[-1]) else med)
+
+
 def median_stream_size(n: int) -> int:
     """Draws of the stream ``concentration_profile`` takes its median from."""
     return max(n // 2, 100)
@@ -311,13 +326,13 @@ def concentration_profile(f: Callable, sampler: MMSpaceSampler, rho_grid, n: int
     ``MIN_EXCEED`` exceedances and is marked unavailable otherwise.  A run
     holds the two vectors of f values (``median_stream_size(n)`` and n),
     and while they are drawn one block and a few-row squares buffer per
-    stream (``MMSpaceSampler.observe_streams``); the median partitions its
-    vector in place and the deviations overwrite the other.
+    stream (``MMSpaceSampler.observe_streams``); ``median_in_place``
+    partitions the first vector and the deviations overwrite the second.
     """
     if rho_p is None:
         rho_p = sampler.default_rho_p(sigma_f)
     f_med, f_x = sampler.observe_streams(f, [(median_stream_size(n), 1), (n, 2)])
-    med = float(np.median(f_med, overwrite_input=True))
+    med = median_in_place(f_med)
     del f_med
     # |f_x - med| / sigma_f, step by step in place
     np.subtract(f_x, med, out=f_x)
@@ -389,13 +404,14 @@ def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int,
     A is a cap, so the geodesic distance to it has a closed form, the
     polar-angle deficit, which stays exact in any dimension.  A run holds
     the two n-vectors of x_0 (while they are drawn, one block and a
-    few-row squares buffer per stream); the distances overwrite the second.
+    few-row squares buffer per stream); ``median_in_place`` partitions the
+    first and the distances overwrite the second.
     """
     if n_dim < 2:
         raise DimensionError("sphere dimension must be >= 2")
     f_ref, f_x = sphere(n_dim, seed).observe_streams(
         lambda pts: pts[:, 0], [(n, 1), (n, 2)])
-    med = float(np.median(f_ref, overwrite_input=True))
+    med = median_in_place(f_ref)
     del f_ref
     eps_grid = np.asarray(epsilon_grid, dtype=float)
     theta_m = math.acos(max(-1.0, min(1.0, med)))

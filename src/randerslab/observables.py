@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .concentration import in_threads, ols_slope, tail_profile_from_deviations
+from .concentration import (in_threads, median_in_place, ols_slope,
+                            tail_profile_from_deviations)
 from .dynamics import (CycleSchedule, equilibrium_cycle, instant_step,
                        rk4_march, sin_squared_schedule, speed,
                        steps_per_period)
@@ -312,7 +313,7 @@ def wep_experiment(config: WepConfig) -> WepReport:
             x_obs=x_obs,
             d_ab=d_ab,
             d_sm=d["S"],
-            median_sup_d_ab=float(np.median(d_ab.max(axis=1))),
+            median_sup_d_ab=median_in_place(d_ab.max(axis=1)),
             profiles=profiles,
             x_step_max_ratio=float(x_steps / flow.period_T),
         )

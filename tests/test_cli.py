@@ -537,7 +537,8 @@ from randerslab import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "modules": sorted(
     m for m in sys.modules if m.startswith("randerslab.")),
-    "subprocess": "subprocess" in sys.modules}))
+    "subprocess": "subprocess" in sys.modules,
+    "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -553,7 +554,9 @@ def _imports_run(argvs):
 
 
 @pytest.mark.parametrize("name, extra", [
-    ("flow", []), ("wep", ["concentration", "observables"])])
+    ("flow", []), ("wep", ["concentration", "observables"]),
+    ("lipschitz", ["lipschitz"]), ("concentration", ["concentration"]),
+    ("sphere", ["concentration"]), ("gravity", ["gravity_scales"])])
 def test_subcommand_imports_only_its_modules(tmp_path, name, extra):
     cfg = write_config(tmp_path, small_configs()[name])
     core = ["cli", "dynamics", "geometry", "runio"]
@@ -565,10 +568,16 @@ def test_subcommand_imports_only_its_modules(tmp_path, name, extra):
                                        for m in core + extra)
     # the manifest spawns no process
     assert not report["subprocess"]
-    # validation alone loads no experiment module
+    # medians come from concentration.median_in_place, not np.median, whose
+    # NaN check imports numpy's masked-array package
+    assert not report["numpy.ma"]
+    # validation alone loads no experiment module but the one a schema
+    # check calls: concentration's median stream size, for a config with n
     report = _imports_run([validate])
     assert report["codes"] == [0]
-    assert report["modules"] == sorted(f"randerslab.{m}" for m in core)
+    checked = ["concentration"] if name in ("concentration", "sphere") else []
+    assert report["modules"] == sorted(f"randerslab.{m}"
+                                       for m in core + checked)
 
 
 LIBRARY_MODULES = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py")

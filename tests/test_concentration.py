@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from randerslab import cli, concentration, runio
@@ -18,6 +20,7 @@ from randerslab.concentration import (
     concentration_profile,
     fit_decay_constant,
     gaussian_tail_bound,
+    median_in_place,
     median_stream_size,
     sphere,
     sphere_isoperimetric_check,
@@ -267,7 +270,6 @@ class TestBoundedMemory:
         two vectors of observable values and, per stream, one block and a
         squares buffer of a quarter block: nothing of n doubles more."""
         run, values = self._example_configs()[name]
-        run()  # numpy's lazy set-up is not the run's
         peak = traced_peak(run)
         block = 8 * concentration.SAMPLE_CHUNK_ELEMS
         assert peak <= 1.1 * (8 * values + 2 * 1.25 * block)
@@ -336,6 +338,38 @@ class TestLevyMedian:
         assert median_stream_size(50) == 100
         assert self.median(first_coord, sampler, 50) == float(
             np.median(first_coord(sampler.sample(100, 1))))
+
+
+# equal values of either sign, infinities, subnormals and NaN, among any floats
+MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan,
+                     5e-324, -5e-324, 2.0**-1030]),
+    st.integers(-3, 3).map(float),
+    st.floats())
+
+
+class TestMedianInPlace:
+    """``median_in_place`` takes the steps of numpy's ``_median``, so a
+    numpy whose median changes fails here rather than in a digest."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_np_median_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 300), label="size")
+        values = np.array(data.draw(
+            st.lists(MEDIAN_VALUES, min_size=n, max_size=n)), dtype=float)
+        v = values.copy()
+        with np.errstate(all="ignore"):  # inf + -inf, or a sum that overflows
+            got = median_in_place(v)
+            want = np.median(values)
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert (np.float64(got).view(np.uint64)
+                    == np.float64(want).view(np.uint64))
+        # partitioned in place: the same bit patterns, reordered
+        assert np.array_equal(np.sort(v.view(np.uint64)),
+                              np.sort(values.view(np.uint64)))
 
 
 class TestConcentrationProfile:

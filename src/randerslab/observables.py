@@ -25,11 +25,12 @@ SYSTEMS = ("A", "B", "S")
 # Molecule blocks are drawn in row blocks of this many coordinates.
 BLOCK_ELEMS = 2**15
 # The WEP draws and marches its ensembles in chunks of at most this many
-# position coordinates: a chunk and its two RK4 stage arrays (1.5 MiB) fit
-# in a 2 MiB L2 cache, whatever the ensemble sizes.  A chunk holds whole row
-# blocks (BLOCK_ELEMS // 8 molecules), so every stream is drawn in the same
-# calls as in one piece.
-CHUNK_ELEMS = 2**16
+# position coordinates: a chunk and its two RK4 stage arrays (1.125 MiB) fit
+# in a 2 MiB L2 cache, whatever the ensemble sizes, and a trial of 10^4
+# molecules fits in one chunk.  A chunk holds whole row blocks (BLOCK_ELEMS
+# // 8 molecules), so every stream is drawn in the same calls as in one
+# piece.
+CHUNK_ELEMS = 3 * 2**14
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,26 @@ class FlowParams:
     dt: float
 
 
+def _continue_sum(total: np.ndarray | None, rows: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Set ``out``, shaped (k, 4), to the sum of ``total``, shaped (k, 4),
+    followed by the rows of ``rows``, shaped (k, m, 4) with m >= 1, added in
+    row order: bit for bit ``np.add.reduce`` of the two joined along axis 1,
+    without a copy of ``rows``.  ``total`` None starts the sum at the first
+    row; ``out`` may be ``total``.
+
+    ``total`` is added into the first row, which is restored afterwards, so
+    the only temporary is a copy of that row.
+    """
+    if total is None:
+        np.add.reduce(rows, axis=1, out=out)
+        return
+    first = rows[:, 0].copy()
+    np.add(total, first, out=rows[:, 0])
+    np.add.reduce(rows, axis=1, out=out)
+    rows[:, 0] = first
+
+
 def _march_means(preparation: Preparation, flow: FlowParams, n_cycles: int,
                  rngs: list, n_mol: int, parts: list,
                  out: np.ndarray) -> None:
@@ -149,11 +170,14 @@ def _march_means(preparation: Preparation, flow: FlowParams, n_cycles: int,
     most ``CHUNK_ELEMS`` coordinates: all in one chunk, which needs
     ``len(rngs) * n_mol <= CHUNK_ELEMS // 4``, or one ensemble in chunks of
     ``CHUNK_ELEMS // 4`` rows.  At each instant a part's rows in the chunk
-    are added to its running sum in row order, the order in which numpy
-    reduces the molecule axis, so each mean equals ``center_of_mass`` of
-    the part of the whole marched ensemble bit for bit.  A sum that
-    overflows gives inf or NaN without a warning, for the caller's finite
-    check to report (the WEP deviation profiles).
+    are added to its running sum in row order (``_continue_sum``), the
+    order in which numpy reduces the molecule axis, so each mean equals
+    ``center_of_mass`` of the part of the whole marched ensemble bit for
+    bit.  A part that begins where an earlier-listed, shorter part begins
+    continues that part's sum over its own further rows, which is the same
+    row-order sum: the whole S = A | B adds only B's rows to A's sum.  A
+    sum that overflows gives inf or NaN without a warning, for the
+    caller's finite check to report (the WEP deviation profiles).
     """
     schedule = sin_squared_schedule(flow.period_T)
     rows = min(n_mol, CHUNK_ELEMS // 4)
@@ -164,14 +188,22 @@ def _march_means(preparation: Preparation, flow: FlowParams, n_cycles: int,
             preparation.draw_positions(positions, rng)
 
         def collect(tau, u, lo=lo):
+            hi = lo + u.shape[1]
+            sums = out[:, tau]
+            last = {}  # first row -> (index, end) of the last part begun there
             with np.errstate(over="ignore", invalid="ignore"):
                 for j, (a, b) in enumerate(parts):
-                    x = u[:, max(a - lo, 0):max(b - lo, 0)]
-                    if x.shape[1] == 0:  # no row of the part in this chunk
-                        continue
-                    if a < lo:  # the part began in an earlier chunk
-                        x = np.concatenate((out[:, tau, j, None], x), axis=1)
-                    np.add.reduce(x, axis=1, out=out[:, tau, j])
+                    i, c = last.get(a, (j, lo))
+                    last[a] = j, b
+                    if c <= lo:  # no earlier part holds rows of this chunk
+                        i, c = j, max(a, lo)
+                    # sum i holds rows a..min(c, hi); part j adds the rest
+                    x = u[:, min(c, hi) - lo:max(min(b, hi) - lo, 0)]
+                    if x.shape[1]:
+                        _continue_sum(sums[:, i] if c > a else None, x,
+                                      sums[:, j])
+                    elif i != j:
+                        sums[:, j] = sums[:, i]
 
         evolve_coordinates(chunk, flow.field, schedule, flow.dt, n_cycles,
                            collect)

@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randerslab.dynamics import (CycleSchedule, ScheduleError,
                                  equilibrium_cycle, make_state, rk4_march,
@@ -20,6 +22,7 @@ from randerslab.observables import (
     FlowParams,
     Preparation,
     WepConfig,
+    _continue_sum,
     center_of_mass,
     evolve_coordinates,
     mean_guide,
@@ -145,9 +148,42 @@ class TestBatchedEvolution:
             for n in got:
                 assert np.array_equal(got[n], want[n]), (u0.shape, n)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_continued_sum_equals_one_reduce_of_the_joined_rows(self, data):
+        # Rows of a chunk view (k ensembles, m rows from some offset) with
+        # magnitudes over 40 binades, so any other order of the additions
+        # shows in the last bits, and now and then an inf, a NaN or -0.0.
+        k = data.draw(st.integers(1, 4), label="ensembles")
+        m = data.draw(st.integers(1, 3000), label="rows")
+        skip = data.draw(st.integers(0, 5), label="offset")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        buf = rng.normal(size=(k, skip + m + 3, 4))
+        buf *= 2.0 ** rng.integers(-20, 21, size=buf.shape)
+        special = data.draw(st.sampled_from(
+            [None, np.inf, -np.inf, np.nan, -0.0]), label="special")
+        if special is not None:
+            buf.reshape(-1)[rng.integers(buf.size, size=3)] = special
+        rows = buf[:, skip:skip + m]
+        before = buf.copy()
+        total = rng.normal(size=(k, 4)) * 2.0 ** 20
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            want = np.add.reduce(np.concatenate((total[:, None], rows),
+                                                axis=1), axis=1)
+            want_fresh = np.add.reduce(rows, axis=1)
+            got = np.empty((k, 4))
+            _continue_sum(total, rows, got)
+            fresh = np.empty((k, 4))
+            _continue_sum(None, rows, fresh)
+            _continue_sum(total, rows, total)  # the sum continued in place
+        for a, b in ((got, want), (total, want), (fresh, want_fresh)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        # the rows are as they were, bit for bit
+        assert np.array_equal(buf.view(np.uint64), before.view(np.uint64))
+
     def test_wep_arrays_do_not_depend_on_worker_count(self, monkeypatch):
         # The guide and the groups of trials (three sizes) run on a pool of
-        # one, two or three workers, at three chunk sizes; every x_obs and
+        # one, two or three workers, at four chunk sizes; every x_obs and
         # guide row must equal, bit for bit, the centers of mass of one
         # whole march of that ensemble alone.
         field = tanh_field(8, 0.9)
@@ -179,9 +215,12 @@ class TestBatchedEvolution:
         # (molecules per draw block, per chunk): chunks of 600 put the A/B
         # boundary 2500 of N = 5000 inside a chunk, group N = 300 in twos
         # and cut the guide into 34 chunks; chunks of 2500 put that
-        # boundary on a chunk edge and cut the guide into 8 full chunks; in
-        # chunks of 20480 every ensemble, the guide's too, fits in one
-        chunkings = [(300, 600), (500, 2500), (ROWS, 5 * ROWS)]
+        # boundary on a chunk edge and cut the guide into 8 full chunks;
+        # chunks of 3 * ROWS = 12288, the program's own, hold every trial
+        # and continue the guide's sums over 7712 rows of a second chunk;
+        # in chunks of 20480 every ensemble, the guide's too, fits in one
+        chunkings = [(300, 600), (500, 2500), (ROWS, 3 * ROWS),
+                     (ROWS, 5 * ROWS)]
         # more threads than cores, switching as often as the interpreter can
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -319,12 +358,14 @@ class TestMeanGuide:
 
     def test_traced_peak_does_not_grow_with_the_ensembles(self, monkeypatch,
                                                           traced_peak):
-        # One worker holds one chunk of positions, its two RK4 stage arrays
-        # and, at an instant, the chunk's rows joined to a running sum; or,
-        # while it draws, one row block: the same bound for a guide of 2e5
+        # One worker holds one chunk of positions and, while it marches,
+        # the chunk's two RK4 stage arrays, or, while it draws, one row
+        # block; at an instant the running sums take a few rows more (16
+        # KiB of slack with the small arrays).  A copy of a chunk's rows
+        # would exceed the bound.  The same bound holds for a guide of 2e5
         # or 8e5 molecules and for two trials of 1e5.
         monkeypatch.setattr(runio, "usable_cores", lambda: 1)
-        bound = 4 * 8 * CHUNK_ELEMS + 8 * BLOCK_ELEMS
+        bound = 3 * 8 * CHUNK_ELEMS + 8 * BLOCK_ELEMS + 2**14
         prep = _prep(seed=3)
         flow = FlowParams(field=tanh_field(8, 0.9), period_T=1.0, dt=0.1)
         for n_ref in (200_000, 800_000):

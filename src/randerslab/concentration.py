@@ -442,8 +442,8 @@ def profile_to_csv(profile: ConcentrationProfile, path, dimension: int) -> None:
     nd = max(dimension, 2)
     bs = sphere_tail_bound(profile.rho_grid, nd)
     bg = gaussian_tail_bound(profile.rho_grid, profile.rho_p)
-    rows = ([profile.rho_grid[i], profile.tail_prob[i], bs[i], bg[i],
-             int(profile.exceed_counts[i])] for i in range(profile.rho_grid.size))
+    rows = zip(profile.rho_grid.tolist(), profile.tail_prob.tolist(),
+               bs.tolist(), bg.tolist(), map(int, profile.exceed_counts))
     atomic_write_csv(path, header, rows)
 
 

@@ -188,13 +188,19 @@ def rk4_march(rate: Callable, y: np.ndarray, dt: float, n_steps: int,
 def _phase_march(field: RandersField, y: np.ndarray, dt: float, n_steps: int,
                  speed_at: Callable[[float], float]):
     """``rk4_march`` of Hamilton's equations on the phase state ``y``, the
-    (2, dim) array of ``u`` over ``p``.  The u-subsystem is autonomous; p
-    follows the linear cotangent equation through the field's ``vjp``.
-    While p is all zero it stays so and only u is marched, which also keeps
-    the sign of its zeros."""
+    (2, dim) array of ``u`` over ``p``; its rate writes ``beta(u)`` over
+    ``-J^T p`` into its argument.  The u-subsystem is autonomous; p follows
+    the linear cotangent equation through the field's ``vjp``.  While p is
+    all zero it stays so and only u is marched, keeping p's signed zeros."""
     if not np.any(y[1]):
         return rk4_march(field.beta, y[0], dt, n_steps, speed_at)
-    rate = lambda z: np.stack((field.beta(z[0]), -field.vjp(z[0], z[1])))
+
+    def rate(z):
+        q = field.vjp(z[0], z[1])
+        z[0] = field.beta(z[0])
+        np.negative(q, out=z[1])
+        return z
+
     return rk4_march(rate, y, dt, n_steps, speed_at)
 
 

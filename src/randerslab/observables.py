@@ -455,12 +455,11 @@ def wep_to_csv(report: WepReport, path) -> None:
             res = report.per_size[n_mol]
             for trial in range(report.config.n_trials):
                 for tau in range(report.config.n_cycles + 1):
-                    x = res.x_obs[trial, tau]
                     yield ([n_mol, trial, tau]
-                           + list(x[0]) + list(x[1]) + list(x[2])
-                           + list(report.guide[tau])
-                           + [res.d_ab[trial, tau],
-                              res.d_sm[trial, tau]])
+                           + res.x_obs[trial, tau].ravel().tolist()
+                           + report.guide[tau].tolist()
+                           + [float(res.d_ab[trial, tau]),
+                              float(res.d_sm[trial, tau])])
 
     atomic_write_csv(path, header, rows())
 

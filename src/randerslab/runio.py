@@ -42,11 +42,6 @@ def derive_rng(root: int, tag: str, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(derive_seed_sequence(root, tag, index))
 
 
-def fmt_float(x) -> str:
-    """Shortest round-trip decimal form of a double (repr of Python float)."""
-    return repr(float(x))
-
-
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -77,15 +72,15 @@ def atomic_write_text(path, text: str) -> None:
 def atomic_write_csv(path, header, rows) -> None:
     """CSV with a header row, '.' decimal separator, shortest round-trip floats.
 
-    ``rows`` yields sequences whose entries are str/int/float; floats are
-    rendered with :func:`fmt_float` so reruns are byte-identical.  Rows are
-    formatted and written one at a time, so the file is never held whole.
+    ``rows`` yields sequences of str, int, bool and float cells (np.float64
+    is a float, float32 is not), each written as its ``str``, for a float
+    its shortest round-trip decimal.  Rows are formatted and written one at
+    a time, so the file is never held whole.
     """
     def lines():
         yield ",".join(header) + "\n"
         for row in rows:
-            yield ",".join([fmt_float(v) if isinstance(v, (float, np.floating))
-                            else str(v) for v in row]) + "\n"
+            yield ",".join(map(str, row)) + "\n"
 
     _atomic_write(path, lines())
 

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import os
 import platform
 import subprocess
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from randerslab import cli, lipschitz, runio
 from randerslab.runio import (NumericError, atomic_write_csv, atomic_write_text,
-                              config_hash, fmt_float)
+                              config_hash)
 
 EXAMPLE_CONFIGS = sorted(
     (Path(__file__).parent.parent / "scripts" / "configs").glob("*.json"))
@@ -698,6 +699,19 @@ def test_wep_digests_do_not_depend_on_worker_count(tmp_path, monkeypatch,
     assert digests == PINNED_DIGESTS["wep"]
 
 
+# random float64 bit patterns (subnormals, signed zeros, infs and NaNs
+# among them) as Python floats and as np.float64, and the other cell types
+# the CSV writer accepts
+_FLOAT_BITS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(np.float64)),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310,
+                     math.inf, -math.inf, math.nan]).map(np.float64))
+CSV_CELLS = st.one_of(
+    _FLOAT_BITS, _FLOAT_BITS.map(float), st.integers(-2**70, 2**70),
+    st.booleans(), st.text(alphabet="abc xyz_-.", max_size=8),
+    st.integers(-2**63, 2**63 - 1).map(np.int64))
+
+
 class TestAtomicity:
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         target = tmp_path / "data.csv"
@@ -756,7 +770,22 @@ class TestAtomicity:
         lines = path.read_text().splitlines()[1:]
         for line, v in zip(lines, values):
             assert float(line) == float(v)
-        assert fmt_float(0.1) == "0.1"
+        assert path.read_bytes().splitlines()[1] == b"0.1"
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(CSV_CELLS, min_size=1, max_size=12),
+                         min_size=1, max_size=6))
+    def test_csv_bytes_equal_the_per_cell_formula(self, tmp_path_factory, rows):
+        # Reference: the writer's former per-cell formula, repr of the
+        # float for every Python or numpy float and str of anything else.
+        def cell(v):
+            return (repr(float(v)) if isinstance(v, (float, np.floating))
+                    else str(v))
+
+        path = tmp_path_factory.mktemp("csv") / "cells.csv"
+        atomic_write_csv(str(path), ["c"], iter(rows))
+        want = "c\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
+        assert path.read_bytes() == want.encode("utf-8")
 
 
 def _paths(node, path=()):

@@ -472,16 +472,30 @@ class TestBufferedMarch:
     def test_phase_step_equals_the_expression_form(self, field):
         # The phase march advances (u, p) as one stacked array; each step
         # must equal the expression form on separate fresh u and p arrays
-        # bit for bit.  beta and vjp hand out read-only arrays, so a march
-        # writing into one raises.
+        # byte for byte, signs of zeros included.  beta and vjp hand out
+        # read-only arrays, so a march writing into one raises.  Signed
+        # zeros, a subnormal and saturated tanh arguments make the slopes
+        # zero, subnormal or +-a.  The march calls beta once per stage on
+        # one u, which the tracer's drift counters rely on.
         field = dataclasses.replace(field, beta=_read_only(field.beta),
                                     vjp=_read_only(field.vjp))
+        drift_calls = []
+
+        def counted(x):
+            drift_calls.append(x.shape)
+            return field.beta(x)
+
         sched = sin_squared_schedule(1.0)
         speed_at = lambda t: speed(sched, t)
         dt, h = 0.1, 0.05
         y = np.random.default_rng(29).normal(size=(2, 8))
+        y[:, 3:] = [[0.0, -0.0, 5e-324, 30.0, -30.0],
+                    [-0.0, 0.0, -5e-324, -30.0, 30.0]]
         u, p = y[0].copy(), y[1].copy()
-        for k in _phase_march(field, y, dt, 23, speed_at):
+        march = _phase_march(dataclasses.replace(field, beta=counted), y, dt,
+                             23, speed_at)
+        for k in march:
+            assert drift_calls == [(8,)] * (4 * k), k
             t = (k - 1) * dt
             s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
             k1 = s1 * field.beta(u)
@@ -497,7 +511,8 @@ class TestBufferedMarch:
             m4 = -s4 * field.vjp(u4, p + dt * m3)
             p += (dt / 6) * (m1 + 2 * m2 + 2 * m3 + m4)
             u += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            assert np.array_equal(y[0], u) and np.array_equal(y[1], p), k
+            assert y[0].tobytes() == u.tobytes(), k
+            assert y[1].tobytes() == p.tobytes(), k
         assert k == 23
 
     def test_march_holds_two_stage_buffers(self):

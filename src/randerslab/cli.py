@@ -87,7 +87,8 @@ def _one_of(*choices):
 PERIOD = {"period_T": (float, POSITIVE, REQUIRED),
           "dt": (float, POSITIVE, REQUIRED),
           "n_cycles": (int, POSITIVE, REQUIRED)}
-INITIAL = {"u_scale": (float, None, 1.0), "p_scale": (float, None, 1.0)}
+MARCH = {**PERIOD, "initial": ({"u_scale": (float, None, 1.0),
+                                "p_scale": (float, None, 1.0)}, None, {})}
 GRID = ([float], (lambda g: g and g[0] > 0 and all(b > a for a, b in zip(g, g[1:])),
                   "must be a nonempty ascending list of positive numbers"),
         REQUIRED)
@@ -113,8 +114,7 @@ SCHEMAS = {
     "flow": {
         "n_molecules": (int, POSITIVE, REQUIRED),
         "field": (FIELD, None, REQUIRED),
-        **PERIOD,
-        "initial": (INITIAL, None, {}),
+        **MARCH,
         "store_stride": (int, POSITIVE, 1),
     },
     "lipschitz": {
@@ -127,7 +127,7 @@ SCHEMAS = {
         "n_pairs": (int, POSITIVE, REQUIRED),
         "profile": ({"rho0": (("auto", float), POSITIVE, "auto")}, None, {}),
         # absent or null: no flow, hence no constraint split
-        "flow": ((None, {**PERIOD, **INITIAL}), None, None),
+        "flow": ((None, MARCH), None, None),
     },
     "concentration": {
         "space": ({"kind": (str, _one_of("sphere", "gaussian", "product_uniform"),
@@ -295,7 +295,8 @@ def _cross_check(params, v):
 
 def _walk_config(config):
     """(config with every default filled in, violations); the config
-    itself is left as it is."""
+    itself is left as it is.  Without violations the filled config also
+    holds the ``config_hash`` of the config as given."""
     if not isinstance(config, dict):
         return None, ["config: top level must be an object"]
     v, exp = [], config.get("experiment")
@@ -305,6 +306,8 @@ def _walk_config(config):
                          config, "", v)
     if schema is not dict and "parameters" in filled:
         _cross_check(filled["parameters"], v)
+    if not v:  # a valid config is shallow enough to hash
+        filled["config_hash"] = config_hash(config)
     return filled, v
 
 
@@ -334,14 +337,14 @@ def build_field(spec: dict, dim: int, seed: int):
 # and returns (output file names, summary dict)
 
 
-def _march_from_draw(field, n_mol, spec, scales, seed, tag, **options):
+def _march_from_draw(field, n_mol, spec, seed, tag, **options):
     """``dynamics.run_cycles(field, ...)`` with ``options`` over
     ``spec["n_cycles"]`` cycles of the sin^2 schedule of period
     ``spec["period_T"]`` in steps of ``spec["dt"]``, from t = 0 and u, then
     p, drawn as standard normals from the ``derive_rng(seed, tag)`` stream
-    and scaled by ``scales["u_scale"]`` and ``scales["p_scale"]``."""
+    and scaled by the ``u_scale`` and ``p_scale`` of ``spec["initial"]``."""
     dim = 8 * n_mol
-    rng = derive_rng(seed, tag)
+    rng, scales = derive_rng(seed, tag), spec["initial"]
     with np.errstate(over="ignore"):  # reported below
         u0 = scales["u_scale"] * rng.standard_normal(dim)
         p0 = scales["p_scale"] * rng.standard_normal(dim)
@@ -359,7 +362,7 @@ def run_flow(params, seed, outdir):
     n_mol = params["n_molecules"]
     field = build_field(params["field"], 8 * n_mol, seed)
     march, snaps = _march_from_draw(
-        field, n_mol, params, params["initial"], seed, "flow-initial",
+        field, n_mol, params, seed, "flow-initial",
         stride=params["store_stride"],
         csv_path=os.path.join(outdir, "trajectory.csv"))
     dynamics.snapshots_to_csv(snaps, os.path.join(outdir, "snapshots.csv"))
@@ -394,10 +397,9 @@ def run_lipschitz(params, seed, outdir):
                                       n_pairs=n_pairs, seed=seed)
 
     snaps = march = None
-    flow_spec = params["flow"]
-    if flow_spec is not None:
-        march, snaps = _march_from_draw(field, n_mol, flow_spec, flow_spec,
-                                        seed, "lipschitz-flow-initial",
+    if params["flow"] is not None:
+        march, snaps = _march_from_draw(field, n_mol, params["flow"], seed,
+                                        "lipschitz-flow-initial",
                                         store_trajectory=False)
 
     report = lip.decomposition_report(decomp, snaps)
@@ -535,17 +537,15 @@ def _platform() -> str:
 
 
 def run(config: dict, outdir: str | None = None) -> dict:
-    """Dispatch and persist one experiment whose config ``main`` has
-    validated; returns the manifest."""
-    filled, _ = _walk_config(config)
-    experiment = filled["experiment"]
-    seed = filled["seed"]
-    outdir = outdir or filled["output_dir"] or f"out/{experiment}"
+    """Dispatch and persist one experiment from the filled config of a walk
+    that found no violation (``_walk_config``); returns the manifest."""
+    experiment, seed = config["experiment"], config["seed"]
+    outdir = outdir or config["output_dir"] or f"out/{experiment}"
     os.makedirs(outdir, exist_ok=True)
-    outputs, summary = RUNNERS[experiment](filled["parameters"], seed, outdir)
+    outputs, summary = RUNNERS[experiment](config["parameters"], seed, outdir)
     manifest = {
         "experiment": experiment,
-        "config_hash": config_hash(config),
+        "config_hash": config["config_hash"],
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seeds_used": [seed],
@@ -596,7 +596,7 @@ def main(argv=None) -> int:
               f"{config.get('experiment')!r} does not match subcommand "
               f"{args.command!r}", file=sys.stderr)
         return 2
-    violations = validate_config(config)
+    filled, violations = _walk_config(config)
     for item in violations:
         print(f"violation: {item}", file=sys.stdout if checking else sys.stderr)
     if violations:
@@ -606,7 +606,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        manifest = run(config, outdir=args.out)
+        manifest = run(filled, outdir=args.out)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

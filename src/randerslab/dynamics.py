@@ -139,15 +139,14 @@ def equilibrium_cycle(step: int, steps_per_T: int) -> int:
 
 
 def rk4_march(rate: Callable, y: np.ndarray, dt: float, n_steps: int,
-              speed_at: Callable[[float], float], start: int = 0):
+              speed_at: Callable[[float], float]):
     """Classical RK4 for dy/dt = s(t) rate(y) on the grid t_k = k dt,
-    k = start..start + n_steps.
+    k = 0..n_steps.
 
     Updates ``y`` in place and yields the grid index k + 1 reached after
-    each step; a march resumed with ``start`` at an earlier march's last
-    index continues it bit for bit.  ``rate`` may act on any array shape;
-    ``rate(x)`` returns the rate at ``x`` and may overwrite ``x`` with it
-    (as the in-place ``scalar_map`` does), and is never handed ``y``.
+    each step.  ``rate`` may act on any array shape; ``rate(x)`` returns
+    the rate at ``x`` and may overwrite ``x`` with it (as the in-place
+    ``scalar_map`` does), and is never handed ``y``.
 
     Two arrays shaped like ``y``, the slope sum and the stage point, are
     allocated once per march and reused at every step.  The march writes
@@ -161,7 +160,7 @@ def rk4_march(rate: Callable, y: np.ndarray, dt: float, n_steps: int,
     """
     h = dt / 2
     acc, x = np.empty_like(y), np.empty_like(y)
-    for k in range(start, start + n_steps):
+    for k in range(n_steps):
         t = k * dt
         s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
         np.copyto(x, y)

@@ -452,8 +452,10 @@ class TestBufferedMarch:
         beta = field.beta
         marches = zip(rk4_march(field.scalar_map, u, dt, 23, speed_at),
                       rk4_march(_read_only(beta), v, dt, 23, speed_at))
+        steps = []
         for k, k_v in marches:
             assert k == k_v
+            steps.append(k)
             t = (k - 1) * dt
             s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
             k1 = s1 * beta(want)
@@ -463,7 +465,8 @@ class TestBufferedMarch:
             want += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             assert u.tobytes() == want.tobytes(), k
             assert v.tobytes() == want.tobytes(), k
-        assert k == 23
+        # a full march yields the grid index reached after each step
+        assert steps == list(range(1, 24))
 
     @pytest.mark.parametrize("field", [tanh_field(8, 0.9),
                                        constant_field(-0.4, 8), zero_field(8),

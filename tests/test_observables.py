@@ -290,20 +290,6 @@ class TestBatchedEvolution:
             wep_experiment(config)
         assert set(threading.enumerate()) == before
 
-    def test_resumed_march_continues_bit_identically(self):
-        field = tanh_field(8, 0.9)
-        sched = sin_squared_schedule(1.0)
-        speed_at = lambda t: speed(sched, t)
-        u0 = np.linspace(-2.0, 2.0, 40)
-        whole, split = u0.copy(), u0.copy()
-        assert list(rk4_march(field.scalar_map, whole, 0.1, 23,
-                              speed_at)) == list(range(1, 24))
-        assert list(rk4_march(field.scalar_map, split, 0.1, 7,
-                              speed_at)) == list(range(1, 8))
-        assert list(rk4_march(field.scalar_map, split, 0.1, 16,
-                              speed_at, start=7)) == list(range(8, 24))
-        assert np.array_equal(split, whole)
-
     def test_kappa_outside_unit_interval_raises(self):
         field = tanh_field(8, 0.9)
         sched = CycleSchedule(

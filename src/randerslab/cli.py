@@ -9,6 +9,7 @@ the reference for every config key, its type, its check and its default.
 """
 
 import argparse
+import collections
 import datetime
 import json
 import os
@@ -69,11 +70,11 @@ MAX_RK4_STEPS = 10**7
 MAX_TRAJECTORY_BYTES = 2**30
 # The arrays a sample count sizes take at most this many bytes: the two
 # stream vectors of concentration and sphere, both allocated before either
-# stream is drawn, the wep observables and the lipschitz pair ends.  The
-# wep reference positions and those of the trials at the largest N that
-# the workers march at once are counted at twice their size as if held
-# whole; the wep march holds one chunk per worker, so for these two the
-# cap bounds the size of the ensembles a run draws, not its memory.
+# stream is drawn, the wep observables of every size and the lipschitz pair
+# ends.  A wep reference ensemble and a trial at the largest N are counted
+# at twice their positions' size as if held whole; the wep march holds one
+# chunk of them per worker, so for these two the cap bounds the size of
+# the ensembles a run draws, not its memory.
 MAX_SAMPLE_BYTES = 2**30
 
 POSITIVE = (lambda x: x > 0, "must be positive")
@@ -177,6 +178,17 @@ ROOT = {
 }
 
 
+class _JsonObject(dict):
+    """A decoded JSON object that keeps the keys its text repeats, of which
+    ``json.load`` alone keeps the last value silently; ``_walk_table``
+    reports them."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        counts = collections.Counter(key for key, _ in pairs)
+        self.repeated = [key for key, count in counts.items() if count > 1]
+
+
 def _json_type(kind):
     """(predicate, name) of the JSON type that kind takes, not looking into
     containers."""
@@ -221,6 +233,8 @@ def _walk(kind, check, x, path, v):
 def _walk_table(table, node, path, v):
     prefix = path + "." if path else ""
     v.extend(f"{prefix}{key}: unknown key" for key in node if key not in table)
+    v.extend(f"{prefix}{key}: repeated key"
+             for key in getattr(node, "repeated", ()))
     out = {}
     for key, (kind, check, default) in table.items():
         if key not in node and default is REQUIRED:
@@ -256,7 +270,7 @@ def _cross_check(params, v):
             elif stored > MAX_TRAJECTORY_BYTES:
                 v.append(f"{path}dt: the stored trajectory exceeds "
                          f"{MAX_TRAJECTORY_BYTES} bytes")
-    n, n_list = params.get("n"), params.get("n_list")
+    n, n_list = params.get("n"), params.get("n_list", [])
     if n is not None:  # imported only for the configs that size by it
         from . import concentration as conc
     doubles = {
@@ -267,14 +281,13 @@ def _cross_check(params, v):
         # twice the 4 doubles per molecule of the (n, 4) positions: the
         # march holds one chunk of them, so this caps the ensemble's size
         "n_reference": 8 * params.get("n_reference", 0),
-        # the same for the trials at the largest N that the pool marches at
-        # once, one trial per task at a large N on each usable core
-        "n_list": 0 if n_list is None else (8 * max(n_list) * min(
-            params.get("n_trials", 1), runio.usable_cores())),
-        # per trial and instant: the A, B and S centers of mass (4 each),
-        # D_AB and the three distances to the guide
+        # the same for a trial at the largest N
+        "n_list": 8 * max(n_list, default=0),
+        # per size, trial and instant: the A, B and S centers of mass (4
+        # each), D_AB and the three distances to the guide, all sizes held
+        # at once
         "n_trials": 16 * params.get("n_trials", 0)
-                    * (params.get("n_cycles", 0) + 1),
+                    * (params.get("n_cycles", 0) + 1) * len(n_list),
         "n_pairs": 2 * 16 * params.get("n_molecules", 0)
                    * params.get("n_pairs", 0),
     }
@@ -282,6 +295,11 @@ def _cross_check(params, v):
         if 8 * count > MAX_SAMPLE_BYTES:
             v.append(f"parameters.{key}: the sample arrays exceed "
                      f"{MAX_SAMPLE_BYTES} bytes")
+    metric = params.get("metric", {})
+    if metric.get("kind") == "euclidean" and any(
+            metric.get(key, 1.0) != 1.0 for key in ("u_scale", "p_scale")):
+        v.append("parameters.metric: u_scale and p_scale must be 1 under "
+                 "the euclidean kind; they scale only the weighted metric")
     space, fn = params.get("space", {}), params.get("function", {})
     if "kind" in space and "dimension" in space:
         sphere = space["kind"] == "sphere"
@@ -577,10 +595,14 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, object_pairs_hook=_JsonObject)
     except OSError as exc:
         print(f"I/O failure reading config: {exc}", file=sys.stderr)
         return 4
+    except RecursionError:  # the decoder recurses once per nesting level
+        print("validation failure: config is nested too deeply",
+              file=sys.stderr)
+        return 2
     except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
         print(f"validation failure: config is not valid JSON: {exc}",
               file=sys.stderr)

@@ -173,10 +173,7 @@ def _march_means(preparation: Preparation, flow: FlowParams, n_cycles: int,
     are added to its running sum in row order (``_continue_sum``), the
     order in which numpy reduces the molecule axis, so each mean equals
     ``center_of_mass`` of the part of the whole marched ensemble bit for
-    bit.  A part that begins where an earlier-listed, shorter part begins
-    continues that part's sum over its own further rows, which is the same
-    row-order sum: the whole S = A | B adds only B's rows to A's sum.  A
-    sum that overflows gives inf or NaN without a warning, for the
+    bit.  A sum that overflows gives inf or NaN without a warning, for the
     caller's finite check to report (the WEP deviation profiles).
     """
     schedule = sin_squared_schedule(flow.period_T)
@@ -190,20 +187,12 @@ def _march_means(preparation: Preparation, flow: FlowParams, n_cycles: int,
         def collect(tau, u, lo=lo):
             hi = lo + u.shape[1]
             sums = out[:, tau]
-            last = {}  # first row -> (index, end) of the last part begun there
             with np.errstate(over="ignore", invalid="ignore"):
                 for j, (a, b) in enumerate(parts):
-                    i, c = last.get(a, (j, lo))
-                    last[a] = j, b
-                    if c <= lo:  # no earlier part holds rows of this chunk
-                        i, c = j, max(a, lo)
-                    # sum i holds rows a..min(c, hi); part j adds the rest
-                    x = u[:, min(c, hi) - lo:max(min(b, hi) - lo, 0)]
-                    if x.shape[1]:
-                        _continue_sum(sums[:, i] if c > a else None, x,
+                    if max(a, lo) < min(b, hi):  # the part meets the chunk
+                        _continue_sum(sums[:, j] if a < lo else None,
+                                      u[:, max(a, lo) - lo:min(b, hi) - lo],
                                       sums[:, j])
-                    elif i != j:
-                        sums[:, j] = sums[:, i]
 
         evolve_coordinates(chunk, flow.field, schedule, flow.dt, n_cycles,
                            collect)

@@ -177,21 +177,53 @@ class TestValidate:
         assert cli.main(["validate", "--config", path]) == 0
 
 
-    @pytest.mark.parametrize("cores, code", [(8, 2), (1, 0)])
-    def test_wep_budget_counts_the_trials_in_flight(self, tmp_path, capsys,
-                                                    monkeypatch, cores, code):
-        # one trial at N = 2^24 takes exactly MAX_SAMPLE_BYTES at 8 bytes
-        # per coordinate; 8 cores would march 8 such trials at once
-        monkeypatch.setattr(runio, "usable_cores", lambda: cores)
+    def test_verdict_does_not_depend_on_the_core_count(self, monkeypatch):
+        # One trial at N = 2^24 takes exactly MAX_SAMPLE_BYTES at 8 bytes
+        # per coordinate, however many trials the workers march at once.
+        configs = [json.loads(p.read_text()) for p in EXAMPLE_CONFIGS]
+        configs += [probe_config(*p.values[:2]) for p in PROBES]
+        configs += [probe_config("wep", {"n_list": [2, n_max], "n_trials": 8})
+                    for n_max in (2**24, 2**24 + 1)]
+        texts = [json.dumps(cfg) for cfg in configs]
+        verdicts = {}
+        for cores in (1, 2, 8, 64):
+            monkeypatch.setattr(runio, "usable_cores", lambda c=cores: c)
+            verdicts[cores] = [cli._walk_config(json.loads(
+                text, object_pairs_hook=cli._JsonObject))[1]
+                for text in texts]
+        assert verdicts[2] == verdicts[8] == verdicts[64] == verdicts[1]
+        assert verdicts[1][:len(EXAMPLE_CONFIGS)] == [[]] * len(EXAMPLE_CONFIGS)
+        assert verdicts[1][-2:] == [[], [
+            f"parameters.n_list: the sample arrays exceed "
+            f"{cli.MAX_SAMPLE_BYTES} bytes"]]
+
+    @pytest.mark.parametrize("n_max, code", [(2**24 + 1, 2), (2**24, 0)])
+    def test_wep_n_list_exit_code_is_the_same_on_every_core_count(
+            self, tmp_path, capsys, monkeypatch, n_max, code):
         cfg = small_configs()["wep"]
-        cfg["parameters"].update(n_list=[2, 2**24], n_trials=8)
+        cfg["parameters"].update(n_list=[2, n_max], n_trials=8)
         path = write_config(tmp_path, cfg)
-        assert cli.main(["validate", "--config", path]) == code
-        out = capsys.readouterr().out
-        if code:
-            assert "violation: parameters.n_list:" in out
-        else:
-            assert out == "config ok\n"
+        for cores in (1, 8, 64):
+            monkeypatch.setattr(runio, "usable_cores", lambda c=cores: c)
+            assert cli.main(["validate", "--config", path]) == code
+            out = capsys.readouterr().out
+            if code:
+                assert "violation: parameters.n_list:" in out
+            else:
+                assert out == "config ok\n"
+
+    def test_deeply_nested_config_exits_2_without_a_traceback(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parent.parent),
+             os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "randerslab.cli", "validate", "--config",
+             str(path)], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == ("validation failure: config is nested too "
+                               "deeply\n")
 
 
 class TestRunners:
@@ -421,11 +453,43 @@ def gravity_case(**over):
     return {"cases": [case]}
 
 
+class Repeat(dict):
+    """A JSON object whose text lists ``key`` twice, first with ``value``
+    and then with the object's own value: json.dumps writes what
+    ``items()`` yields."""
+
+    def __init__(self, obj, key, value):
+        super().__init__(obj)
+        self.first = key, value
+
+    def items(self):
+        return [self.first, *super().items()]
+
+
+def probe_config(name, over):
+    """Small config ``name`` with ``over`` merged into its parameters, or
+    the config that a callable ``over`` makes of it."""
+    cfg = small_configs()[name]
+    if callable(over):
+        return over(cfg)
+    cfg["parameters"].update(over)
+    return cfg
+
+
 # One-key changes of the small configs that used to end in a traceback, run
-# with a wrong meaning or run away: experiment, parameter overrides, and the
-# key path the violation names (exit 2), or None for a numeric failure
-# (exit 3).
+# with a wrong meaning or run away: experiment, parameter overrides (see
+# probe_config), and the key path the violation names (exit 2), or None for
+# a numeric failure (exit 3).
 PROBES = [
+    # json.load alone keeps the last of a repeated key's values silently
+    pytest.param("flow", lambda cfg: Repeat(cfg, "seed", 12), "seed",
+                 id="repeated-seed"),
+    pytest.param("flow", lambda cfg: {**cfg, "parameters": Repeat(
+        cfg["parameters"], "dt", 0.01)}, "parameters.dt", id="repeated-dt"),
+    # a euclidean metric ignores the scales a report would still record
+    pytest.param("lipschitz", {"metric": {"kind": "euclidean",
+                                          "u_scale": 0.5}},
+                 "parameters.metric", id="euclidean-u_scale"),
     pytest.param("flow", {"initial": 5}, "parameters.initial", id="initial"),
     # a removed key is unknown
     pytest.param("flow", {"raw_ode": "false"}, "parameters.raw_ode",
@@ -514,6 +578,11 @@ PROBES = [
                  id="wep-n_list-1e11"),
     pytest.param("wep", {"n_trials": 10**11}, "parameters.n_trials",
                  id="wep-n_trials-1e11"),
+    # 0.95 GiB of observables for one size, 15.3 GiB for the 16 sizes that
+    # the run holds at once
+    pytest.param("wep", {"n_list": list(range(2, 18)), "n_trials": 4 * 10**6,
+                         "n_cycles": 1, "n_reference": 1000},
+                 "parameters.n_trials", id="wep-observables-every-size"),
     # the largest double times a standard normal of modulus above 1
     # overflows in the initial point of the flow march
     pytest.param("flow", {"initial": {"u_scale": sys.float_info.max}}, None,
@@ -539,9 +608,7 @@ PROBES = [
 @pytest.mark.parametrize("name, over, key", PROBES)
 def test_bad_config_exits_with_documented_code(tmp_path, capsys, name, over,
                                                key):
-    cfg = small_configs()[name]
-    cfg["parameters"].update(over)
-    path = write_config(tmp_path, cfg)
+    path = write_config(tmp_path, probe_config(name, over))
     code = cli.main([name, "--config", path, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     if key is None:
@@ -561,9 +628,7 @@ def test_overflow_prints_only_its_numeric_failure(tmp_path, capsys, name,
     """An overflow that a finite check reports raises no RuntimeWarning,
     in the calling thread or in a WEP worker's (the filters are global),
     and the run prints one line on stderr."""
-    cfg = small_configs()[name]
-    cfg["parameters"].update(over)
-    path = write_config(tmp_path, cfg)
+    path = write_config(tmp_path, probe_config(name, over))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.main([name, "--config", path, "--out", str(tmp_path / "o")])

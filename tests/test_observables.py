@@ -495,6 +495,23 @@ class TestWepExperiment:
             derive_rng(config.seed, "mean-guide", config.preparation.seed))
         assert np.array_equal(report.guide[0], center_of_mass(reference))
 
+    def test_part_means_do_not_depend_on_the_order_of_the_parts(self):
+        # S is listed before A, which begins where S does; the ensemble
+        # spans two chunks, and the parts start in either one.  Each mean
+        # is the center of mass of the part's own rows, bit for bit.
+        rows = CHUNK_ELEMS // 4
+        n_mol = rows + 33
+        parts = [(0, n_mol), (n_mol // 2, n_mol), (0, n_mol // 2), (5, 9),
+                 (rows + 1, n_mol)]
+        flow = FlowParams(field=zero_field(8), period_T=1.0, dt=0.5)
+        out = np.empty((1, 2, len(parts), 4))
+        observables._march_means(_prep(seed=3), flow, 1,
+                                 [derive_rng(3, "parts")], n_mol, parts, out)
+        u = _prep(seed=3).draw(n_mol, derive_rng(3, "parts"))
+        for j, (a, b) in enumerate(parts):
+            for tau in (0, 1):
+                assert np.array_equal(out[0, tau, j], center_of_mass(u[a:b]))
+
 
 class TestScaleRelation:
     @staticmethod

@@ -201,6 +201,42 @@ def _json_type(kind):
     return (lambda x: type(x) is type(kind) and x == kind), json.dumps(kind)
 
 
+def _excerpt(x, width=40):
+    """``repr(x)[:width]`` of a JSON value x, formatted from only as much
+    of x as those characters show: the whole repr of a long list or string
+    takes time and memory in its length."""
+    # each level writes a character before it goes deeper, so the walk
+    # stops within width levels
+    def parts(x):
+        if isinstance(x, list):
+            yield "["
+            for i, item in enumerate(x):
+                yield ", " if i else ""
+                yield from parts(item)
+            yield "]"
+        elif isinstance(x, dict):
+            yield "{"
+            for i, (key, item) in enumerate(x.items()):
+                yield ", " if i else ""
+                yield from parts(key)
+                yield ": "
+                yield from parts(item)
+            yield "}"
+        elif isinstance(x, str) and len(x) > width:
+            # the quotes repr picks depend on every character of x, the
+            # escape of each character on that character alone
+            yield repr(x[:width] + "'" * ("'" in x) + '"' * ('"' in x))
+        else:
+            yield repr(x)
+
+    text = ""
+    for part in parts(x):
+        text += part
+        if len(text) >= width:
+            break
+    return text[:width]
+
+
 def _walk(kind, check, x, path, v):
     """Check x against kind and check, appending violations to v; returns x
     with the defaults filled in and float kinds as floats, or _INVALID."""
@@ -208,7 +244,7 @@ def _walk(kind, check, x, path, v):
     kind = next((k for k in alternatives if _json_type(k)[0](x)), _INVALID)
     if kind is _INVALID:
         names = " or ".join(_json_type(k)[1] for k in alternatives)
-        v.append(f"{path}: expected {names}, got {x!r:.40}")
+        v.append(f"{path}: expected {names}, got {_excerpt(x)}")
         return _INVALID
     if isinstance(kind, list):
         x = [_walk(kind[0], None, item, f"{path}[{i}]", v)

@@ -7,7 +7,7 @@ order one appears only at the Planck point.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .runio import NumericError, atomic_write_csv, atomic_write_json
 
@@ -17,8 +17,9 @@ class GravityError(NumericError):
 
 
 class SingularCaseError(GravityError):
-    """r1 = r2, a radius <= 0, or a case whose forces or alpha leave the
-    range of a double: the finite-difference ratio is undefined."""
+    """r1 = r2, a radius that is not positive (NaN included), or a case
+    whose forces or alpha leave the range of a double: the
+    finite-difference ratio is undefined."""
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,10 @@ class GravityScaleCase:
     expect: tuple | None = None
 
     def __post_init__(self):
-        if self.r1 <= 0 or self.r2 <= 0:  # lambda * r2 may underflow to 0
+        # written so that NaN fails; lambda * r2 may underflow to 0
+        if not (self.r1 > 0 and self.r2 > 0):
             raise SingularCaseError("radii must be positive")
-        if self.m < 0 or self.M_mass < 0:
+        if not (self.m >= 0 and self.M_mass >= 0):
             raise ValueError("masses must be nonnegative")
         if self.density_convention not in ("r1", "r2"):
             raise ValueError("density_convention must be 'r1' or 'r2'")
@@ -111,13 +113,10 @@ def alpha_closed_form(case: GravityScaleCase,
     """
     if case.m != case.M_mass:
         raise ValueError("closed form requires m = M_mass")
-    r = case.density_radius
-    if r <= 0:
-        raise ValueError("density radius must be positive")
     lam = case.lam
-    if lam <= 0:
+    if lam <= 0:  # r1 / r2 underflows for a tiny r1 over a huge r2
         raise ValueError("lambda must be positive")
-    density = case.m / r**3
+    density = case.m / case.density_radius**3
     energy = case.m * constants.c**2
     return ((1.0 + lam) / lam**3) * (density / constants.D_P) * (energy / constants.E_P)
 
@@ -153,27 +152,23 @@ def default_sweep_cases(constants: PhysicalConstants,
     ]
     if not both_conventions:
         return base
-    cases = []
-    for c in base:
-        cases.append(c)
-        cases.append(GravityScaleCase(
-            name=c.name + "/r2-density", m=c.m, M_mass=c.M_mass, r1=c.r1,
-            r2=c.r2, density_convention="r2", expect=c.expect))
-    return cases
+    return [case for c in base for case in (c, replace(
+        c, name=c.name + "/r2-density", density_convention="r2"))]
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    name: str
-    m: float
-    M_mass: float
-    r1: float
-    r2: float
-    lam: float
+    """A case and what the sweep computed for it."""
+
+    case: GravityScaleCase
     alpha_formula: float
     alpha_oracle: float
     ratio: float
     expectation_ok: bool
+
+    @property
+    def name(self) -> str:
+        return self.case.name
 
 
 @dataclass(frozen=True)
@@ -187,8 +182,9 @@ class SweepTable:
     def to_csv(self, path) -> None:
         header = ["name", "m_kg", "M_kg", "r1_m", "r2_m", "lambda",
                   "alpha_formula", "alpha_oracle", "ratio"]
-        rows = ([r.name, r.m, r.M_mass, r.r1, r.r2, r.lam,
-                 r.alpha_formula, r.alpha_oracle, r.ratio] for r in self.rows)
+        rows = ([r.case.name, r.case.m, r.case.M_mass, r.case.r1, r.case.r2,
+                 r.case.lam, r.alpha_formula, r.alpha_oracle, r.ratio]
+                for r in self.rows)
         atomic_write_csv(path, header, rows)
 
 
@@ -215,10 +211,7 @@ def scale_sweep(cases, constants: PhysicalConstants) -> SweepTable:
                 ok = a_oracle < case.expect[1]
             elif case.expect[0] == "range":
                 ok = case.expect[1] <= a_oracle <= case.expect[2]
-        rows.append(SweepRow(name=case.name, m=case.m, M_mass=case.M_mass,
-                             r1=case.r1, r2=case.r2, lam=case.lam,
-                             alpha_formula=a_formula, alpha_oracle=a_oracle,
-                             ratio=ratio, expectation_ok=ok))
+        rows.append(SweepRow(case, a_formula, a_oracle, ratio, ok))
     return SweepTable(rows=tuple(rows))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -55,10 +56,29 @@ class TestClosedForm:
         oracle = alpha_oracle(case, C)
         assert formula / oracle == pytest.approx(1.0 / 0.5, rel=1e-10)
 
+    def test_lambda_underflow_rejected(self):
+        # r1 / r2 underflows to 0 although both radii are positive
+        case = GravityScaleCase(name="far", m=1.0, M_mass=1.0, r1=5e-324,
+                                r2=1e308)
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            alpha_closed_form(case, C)
+
     def test_equal_masses_required(self):
         case = GravityScaleCase(name="uneq", m=1.0, M_mass=2.0, r1=0.5, r2=1.0)
         with pytest.raises(ValueError):
             alpha_closed_form(case, C)
+
+
+class TestCase:
+    @pytest.mark.parametrize("field, error", [
+        ("r1", SingularCaseError), ("r2", SingularCaseError),
+        ("m", ValueError), ("M_mass", ValueError)])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_nan_or_negative_radius_or_mass_rejected(self, field, error, bad):
+        fields = {"name": "bad", "m": 1.0, "M_mass": 1.0, "r1": 0.5,
+                  "r2": 1.0, field: bad}
+        with pytest.raises(error):
+            GravityScaleCase(**fields)
 
 
 class TestOracle:
@@ -124,6 +144,22 @@ class TestSweep:
         table = scale_sweep(cases, C)
         assert all(r.alpha_oracle == 0.0 for r in table.rows)
         assert all(r.alpha_formula == 0.0 for r in table.rows)
+
+    def test_rows_hold_their_case(self):
+        cases = default_sweep_cases(C)
+        table = scale_sweep(cases, C)
+        assert [f.name for f in dataclasses.fields(table.rows[0])] == [
+            "case", "alpha_formula", "alpha_oracle", "ratio",
+            "expectation_ok"]
+        assert [r.case for r in table.rows] == cases
+        assert [r.name for r in table.rows] == [c.name for c in cases]
+
+    def test_r2_density_cases_differ_only_in_name_and_convention(self):
+        cases = default_sweep_cases(C)
+        assert cases[::2] == default_sweep_cases(C, both_conventions=False)
+        for c, r2 in zip(cases[::2], cases[1::2]):
+            assert r2 == dataclasses.replace(
+                c, name=c.name + "/r2-density", density_convention="r2")
 
     def test_csv_schema(self, tmp_path):
         table = scale_sweep(default_sweep_cases(C, both_conventions=False), C)

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run every example config through the CLI and report exit codes and
 the sha256 of every CSV/JSON output except manifest.json, so that two
-checkouts can be compared by diffing this script's output.  After each
-config it also prints the process's peak resident set so far
-(``ru_maxrss``, in MB as the benchmark's ``peak_rss_mb`` counts them), on
-its own line, so the digest lines diff cleanly.
+checkouts, also under different out roots, can be compared by diffing this
+script's output.  After each config it also prints the process's peak
+resident set so far (``ru_maxrss``, in MB as the benchmark's
+``peak_rss_mb`` counts them), on its own line, so the digest lines diff
+cleanly.
 
 Usage: python scripts/run_all.py [--out-root OUT]
 """
@@ -46,7 +47,7 @@ def main():
         with open(path) as fh:
             experiment = json.load(fh)["experiment"]
         out = os.path.join(args.out_root, experiment)
-        print(f"== {experiment} ({fname}) -> {out}")
+        print(f"== {experiment} ({fname})")
         code = cli_main([experiment, "--config", path, "--out", out])
         print(f"   exit code {code}")
         print_digests(out)

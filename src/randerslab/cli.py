@@ -11,6 +11,7 @@ the reference for every config key, its type, its check and its default.
 import argparse
 import collections
 import datetime
+import itertools
 import json
 import os
 import platform
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__, dynamics, runio
-from .geometry import PhasePoint, constant_field, tanh_field, zero_field
+from .geometry import BLOCK_DIM, PhasePoint, constant_field, tanh_field, zero_field
 from .runio import NumericError, atomic_write_json, config_hash, derive_rng
 
 EXPERIMENTS = ("flow", "lipschitz", "concentration", "sphere", "wep", "gravity")
@@ -124,7 +125,11 @@ SCHEMAS = {
         "box_half_width": (float, POSITIVE, REQUIRED),
         "metric": ({"kind": (str, _one_of("euclidean", "weighted"), "euclidean"),
                     "u_scale": (float, POSITIVE, 1.0),
-                    "p_scale": (float, POSITIVE, 1.0)}, None, {}),
+                    "p_scale": (float, POSITIVE, 1.0)},
+                   (lambda m: m.get("kind") != "euclidean" or all(
+                       m.get(key, 1.0) == 1.0 for key in ("u_scale", "p_scale")),
+                    "u_scale and p_scale must be 1 under the euclidean kind; "
+                    "they scale only the weighted metric"), {}),
         "n_pairs": (int, POSITIVE, REQUIRED),
         "profile": ({"rho0": (("auto", float), POSITIVE, "auto")}, None, {}),
         # absent or null: no flow, hence no constraint split
@@ -158,8 +163,9 @@ SCHEMAS = {
         "n_trials": (int, (lambda n: n >= 2, "must be >= 2"), REQUIRED),
         "field": (FIELD, None, REQUIRED),
         "preparation": ({"mean": ((float, [float]),
-                                  (lambda m: not isinstance(m, list) or len(m) == 8,
-                                   "list must have 8 entries"), 0.0),
+                                  (lambda m: not isinstance(m, list)
+                                   or len(m) == BLOCK_DIM,
+                                   f"list must have {BLOCK_DIM} entries"), 0.0),
                          "scale": (float, POSITIVE, 1.0)}, None, REQUIRED),
         **PERIOD,
         "rho_grid": GRID,
@@ -202,39 +208,25 @@ def _json_type(kind):
 
 
 def _excerpt(x, width=40):
-    """``repr(x)[:width]`` of a JSON value x, formatted from only as much
-    of x as those characters show: the whole repr of a long list or string
-    takes time and memory in its length."""
-    # each level writes a character before it goes deeper, so the walk
-    # stops within width levels
-    def parts(x):
+    """``repr(x)[:width]`` of a JSON value x, formatted as the repr of a
+    copy of x cut to what those characters can show: the whole repr of a
+    long list or string takes time and memory in its length."""
+    def cut(x, depth):
+        # each level and each item writes a character, so no item past the
+        # width-th of a container and no level below the width-th shows
+        if depth >= width:
+            return None
         if isinstance(x, list):
-            yield "["
-            for i, item in enumerate(x):
-                yield ", " if i else ""
-                yield from parts(item)
-            yield "]"
-        elif isinstance(x, dict):
-            yield "{"
-            for i, (key, item) in enumerate(x.items()):
-                yield ", " if i else ""
-                yield from parts(key)
-                yield ": "
-                yield from parts(item)
-            yield "}"
-        elif isinstance(x, str) and len(x) > width:
+            return [cut(item, depth + 1) for item in x[:width]]
+        if isinstance(x, dict):
+            return {cut(key, depth + 1): cut(item, depth + 1)
+                    for key, item in itertools.islice(x.items(), width)}
+        if isinstance(x, str) and len(x) > width:
             # the quotes repr picks depend on every character of x, the
             # escape of each character on that character alone
-            yield repr(x[:width] + "'" * ("'" in x) + '"' * ('"' in x))
-        else:
-            yield repr(x)
-
-    text = ""
-    for part in parts(x):
-        text += part
-        if len(text) >= width:
-            break
-    return text[:width]
+            return x[:width] + "'" * ("'" in x) + '"' * ('"' in x)
+        return x
+    return repr(cut(x, 0))[:width]
 
 
 def _walk(kind, check, x, path, v):
@@ -331,11 +323,6 @@ def _cross_check(params, v):
         if 8 * count > MAX_SAMPLE_BYTES:
             v.append(f"parameters.{key}: the sample arrays exceed "
                      f"{MAX_SAMPLE_BYTES} bytes")
-    metric = params.get("metric", {})
-    if metric.get("kind") == "euclidean" and any(
-            metric.get(key, 1.0) != 1.0 for key in ("u_scale", "p_scale")):
-        v.append("parameters.metric: u_scale and p_scale must be 1 under "
-                 "the euclidean kind; they scale only the weighted metric")
     space, fn = params.get("space", {}), params.get("function", {})
     if "kind" in space and "dimension" in space:
         sphere = space["kind"] == "sphere"
@@ -397,7 +384,7 @@ def _march_from_draw(field, n_mol, spec, seed, tag, **options):
     ``spec["period_T"]`` in steps of ``spec["dt"]``, from t = 0 and u, then
     p, drawn as standard normals from the ``derive_rng(seed, tag)`` stream
     and scaled by the ``u_scale`` and ``p_scale`` of ``spec["initial"]``."""
-    dim = 8 * n_mol
+    dim = BLOCK_DIM * n_mol
     rng, scales = derive_rng(seed, tag), spec["initial"]
     with np.errstate(over="ignore"):  # reported below
         u0 = scales["u_scale"] * rng.standard_normal(dim)
@@ -414,7 +401,7 @@ def _march_from_draw(field, n_mol, spec, seed, tag, **options):
 
 def run_flow(params, seed, outdir):
     n_mol = params["n_molecules"]
-    field = build_field(params["field"], 8 * n_mol, seed)
+    field = build_field(params["field"], BLOCK_DIM * n_mol, seed)
     march, snaps = _march_from_draw(
         field, n_mol, params, seed, "flow-initial",
         stride=params["store_stride"],
@@ -433,7 +420,7 @@ def run_flow(params, seed, outdir):
 def run_lipschitz(params, seed, outdir):
     from . import lipschitz as lip
     n_mol = params["n_molecules"]
-    dim_u = 8 * n_mol
+    dim_u = BLOCK_DIM * n_mol
     field = build_field(params["field"], dim_u, seed)
 
     def h(z):
@@ -523,7 +510,7 @@ def run_sphere(params, seed, outdir):
 def run_wep(params, seed, outdir):
     from . import observables as obs
     n_list = params["n_list"]
-    field = build_field(params["field"], 8 * max(n_list), seed)
+    field = build_field(params["field"], BLOCK_DIM * max(n_list), seed)
     prep = params["preparation"]
     config = obs.WepConfig(
         n_list=n_list,
@@ -532,7 +519,7 @@ def run_wep(params, seed, outdir):
                             dt=params["dt"]),
         preparation=obs.Preparation(
             mean=np.asarray(prep["mean"], dtype=float),
-            covariance=prep["scale"]**2 * np.eye(8), seed=seed),
+            covariance=prep["scale"]**2 * np.eye(BLOCK_DIM), seed=seed),
         n_cycles=params["n_cycles"],
         rho_grid=np.asarray(params["rho_grid"], dtype=float),
         seed=seed,

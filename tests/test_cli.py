@@ -1092,6 +1092,45 @@ def test_validating_a_long_value_takes_no_memory_in_its_length():
     assert peak < 2**20
 
 
+# the walk sees the objects of a config as _JsonObject, whose keys may
+# repeat: the last value stays at the first key's place
+@pytest.mark.parametrize("pairs", [
+    [],
+    [("a", 1), ("b", [2.5] * 50), ("a", "x")],
+    [("a", 1), ("a", {"k": [[["z" * 50]]]}), ("b", 2)],
+    [("'" + "k" * 45 + '"', 1)],
+    [("k" * 45 + "'", {"n": [1, 2]})],
+    [(str(i), i) for i in range(10**4)],
+])
+def test_excerpt_of_a_decoded_object_is_the_head_of_its_dict_repr(pairs):
+    assert cli._excerpt(cli._JsonObject(pairs)) == repr(dict(pairs))[:40]
+
+
+def test_excerpt_of_a_long_deep_value_takes_no_memory_in_its_length(
+        traced_peak):
+    value = [[[1.5] * 10**5] * 10**3]
+    excerpt = []
+    peak = traced_peak(lambda: excerpt.append(cli._excerpt(value)))
+    assert excerpt == [repr([[[1.5] * 14]])[:40]]
+    assert peak < 2**20
+
+
+def lipschitz_violations(metric, **over):
+    cfg = small_configs()["lipschitz"]
+    cfg["parameters"].update(metric=metric, **over)
+    return cli.validate_config(cfg)
+
+
+def test_euclidean_metric_with_scales_is_one_violation_at_its_table():
+    # the metric table's own check, reported where the walk reaches it
+    assert lipschitz_violations({"kind": "euclidean", "u_scale": 2.0},
+                                n_pairs=0) == [
+        "parameters.metric: u_scale and p_scale must be 1 under the "
+        "euclidean kind; they scale only the weighted metric",
+        "parameters.n_pairs: must be positive"]
+    assert lipschitz_violations({"kind": "weighted", "u_scale": 2.0}) == []
+
+
 FIELDS = st.one_of(
     st.just({"family": "zero"}),
     st.builds(lambda v: {"family": "constant", "value": v},

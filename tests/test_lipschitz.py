@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -267,6 +268,27 @@ class TestRadialDecomposition:
         c_small = sampled_constant(0.5)
         c_large = sampled_constant(5.0)
         assert c_large <= c_small * 1.05
+
+    def test_tuning_ends_where_the_midpoint_overflows(self, monkeypatch):
+        # a box diameter near 4e153 and a target that only rho0 >= 4**7
+        # diameters meets: the first midpoint sqrt(lo * hi) overflows to inf,
+        # a flat profile, which meets it, and the bisection ends there.  The
+        # alarm fails a bisection that never ends
+        box = CompactBox.cube(16, 5e152)
+        edge = 4.0**7 * box.diameter
+        monkeypatch.setattr(lipschitz, "_part_estimate",
+                            lambda *args: lambda p: 0.5 if p.rho0 >= edge
+                            else 2.0)
+
+        def hang(*_):
+            pytest.fail("the bisection did not end")
+        handler = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            assert tune_profile(None, box) == (math.inf, 0.5, True)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
 
     def test_profile_validation(self):
         with pytest.raises(ProfileError):

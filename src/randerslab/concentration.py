@@ -344,13 +344,11 @@ def concentration_profile(f: Callable, sampler: MMSpaceSampler, rho_grid, n: int
 
 def fit_decay_constant(profile: ConcentrationProfile) -> TailFit:
     """Slope of -log tail against rho^2 / (2 rho_p^2), with standard error."""
-    fit = _fit_tail(profile.rho_grid, profile.exceed_counts,
-                    profile.n_samples, profile.rho_p)
-    if fit is None:
+    if profile.fit is None:
         raise FitUnavailableError(
             "need >= 3 grid points with enough exceedances and a "
             "non-degenerate abscissa")
-    return fit
+    return profile.fit
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +405,6 @@ def sphere_isoperimetric_check(n_dim: int, epsilon_grid, n: int,
     few-row squares buffer per stream); ``median_in_place`` partitions the
     first and the distances overwrite the second.
     """
-    if n_dim < 2:
-        raise DimensionError("sphere dimension must be >= 2")
     f_ref, f_x = sphere(n_dim, seed).observe_streams(
         lambda pts: pts[:, 0], [(n, 1), (n, 2)])
     med = median_in_place(f_ref)

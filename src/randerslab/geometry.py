@@ -88,8 +88,6 @@ def zero_field(dim: int) -> RandersField:
 def constant_field(value: float, dim: int) -> RandersField:
     """beta_i(u) = value for every component."""
     c = float(value)
-    if abs(c) >= 1.0:
-        raise ValueError("constant field violates the Randers condition")
 
     def fill(x):
         x.fill(c)

@@ -62,8 +62,8 @@ def codata2018() -> PhysicalConstants:
 class GravityScaleCase:
     """Two-body case at radii r1 = lambda * r2 with a density convention.
 
-    ``expect`` optionally carries a sweep assertion: ("lt", x) or
-    ("range", lo, hi) on the oracle value.
+    ``expect`` optionally carries a sweep assertion: an inclusive interval
+    (low, high) that the oracle value must lie in.
     """
 
     name: str
@@ -139,16 +139,16 @@ def default_sweep_cases(constants: PhysicalConstants,
     m_earth, r_earth = 5.9722e24, 6.371e6
     base = [
         GravityScaleCase.from_lambda("electron-atomic", m_e, r_bohr, 0.5,
-                                     expect=("lt", 1e-30)),
+                                     expect=(0.0, 1e-30)),
         GravityScaleCase.from_lambda("proton-nuclear", m_proton, r_nuc, 0.5,
-                                     expect=("lt", 1e-30)),
+                                     expect=(0.0, 1e-30)),
         GravityScaleCase.from_lambda("kilogram-metre", 1.0, 1.0, 0.5,
-                                     expect=("lt", 1e-30)),
+                                     expect=(0.0, 1e-30)),
         GravityScaleCase.from_lambda("earth", m_earth, r_earth, 0.5,
-                                     expect=("lt", 1e-30)),
+                                     expect=(0.0, 1e-30)),
         GravityScaleCase.from_lambda("planck", constants.m_P,
                                      2.0 * constants.l_P, 0.5,
-                                     expect=("range", 0.1, 10.0)),
+                                     expect=(0.1, 10.0)),
     ]
     if not both_conventions:
         return base
@@ -205,12 +205,7 @@ def scale_sweep(cases, constants: PhysicalConstants) -> SweepTable:
                 f"case {case.name!r} leaves the range of a double: "
                 f"alpha_oracle = {a_oracle!r}, alpha_formula = {a_formula!r}")
         ratio = a_formula / a_oracle if a_oracle > 0 else math.nan
-        ok = True
-        if case.expect is not None:
-            if case.expect[0] == "lt":
-                ok = a_oracle < case.expect[1]
-            elif case.expect[0] == "range":
-                ok = case.expect[1] <= a_oracle <= case.expect[2]
+        ok = case.expect is None or case.expect[0] <= a_oracle <= case.expect[1]
         rows.append(SweepRow(case, a_formula, a_oracle, ratio, ok))
     return SweepTable(rows=tuple(rows))
 

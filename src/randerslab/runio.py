@@ -86,4 +86,10 @@ def atomic_write_csv(path, header, rows) -> None:
 
 
 def atomic_write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Standard JSON: a NaN or infinite value raises ``NumericError`` naming
+    the file, and nothing is written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{os.path.basename(path)}: {exc}") from None
+    atomic_write_text(path, text + "\n")

@@ -23,8 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randerslab import cli, concentration, lipschitz, runio
-from randerslab.runio import (NumericError, atomic_write_csv, atomic_write_text,
-                              config_hash)
+from randerslab.runio import (NumericError, atomic_write_csv, atomic_write_json,
+                              atomic_write_text, config_hash)
 
 EXAMPLE_CONFIGS = sorted(
     (Path(__file__).parent.parent / "scripts" / "configs").glob("*.json"))
@@ -577,6 +577,11 @@ PROBES = [
     # difference quotients overflow to a non-finite estimate
     pytest.param("lipschitz", {"box_half_width": 1e300, "flow": None}, None,
                  id="box_half_width-1e300"),
+    # the tuned rho0 overflows to inf, which no JSON output may hold
+    pytest.param("lipschitz", lambda cfg: {**cfg, "seed": 0, "parameters": {
+        "n_molecules": 1, "field": {"family": "tanh", "amplitude": 0.9},
+        "box_half_width": 5e152, "n_pairs": 100}}, None,
+        id="box_half_width-5e152"),
     # high - low overflows: samples are infinite, where numpy's uniform
     # raised OverflowError
     pytest.param("concentration", {"space": {
@@ -958,6 +963,12 @@ class TestAtomicity:
             atomic_write_csv(str(tmp_path / "data.csv"), ["x"], rows())
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_json_value_writes_no_file(self, tmp_path, value):
+        with pytest.raises(NumericError, match=r"^report\.json: Out of range"):
+            atomic_write_json(tmp_path / "report.json", {"a": [1.0, value]})
+        assert os.listdir(tmp_path) == []
+
     def test_csv_is_written_row_by_row(self, tmp_path):
         # while a row is joined its cells are separate str objects, about
         # 4 rows' worth of text, so the bound allows 8 rows; a writer that
@@ -1059,9 +1070,13 @@ def test_any_json_value_is_validated_without_raising(tmp_path_factory, name,
     assert cli.main(["validate", "--config", str(fname)]) in (0, 2)
 
 
-# strings longer than the excerpt, whose quotes may lie beyond it
-LONG_TEXT = st.text(st.characters() | st.sampled_from("'\"\\\ud800"),
-                    min_size=30, max_size=60)
+# strings longer than the excerpt, whose quotes may lie beyond it, from one
+# character of each class that repr writes differently: plain, both quotes,
+# backslash, escaped controls, \x85, printable non-ASCII, \u2028, wide, and
+# a lone surrogate
+LONG_TEXT = st.text(
+    st.sampled_from("a '\"\\\n\x00\x7f\x85\u00e9\u2028\u4e2d\ud800"),
+    min_size=30, max_size=60)
 REPR_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text()
     | LONG_TEXT,

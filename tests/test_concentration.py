@@ -12,11 +12,11 @@ from scipy import special, stats
 
 from randerslab import cli, concentration, runio
 from randerslab.concentration import (
-    ConcentrationProfile,
     DimensionError,
     EvaluationError,
     FitUnavailableError,
     MMSpaceSampler,
+    _fit_tail,
     concentration_profile,
     fit_decay_constant,
     gaussian_tail_bound,
@@ -448,10 +448,7 @@ class TestFitDecayConstant:
         n = 10**6
         c1 = 0.8
         tail = c1 * np.exp(-(grid ** 2) / 2.0)
-        prof = ConcentrationProfile(
-            rho_grid=grid, tail_prob=tail, exceed_counts=tail * n,
-            median_hat=0.0, n_samples=n, rho_p=1.0, fit=None)
-        fit = fit_decay_constant(prof)
+        fit = _fit_tail(grid, tail * n, n, 1.0)
         assert fit.C2_hat == pytest.approx(1.0, abs=1e-6)
         assert fit.C1_hat == pytest.approx(c1, rel=1e-6)
         assert fit.stderr < 1e-6
@@ -462,6 +459,13 @@ class TestFitDecayConstant:
         prof = concentration_profile(first_coord, sphere(n_dim, 24), grid, 30_000)
         fit = fit_decay_constant(prof)
         assert 0.5 <= fit.C2_hat <= 2.0
+
+    def test_returns_the_profiles_own_fit(self):
+        grid = np.linspace(0.5, 2.5, 9)
+        prof = concentration_profile(first_coord, _gaussian(4, 24), grid,
+                                     10_000)
+        assert prof.fit is not None
+        assert fit_decay_constant(prof) is prof.fit
 
     def test_gaussian_mean_observable_order_one(self):
         # mean of d coordinates is N(0, 1/d); sigma_f = 1/sqrt(d)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,11 @@ class TestFieldInvariants:
         with pytest.raises(ValueError):
             RandersField(beta=lambda u: u, beta_bound=1.0, dim=2,
                          vjp=lambda u, p: p)
+
+    @pytest.mark.parametrize("value", [1.0, -1.5, math.nan])
+    def test_constant_field_outside_the_randers_bound_rejected(self, value):
+        with pytest.raises(ValueError):
+            constant_field(value, 4)
 
     @pytest.mark.parametrize("field", [tanh_field(8, 0.9),
                                        constant_field(-0.4, 8), zero_field(8)],

@@ -161,6 +161,15 @@ class TestSweep:
             assert r2 == dataclasses.replace(
                 c, name=c.name + "/r2-density", density_convention="r2")
 
+    def test_expectation_is_an_inclusive_interval(self):
+        case = GravityScaleCase.from_lambda("kilogram-metre", 1.0, 1.0, 0.5)
+        a = alpha_oracle(case, C)
+        b = math.nextafter(a, math.inf)
+        for expect, ok in (((a, a), True), ((b, b), False)):
+            row, = scale_sweep([dataclasses.replace(case, expect=expect)],
+                               C).rows
+            assert row.expectation_ok is ok
+
     def test_csv_schema(self, tmp_path):
         table = scale_sweep(default_sweep_cases(C, both_conventions=False), C)
         out = tmp_path / "sweep.csv"

@@ -365,10 +365,11 @@ class TestDrawOnce:
         decomp = radial_decomposition(counted, box, n_pairs=n_pairs, seed=12)
         assert decomp.profile.rho0 in rho0s
         # pair ends and finite-difference probes once per domain; only the
-        # gradient-aligned short pairs per rho0; then the identity check
+        # gradient-aligned short pairs per rho0; then the identity check,
+        # which evaluates h and the Lipschitz part once each
         dim, n_ref = 2 * dim_u, min(256, n_pairs)
         bound = (3 * (2 * n_pairs + 2 * dim * n_ref)
-                 + len(rho0s) * 3 * 2 * n_ref + 4 * N_IDENTITY_CHECK)
+                 + len(rho0s) * 3 * 2 * n_ref + 2 * N_IDENTITY_CHECK)
         assert sum(rows) <= bound
 
     def test_tuning_holds_values_not_points(self, metric, traced_peak):

@@ -16,9 +16,15 @@ A field that is only ever set fails here.
 
 No library module imports a ``_``-prefixed name from a sibling module: a
 name another module needs is public.
+
+Every private name of the library is used: a ``_``-prefixed module-level
+function, class or constant, or a ``_``-prefixed method, that no code under
+``src/`` refers to outside its own definition fails here.  Dunders such as
+``__post_init__`` are called by Python and are not scanned.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +58,14 @@ TEST_ONLY = {
     "center_of_mass",
 }
 
+
+@functools.cache
+def _parse(path):
+    """The syntax tree of ``path``, parsed once: a definition node found in
+    it is then the very node that encloses its own references."""
+    return ast.parse(path.read_text())
+
+
 def _is_dataclass(node):
     return any(isinstance(d, ast.Name) and d.id == "dataclass"
                or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
@@ -68,12 +82,19 @@ def _dataclass_fields(tree):
                     yield node.name, item.target.id
 
 
-def _definitions(tree):
-    """(name, node) of the public module-level functions and classes and
-    of the public methods of module-level classes."""
+def _definitions(tree, constants=False):
+    """(name, node) of the module-level functions and classes and of the
+    methods of module-level classes, and with ``constants`` of the names
+    that module-level assignments bind."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
+        if constants and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
@@ -81,12 +102,13 @@ def _definitions(tree):
 
 
 def _references(tree, strings):
-    """(name, enclosing definition nodes) of every reference in ``tree``,
-    identifier strings included when ``strings`` is true."""
+    """(name, enclosing definition and assignment nodes) of every reference
+    in ``tree``, identifier strings included when ``strings`` is true."""
     refs = []
 
     def visit(node, enclosing):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Assign,
+                             ast.AnnAssign)):
             enclosing = enclosing + (node,)
         if isinstance(node, ast.Name):
             refs.append((node.id, enclosing))
@@ -108,12 +130,11 @@ def _public_names_without_caller():
     refs = {}
     for path in PROGRAM:
         strings = path.relative_to(ROOT).parts[0] in PATCHERS
-        for name, enclosing in _references(ast.parse(path.read_text()),
-                                           strings):
+        for name, enclosing in _references(_parse(path), strings):
             refs.setdefault(name, []).append(enclosing)
     missing = []
     for path in LIBRARY:
-        for name, node in _definitions(ast.parse(path.read_text())):
+        for name, node in _definitions(_parse(path)):
             if name.startswith("_") or name in TEST_ONLY:
                 continue
             if not any(node not in enclosing for enclosing in refs.get(name, [])):
@@ -127,22 +148,48 @@ def test_every_public_name_has_a_program_caller():
 
 def test_allowlisted_names_are_defined():
     defined = {name for path in LIBRARY
-               for name, _ in _definitions(ast.parse(path.read_text()))}
+               for name, _ in _definitions(_parse(path))}
     assert TEST_ONLY <= defined
 
 
 def test_allowlisted_names_are_referenced_by_tests():
     referenced = {name for path in TESTS
-                  for name, _ in _references(ast.parse(path.read_text()),
-                                             strings=False)}
+                  for name, _ in _references(_parse(path), strings=False)}
     assert sorted(TEST_ONLY - referenced) == []
+
+
+def _private_names_without_use(library=LIBRARY):
+    refs = {}
+    for path in library:
+        for name, enclosing in _references(_parse(path), strings=False):
+            refs.setdefault(name, []).append(enclosing)
+    return [f"{path.stem}.{name}" for path in library
+            for name, node in _definitions(_parse(path), constants=True)
+            if name.startswith("_") and not name.endswith("__")
+            and all(node in enclosing for enclosing in refs.get(name, []))]
+
+
+def test_every_private_name_is_used():
+    assert _private_names_without_use() == []
+
+
+def test_private_scan_finds_the_names(tmp_path):
+    module = tmp_path / "dead.py"
+    # _KEPT is used, by another definition; _helper only by itself
+    module.write_text("_LIMIT = 1\n_KEPT = 2\n\n\ndef _helper():\n"
+                      "    return _helper, _KEPT\n"
+                      "\n\nclass Box:\n    def _unused(self):\n"
+                      "        pass\n\n    def __post_init__(self):\n"
+                      "        pass\n")
+    assert _private_names_without_use([module]) == [
+        "dead._LIMIT", "dead._helper", "dead._unused"]
 
 
 def _fields_never_read():
     read = set()
     for path in PROGRAM + TESTS:
         strings = path.relative_to(ROOT).parts[0] in PATCHERS
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                               ast.Load):
                 read.add(node.attr)
@@ -150,7 +197,7 @@ def _fields_never_read():
                   and isinstance(node.value, str)):
                 read.add(node.value)
     return [f"{path.stem}.{cls}.{field}" for path in LIBRARY
-            for cls, field in _dataclass_fields(ast.parse(path.read_text()))
+            for cls, field in _dataclass_fields(_parse(path))
             if field not in read]
 
 
@@ -160,7 +207,7 @@ def test_every_dataclass_field_is_read():
 
 def test_field_scan_finds_the_fields():
     fields = {(cls, field) for path in LIBRARY
-              for cls, field in _dataclass_fields(ast.parse(path.read_text()))}
+              for cls, field in _dataclass_fields(_parse(path))}
     assert {("PerSizeResult", "sigma_x"), ("ScaleProfile", "rho0"),
             ("Preparation", "covariance")} <= fields
 
@@ -170,7 +217,7 @@ def _private_sibling_imports():
     that a library module imports from a sibling."""
     found = []
     for path in LIBRARY:
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(_parse(path)):
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").startswith("randerslab")):
                 found += [f"{path.stem}: {node.module}.{alias.name}"

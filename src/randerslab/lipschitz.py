@@ -26,8 +26,8 @@ class LipschitzError(NumericError):
 
 
 class EstimationError(LipschitzError):
-    """All sampled pairs were degenerate, the box diameter overflows, or
-    the estimate is not finite."""
+    """All sampled pairs were degenerate, the box diameter or the rho0
+    tuning bracket overflows, or the estimate is not finite."""
 
 
 class ProfileError(LipschitzError):
@@ -352,12 +352,16 @@ def tune_profile(h, box: CompactBox, n_pairs: int = 4000, seed: int = 0):
     target (the input was normalized against its own sampled estimate, so
     fresh samples may sit a few percent above it), the statistical
     ``TUNE_SLACK`` is allowed before the tuning is reported as failed.
+    A bracket that overflows the double range raises ``EstimationError``.
     """
     part = _part_estimate(h, box, n_pairs, seed)
     diam = box.diameter
 
     @functools.cache
     def global_est(rho0):
+        if rho0 == math.inf:  # hi or lo * hi overflowed
+            raise EstimationError(f"the rho0 tuning bracket overflows the "
+                                  f"double range at box diameter {diam:.4g}")
         return part(ScaleProfile(rho0=rho0))
 
     def attempt(level):
@@ -375,8 +379,8 @@ def tune_profile(h, box: CompactBox, n_pairs: int = 4000, seed: int = 0):
             if grow > 12:
                 return hi, est_hi, False
         # 9 halvings take log(hi / lo) <= log(1000 * 4**12) below log 1.05;
-        # past a box diameter near 1e152 lo * hi overflows; mid = inf ends it
-        while 1.05 <= hi / lo < math.inf:
+        # past a box diameter near 1e152 the midpoint overflows to inf
+        while hi / lo >= 1.05:
             mid = math.sqrt(lo * hi)
             if global_est(mid) <= level:
                 hi = mid

@@ -9,11 +9,13 @@ directly instead (README, "Seeding").
 """
 
 import hashlib
+import itertools
 import json
 import os
 import tempfile
 
 import numpy as np
+import orjson
 
 _MASK64 = (1 << 64) - 1
 
@@ -48,14 +50,14 @@ def config_hash(config: dict) -> str:
 
 
 def _atomic_write(path, chunks) -> None:
-    """Write the text chunks in order to a temp file in the target
+    """Write the byte chunks in order to a temp file in the target
     directory, then rename it over ``path``; on any error the temp file is
     removed and ``path`` is left as it was."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=d)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -66,7 +68,49 @@ def _atomic_write(path, chunks) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the target directory, then rename."""
-    _atomic_write(path, (text,))
+    _atomic_write(path, (text.encode("utf-8"),))
+
+
+def _csv_line(row) -> bytes:
+    """``",".join(map(str, row))`` and a newline in UTF-8, by orjson where
+    it can.
+
+    orjson writes an int as ``str`` does and a float with the same shortest
+    round-trip digits (Ryu), so for a row of plain ints and finite floats
+    the text between its brackets is the line, except the tokens of floats
+    with 0 < |x| < 1e-4 or |x| >= 1e16: orjson writes ``0.00005``,
+    ``9.6e-6`` or ``1e16`` where ``str`` writes ``5e-05``, ``9.6e-06`` or
+    ``1e+16``.  Each of those holds ``e`` or ``0.0000``; every hit is
+    widened to its commas and replaced by the ``str`` of its float, the
+    same double (a hit such as ``10.00001`` is rewritten to itself).  Any
+    other row is joined by ``str``: numpy scalars or arrays, subclasses and
+    ints beyond 64 bits, which orjson refuses, and rows whose JSON holds a
+    string (``"``), null, NaN, an infinity or false (``l``), or true
+    (``t``).
+    """
+    try:
+        b = orjson.dumps(row, option=orjson.OPT_PASSTHROUGH_SUBCLASS)
+    except orjson.JSONEncodeError:
+        b = b'"'  # joined by str below, like a row holding a string
+    if b'"' in b or b"l" in b or b"t" in b:
+        return (",".join(map(str, row)) + "\n").encode("utf-8")
+    parts = []
+    done = 1  # b[:done] is copied or replaced; b[0] is "["
+    e, z = b.find(b"e"), b.find(b"0.0000")
+    while e >= 0 or z >= 0:
+        hit = z if e < 0 or 0 <= z < e else e
+        first = max(b.rfind(b",", 0, hit), 0) + 1
+        end = b.find(b",", hit)
+        if end < 0:
+            end = len(b) - 1  # the closing "]"
+        parts += (b[done:first], str(float(b[first:end])).encode("ascii"))
+        done = end
+        if 0 <= e < end:
+            e = b.find(b"e", end)
+        if 0 <= z < end:
+            z = b.find(b"0.0000", end)
+    parts += (b[done:-1], b"\n")
+    return b"".join(parts)
 
 
 def atomic_write_csv(path, header, rows) -> None:
@@ -77,12 +121,7 @@ def atomic_write_csv(path, header, rows) -> None:
     its shortest round-trip decimal.  Rows are formatted and written one at
     a time, so the file is never held whole.
     """
-    def lines():
-        yield ",".join(header) + "\n"
-        for row in rows:
-            yield ",".join(map(str, row)) + "\n"
-
-    _atomic_write(path, lines())
+    _atomic_write(path, map(_csv_line, itertools.chain((header,), rows)))
 
 
 def atomic_write_json(path, obj) -> None:

@@ -577,11 +577,12 @@ PROBES = [
     # difference quotients overflow to a non-finite estimate
     pytest.param("lipschitz", {"box_half_width": 1e300, "flow": None}, None,
                  id="box_half_width-1e300"),
-    # the tuned rho0 overflows to inf, which no JSON output may hold
+    # the midpoint of the rho0 tuning bracket overflows to inf
     pytest.param("lipschitz", lambda cfg: {**cfg, "seed": 0, "parameters": {
         "n_molecules": 1, "field": {"family": "tanh", "amplitude": 0.9},
-        "box_half_width": 5e152, "n_pairs": 100}}, None,
-        id="box_half_width-5e152"),
+        "box_half_width": 5e152, "n_pairs": 100}},
+        "numeric failure: the rho0 tuning bracket overflows the double range "
+        "at box diameter 4e+153\n", id="box_half_width-5e152"),
     # high - low overflows: samples are infinite, where numpy's uniform
     # raised OverflowError
     pytest.param("concentration", {"space": {
@@ -630,11 +631,15 @@ PROBES = [
 @pytest.mark.parametrize("name, over, key", PROBES)
 def test_bad_config_exits_with_documented_code(tmp_path, capsys, name, over,
                                                key):
+    # key: the violation's path (exit 2), or None or the whole stderr of a
+    # numeric failure (exit 3)
     path = write_config(tmp_path, probe_config(name, over))
     code = cli.main([name, "--config", path, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     if key is None:
         assert code == 3 and "numeric failure" in err
+    elif key.startswith("numeric failure: "):
+        assert code == 3 and err == key
     else:
         assert code == 2 and f"violation: {key}:" in err
 
@@ -969,16 +974,20 @@ class TestAtomicity:
             atomic_write_json(tmp_path / "report.json", {"a": [1.0, value]})
         assert os.listdir(tmp_path) == []
 
-    def test_csv_is_written_row_by_row(self, tmp_path):
+    # ndarray rows are joined by str, lists of floats formatted by orjson
+    @pytest.mark.parametrize("as_lists", [False, True],
+                             ids=["ndarray", "float-lists"])
+    def test_csv_is_written_row_by_row(self, tmp_path, as_lists):
         # while a row is joined its cells are separate str objects, about
         # 4 rows' worth of text, so the bound allows 8 rows; a writer that
         # holds the whole file peaks at thousands of rows
         data = np.random.default_rng(0).standard_normal((2000, 500))
+        rows = data.tolist() if as_lists else data
         header = [f"c{i}" for i in range(500)]
         path = tmp_path / "big.csv"
         tracemalloc.start()
         try:
-            atomic_write_csv(str(path), header, iter(data))
+            atomic_write_csv(str(path), header, iter(rows))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1019,6 +1028,89 @@ class TestAtomicity:
         atomic_write_csv(str(path), ["c"], iter(rows))
         want = "c\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
         assert path.read_bytes() == want.encode("utf-8")
+
+
+# rows of Python floats and ints on both sides of the bounds where str turns
+# to exponent form (1e-4, 1e16) and of the int64 range, which orjson refuses
+# beyond
+CSV_EDGE_ROWS = [
+    [0.0, -0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e-4, -1e-4,
+     math.nextafter(1e-4, 0), 1e16, -1e16, math.nextafter(1e16, 0),
+     9999999999999998.0, 1e300, 10.00001, -10.00001, 1e-300],
+    [1e-5], [1e16], [10.00001], [5e-324, 1.0], [1.0, 1e300],
+    [2**63 - 1, -2**63, 2**64 - 1, 0.5],
+    [2**64, 1e-5], [-2**63 - 1, 1e-5],
+    [math.inf, 1e-5], [-math.inf], [math.nan, 1e16], [True, 1e-7], [False],
+    [None, 1.0],
+    ["a,b", 1e-5], ["x", "y,", ",z"], [], [""], ["", 1.0],
+]
+
+
+def _csv_sample_rows(rng, n_rows, width):
+    """Rows of random bit patterns, random values from 1e-330 to 1e308
+    and near the exponent-form bounds, and ints within and beyond 64 bits."""
+    for i in range(n_rows):
+        kind = i % 4
+        if kind == 0:
+            row = rng.integers(0, 2**64, width, dtype=np.uint64,
+                               endpoint=False).view(np.float64).tolist()
+        elif kind == 1:
+            row = (rng.choice([-1.0, 1.0], width)
+                   * 10.0 ** rng.uniform(-330, 308.25, width)).tolist()
+        elif kind == 2:
+            bounds = rng.choice([1e-5, 1e-4, 1e15, 1e16], width)
+            row = (bounds * (1 + rng.uniform(-1e-3, 1e-3, width))).tolist()
+        else:
+            row = (rng.standard_normal(width)
+                   * 10.0 ** rng.integers(-7, 18, width)).tolist()
+            cells = rng.integers(-2**63, 2**63, width // 4, dtype=np.int64)
+            row[::4] = cells.tolist()
+            if i % 8 == 3:
+                row[1] = 2**64 + i  # beyond 64 bits: the whole row by str
+        yield row
+
+
+class TestCsvRowFormat:
+    def test_bytes_equal_the_str_join(self, tmp_path):
+        # 10**6 cells in 50 files of 200 rows of 100 cells, and the edges
+        rng = np.random.default_rng(20181)
+        batches = [list(_csv_sample_rows(rng, 200, 100)) for _ in range(50)]
+        cells = 0
+        for k, rows in enumerate([CSV_EDGE_ROWS] + batches):
+            path = tmp_path / f"rows{k}.csv"
+            atomic_write_csv(path, ["c"], iter(rows))
+            want = ["c"] + [",".join(map(str, row)) for row in rows]
+            got = path.read_text().split("\n")
+            assert got[-1] == "" and got[:-1] == want
+            cells += sum(map(len, rows))
+        assert cells >= 10**6
+
+    def test_in_range_floats_take_the_orjson_path(self, tmp_path,
+                                                  monkeypatch):
+        # every str call made by the writer is counted: a row joined by
+        # str calls it once per cell, the orjson path once per float below
+        # 1e-4 (the one such cell in each data row here) and never
+        # otherwise; the header is joined by str
+        calls = []
+
+        def counted(x=""):
+            calls.append(x)
+            return str(x)
+
+        monkeypatch.setattr(runio, "str", counted, raising=False)
+        rng = np.random.default_rng(3)
+        data = rng.choice([-1.0, 1.0], (50, 2052)) * rng.uniform(1e-3, 1e3,
+                                                                 (50, 2052))
+        data[:, 7] = 3e-5
+        rows = data.tolist()
+        for row in rows:
+            row[2] = 1  # an int, as in the flow trajectories
+        path = tmp_path / "t.csv"
+        atomic_write_csv(path, ["c"], iter(rows))
+        assert len(calls) == 1 + len(rows)
+        monkeypatch.undo()
+        want = "".join(",".join(map(str, r)) + "\n" for r in rows)
+        assert path.read_text() == "c\n" + want
 
 
 def _paths(node, path=()):

@@ -1,5 +1,6 @@
 import math
 import signal
+import types
 
 import numpy as np
 import pytest
@@ -272,8 +273,8 @@ class TestRadialDecomposition:
     def test_tuning_ends_where_the_midpoint_overflows(self, monkeypatch):
         # a box diameter near 4e153 and a target that only rho0 >= 4**7
         # diameters meets: the first midpoint sqrt(lo * hi) overflows to inf,
-        # a flat profile, which meets it, and the bisection ends there.  The
-        # alarm fails a bisection that never ends
+        # and the tuning fails there, naming the diameter.  The alarm fails
+        # a bisection that never ends
         box = CompactBox.cube(16, 5e152)
         edge = 4.0**7 * box.diameter
         monkeypatch.setattr(lipschitz, "_part_estimate",
@@ -285,10 +286,26 @@ class TestRadialDecomposition:
         handler = signal.signal(signal.SIGALRM, hang)
         signal.alarm(10)
         try:
-            assert tune_profile(None, box) == (math.inf, 0.5, True)
+            with pytest.raises(lipschitz.EstimationError,
+                               match=r"^the rho0 tuning bracket overflows "
+                                     r"the double range at box diameter "
+                                     r"4e\+153$"):
+                tune_profile(None, box)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, handler)
+
+    def test_tuning_fails_where_the_growing_bracket_overflows(self,
+                                                             monkeypatch):
+        # a diameter of 8e301 (a CompactBox's own overflows past about
+        # 1e154) and a target that no rho0 meets: hi = 4**k diameters
+        # overflows to inf at k = 11, within the 12 growths allowed
+        box = types.SimpleNamespace(diameter=8e301)
+        monkeypatch.setattr(lipschitz, "_part_estimate",
+                            lambda *args: lambda p: 2.0)
+        with pytest.raises(lipschitz.EstimationError,
+                           match=r"bracket overflows .* diameter 8e\+301$"):
+            tune_profile(None, box)
 
     def test_profile_validation(self):
         with pytest.raises(ProfileError):

@@ -23,9 +23,6 @@ from . import __version__, dynamics, runio
 from .geometry import BLOCK_DIM, PhasePoint, constant_field, tanh_field, zero_field
 from .runio import NumericError, atomic_write_json, config_hash, derive_rng
 
-EXPERIMENTS = ("flow", "lipschitz", "concentration", "sphere", "wep", "gravity")
-
-
 class NumericRunError(NumericError):
     pass
 
@@ -123,13 +120,8 @@ SCHEMAS = {
         "n_molecules": (int, POSITIVE, REQUIRED),
         "field": (FIELD, None, REQUIRED),
         "box_half_width": (float, POSITIVE, REQUIRED),
-        "metric": ({"kind": (str, _one_of("euclidean", "weighted"), "euclidean"),
-                    "u_scale": (float, POSITIVE, 1.0),
-                    "p_scale": (float, POSITIVE, 1.0)},
-                   (lambda m: m.get("kind") != "euclidean" or all(
-                       m.get(key, 1.0) == 1.0 for key in ("u_scale", "p_scale")),
-                    "u_scale and p_scale must be 1 under the euclidean kind; "
-                    "they scale only the weighted metric"), {}),
+        "metric": ({"u_scale": (float, POSITIVE, 1.0),
+                    "p_scale": (float, POSITIVE, 1.0)}, None, {}),
         "n_pairs": (int, POSITIVE, REQUIRED),
         "profile": ({"rho0": (("auto", float), POSITIVE, "auto")}, None, {}),
         # absent or null: no flow, hence no constraint split
@@ -177,10 +169,10 @@ SCHEMAS = {
         "both_conventions": (bool, None, True),
     },
 }
+EXPERIMENTS = tuple(SCHEMAS)
 ROOT = {
     "experiment": (str, _one_of(*EXPERIMENTS), REQUIRED),
     "seed": (int, NONNEGATIVE, REQUIRED),
-    "output_dir": (str, None, ""),  # "" or absent: --out or out/<experiment>
 }
 
 
@@ -581,7 +573,7 @@ def run(config: dict, outdir: str | None = None) -> dict:
     """Dispatch and persist one experiment from the filled config of a walk
     that found no violation (``_walk_config``); returns the manifest."""
     experiment, seed = config["experiment"], config["seed"]
-    outdir = outdir or config["output_dir"] or f"out/{experiment}"
+    outdir = outdir or f"out/{experiment}"
     os.makedirs(outdir, exist_ok=True)
     outputs, summary = RUNNERS[experiment](config["parameters"], seed, outdir)
     manifest = {

@@ -220,13 +220,12 @@ def hamiltonian(field: RandersField, schedule: CycleSchedule,
 
 
 def step_flow(field: RandersField, schedule: CycleSchedule, state: FlowState,
-              dt: float, _step_index: int = 0) -> FlowState:
+              dt: float) -> FlowState:
     """Advance (u, p, t) one RK4 step, on copies of the state's arrays.
 
     t_tilde accumulates the internal-time element (1 - kappa) dt by the
-    trapezoid rule.  ``_step_index`` is the grid index of ``state``; a
-    non-finite result raises ``BlowUpError`` with the index reached,
-    ``_step_index + 1``, as ``run_cycles`` numbers it.
+    trapezoid rule.  A non-finite result raises ``BlowUpError`` with the
+    grid index reached, ``round(t / dt) + 1``, as ``run_cycles`` numbers it.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -234,7 +233,7 @@ def step_flow(field: RandersField, schedule: CycleSchedule, state: FlowState,
     t0 = state.t
     next(_phase_march(field, y, dt, 1, lambda t: speed(schedule, t0 + t)))
     if not np.isfinite(y).all():
-        raise BlowUpError(_step_index + 1, t0 + dt)
+        raise BlowUpError(round(t0 / dt) + 1, t0 + dt)
     t2 = t0 + dt
     k0 = _kappa_checked(schedule, t0)
     k1 = _kappa_checked(schedule, t2)

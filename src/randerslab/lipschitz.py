@@ -51,25 +51,24 @@ def _batch(f: Callable) -> Callable:
 
 @dataclass(frozen=True)
 class BoxMetric:
-    """Euclidean or block-weighted distance on (u, p) phase space.
-
-    ``weighted`` scales the first half of the coordinates by u_scale and
-    the second half by p_scale before taking the Euclidean length.
+    """Block-weighted distance on (u, p) phase space: the first half of the
+    coordinates is scaled by u_scale and the second half by p_scale before
+    taking the Euclidean length, which both scales 1 leave unscaled.
     """
 
-    kind: str = "euclidean"
     u_scale: float = 1.0
     p_scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("euclidean", "weighted"):
-            raise ValueError(f"unknown metric kind {self.kind!r}")
-        if self.kind == "weighted" and (self.u_scale <= 0 or self.p_scale <= 0):
+        if not (self.u_scale > 0 and self.p_scale > 0):  # NaN fails too
             raise ValueError("metric scales must be positive")
 
+    @property
+    def kind(self) -> str:
+        return ("euclidean" if self.u_scale == self.p_scale == 1.0
+                else "weighted")
+
     def scales(self, dim: int) -> np.ndarray:
-        if self.kind == "euclidean":
-            return np.ones(dim)
         half = dim // 2
         return np.concatenate([np.full(half, self.u_scale),
                                np.full(dim - half, self.p_scale)])

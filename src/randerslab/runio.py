@@ -71,6 +71,9 @@ def atomic_write_text(path, text: str) -> None:
     _atomic_write(path, (text.encode("utf-8"),))
 
 
+_FEW_HITS = 8  # the hits after which _csv_line picks a row's path
+
+
 def _csv_line(row) -> bytes:
     """``",".join(map(str, row))`` and a newline in UTF-8, by orjson where
     it can.
@@ -82,8 +85,10 @@ def _csv_line(row) -> bytes:
     ``9.6e-6`` or ``1e16`` where ``str`` writes ``5e-05``, ``9.6e-06`` or
     ``1e+16``.  Each of those holds ``e`` or ``0.0000``; every hit is
     widened to its commas and replaced by the ``str`` of its float, the
-    same double (a hit such as ``10.00001`` is rewritten to itself).  Any
-    other row is joined by ``str``: numpy scalars or arrays, subclasses and
+    same double (a hit such as ``10.00001`` is rewritten to itself).  From
+    about a quarter of the cells the rewrites cost more than the join, so
+    a row whose first ``_FEW_HITS`` hits project to more is joined by
+    ``str``, as is any other row: numpy scalars or arrays, subclasses and
     ints beyond 64 bits, which orjson refuses, and rows whose JSON holds a
     string (``"``), null, NaN, an infinity or false (``l``), or true
     (``t``).
@@ -92,25 +97,29 @@ def _csv_line(row) -> bytes:
         b = orjson.dumps(row, option=orjson.OPT_PASSTHROUGH_SUBCLASS)
     except orjson.JSONEncodeError:
         b = b'"'  # joined by str below, like a row holding a string
-    if b'"' in b or b"l" in b or b"t" in b:
-        return (",".join(map(str, row)) + "\n").encode("utf-8")
-    parts = []
-    done = 1  # b[:done] is copied or replaced; b[0] is "["
-    e, z = b.find(b"e"), b.find(b"0.0000")
-    while e >= 0 or z >= 0:
-        hit = z if e < 0 or 0 <= z < e else e
-        first = max(b.rfind(b",", 0, hit), 0) + 1
-        end = b.find(b",", hit)
-        if end < 0:
-            end = len(b) - 1  # the closing "]"
-        parts += (b[done:first], str(float(b[first:end])).encode("ascii"))
-        done = end
-        if 0 <= e < end:
-            e = b.find(b"e", end)
-        if 0 <= z < end:
-            z = b.find(b"0.0000", end)
-    parts += (b[done:-1], b"\n")
-    return b"".join(parts)
+    if not (b'"' in b or b"l" in b or b"t" in b):
+        parts = []
+        done = 1  # b[:done] is copied or replaced; b[0] is "["
+        e, z = b.find(b"e"), b.find(b"0.0000")
+        while e >= 0 or z >= 0:
+            if (len(parts) == 2 * _FEW_HITS
+                    and 4 * _FEW_HITS * len(b) > done * len(row)):
+                break
+            hit = z if e < 0 or 0 <= z < e else e
+            first = max(b.rfind(b",", 0, hit), 0) + 1
+            end = b.find(b",", hit)
+            if end < 0:
+                end = len(b) - 1  # the closing "]"
+            parts += (b[done:first], str(float(b[first:end])).encode("ascii"))
+            done = end
+            if 0 <= e < end:
+                e = b.find(b"e", end)
+            if 0 <= z < end:
+                z = b.find(b"0.0000", end)
+        else:  # every hit rewritten
+            parts += (b[done:-1], b"\n")
+            return b"".join(parts)
+    return (",".join(map(str, row)) + "\n").encode("utf-8")
 
 
 def atomic_write_csv(path, header, rows) -> None:

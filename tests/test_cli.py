@@ -125,6 +125,28 @@ class TestValidate:
         violations = cli.validate_config(cfg)
         assert any("typo_key" in v and "unknown key" in v for v in violations)
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("flow", "output_dir", "out/flow"),
+        ("lipschitz", "parameters.metric.kind", "euclidean")])
+    def test_removed_setting_is_an_unknown_key(self, tmp_path, capsys,
+                                               monkeypatch, name, key, value):
+        # --out alone names the output directory, and the metric is its
+        # two scales
+        cfg = small_configs()[name]
+        *parents, last = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[last] = value
+        path = write_config(tmp_path, cfg)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([name, "--config", path]) == 2
+        assert capsys.readouterr().err == f"violation: {key}: unknown key\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_schema_runner_and_subcommand_share_the_experiment_names(self):
+        assert set(cli.RUNNERS) == set(cli.SCHEMAS) == set(cli.EXPERIMENTS)
+
     def test_missing_seed_rejected(self):
         cfg = flow_config()
         del cfg["seed"]
@@ -340,6 +362,13 @@ class TestRunners:
         assert cli.main(["gravity", "--config", cfg, "--out",
                          str(tmp_path / "o")]) == 2
 
+    def test_out_defaults_to_out_experiment(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, small_configs()["gravity"])
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gravity", "--config", cfg]) == 0
+        assert sorted(os.listdir(tmp_path / "out" / "gravity")) == [
+            "constants.json", "manifest.json", "sweep.csv"]
+
     def test_missing_config_is_io_failure(self, tmp_path):
         assert cli.main(["flow", "--config",
                          str(tmp_path / "absent.json")]) == 4
@@ -503,10 +532,9 @@ PROBES = [
                  id="repeated-seed"),
     pytest.param("flow", lambda cfg: {**cfg, "parameters": Repeat(
         cfg["parameters"], "dt", 0.01)}, "parameters.dt", id="repeated-dt"),
-    # a euclidean metric ignores the scales a report would still record
-    pytest.param("lipschitz", {"metric": {"kind": "euclidean",
-                                          "u_scale": 0.5}},
-                 "parameters.metric", id="euclidean-u_scale"),
+    # the metric is its two scales; a kind beside them is unknown
+    pytest.param("lipschitz", {"metric": {"kind": "euclidean"}},
+                 "parameters.metric.kind", id="metric-kind-euclidean"),
     pytest.param("flow", {"initial": 5}, "parameters.initial", id="initial"),
     # a removed key is unknown
     pytest.param("flow", {"raw_ode": "false"}, "parameters.raw_ode",
@@ -943,6 +971,12 @@ CSV_CELLS = st.one_of(
     st.booleans(), st.text(alphabet="abc xyz_-.", max_size=8),
     st.integers(-2**63, 2**63 - 1).map(np.int64))
 
+# rows of these alone take the orjson path, and the floats below 1e-4 and
+# from 1e16 reach its token rewrite
+PLAIN_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([3e-5, -9.6e-6, 1e-300, 5e-324, 1e16, -2.5e20]))
+
 
 class TestAtomicity:
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
@@ -1015,7 +1049,8 @@ class TestAtomicity:
         assert path.read_bytes().splitlines()[1] == b"0.1"
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(st.lists(CSV_CELLS, min_size=1, max_size=12),
+    @given(rows=st.lists(st.lists(CSV_CELLS, min_size=1, max_size=12)
+                         | st.lists(PLAIN_FLOATS, min_size=1, max_size=12),
                          min_size=1, max_size=6))
     def test_csv_bytes_equal_the_per_cell_formula(self, tmp_path_factory, rows):
         # Reference: the writer's former per-cell formula, repr of the
@@ -1111,6 +1146,48 @@ class TestCsvRowFormat:
         monkeypatch.undo()
         want = "".join(",".join(map(str, r)) + "\n" for r in rows)
         assert path.read_text() == "c\n" + want
+
+    @pytest.mark.parametrize("every, joined", [(1, True), (20, False)])
+    def test_rows_dense_in_tiny_floats_are_joined_by_str(
+            self, tmp_path, monkeypatch, every, joined):
+        # every str call is recorded: the str join passes it the row's own
+        # cells, a token rewrite a float parsed from the orjson text; a row
+        # of tiny floats only is joined, one with a tiny float in every 20
+        # cells is rewritten hit by hit
+        calls = []
+
+        def recorded(x=""):
+            calls.append(x)
+            return str(x)
+
+        monkeypatch.setattr(runio, "str", recorded, raising=False)
+        rng = np.random.default_rng(5)
+        row = rng.uniform(1e-3, 1e3, 2055)
+        hits = row[::every].size
+        row[::every] = rng.uniform(1e-9, 9e-5, hits)
+        row = row.tolist()
+        path = tmp_path / "t.csv"
+        atomic_write_csv(path, ["c"], iter([row]))
+        tail = calls[-len(row):]
+        assert all(a is b for a, b in zip(tail, row)) == joined
+        # the header's call, then the hits seen before the row's path is set
+        assert len(calls) == 1 + (runio._FEW_HITS + len(row) if joined
+                                  else hits)
+        monkeypatch.undo()
+        assert path.read_text() == "c\n" + ",".join(map(str, row)) + "\n"
+
+    def test_rewriting_every_hit_equals_the_str_join(self, tmp_path,
+                                                     monkeypatch):
+        # the sample rows are mostly dense in hits, which the writer joins
+        # by str; with the fallback out of reach every hit is rewritten
+        monkeypatch.setattr(runio, "_FEW_HITS", 10**9)
+        rng = np.random.default_rng(20182)
+        for k in range(10):
+            rows = [*CSV_EDGE_ROWS, *_csv_sample_rows(rng, 200, 100)]
+            path = tmp_path / f"rows{k}.csv"
+            atomic_write_csv(path, ["c"], iter(rows))
+            want = "".join(",".join(map(str, row)) + "\n" for row in rows)
+            assert path.read_text() == "c\n" + want
 
 
 def _paths(node, path=()):
@@ -1228,14 +1305,17 @@ def lipschitz_violations(metric, **over):
     return cli.validate_config(cfg)
 
 
-def test_euclidean_metric_with_scales_is_one_violation_at_its_table():
-    # the metric table's own check, reported where the walk reaches it
-    assert lipschitz_violations({"kind": "euclidean", "u_scale": 2.0},
+def test_metric_is_its_two_scales():
+    # each scale is checked at its own key, in the walk's order; a kind
+    # would restate them
+    assert lipschitz_violations({"u_scale": 0.0, "p_scale": -1.0},
                                 n_pairs=0) == [
-        "parameters.metric: u_scale and p_scale must be 1 under the "
-        "euclidean kind; they scale only the weighted metric",
+        "parameters.metric.u_scale: must be positive",
+        "parameters.metric.p_scale: must be positive",
         "parameters.n_pairs: must be positive"]
-    assert lipschitz_violations({"kind": "weighted", "u_scale": 2.0}) == []
+    assert lipschitz_violations({"kind": "weighted", "u_scale": 2.0}) == [
+        "parameters.metric.kind: unknown key"]
+    assert lipschitz_violations({"u_scale": 2.0}) == []
 
 
 FIELDS = st.one_of(
@@ -1277,8 +1357,8 @@ def test_legal_wep_configs_run_to_a_documented_exit(
 
 
 LIPSCHITZ_METRICS = st.one_of(
-    st.just({"kind": "euclidean"}),
-    st.builds(lambda u, p: {"kind": "weighted", "u_scale": u, "p_scale": p},
+    st.just({}),
+    st.builds(lambda u, p: {"u_scale": u, "p_scale": p},
               st.floats(0.1, 10.0), st.floats(0.1, 10.0)))
 # dt = T / k divides the period; 0.3 does not divide T = 1
 LIPSCHITZ_FLOWS = st.one_of(

@@ -157,6 +157,25 @@ class TestNormalize:
         assert np.array_equal(g(z), f(z))
 
 
+class TestBoxMetric:
+    def test_kind_says_whether_both_scales_are_one(self):
+        assert BoxMetric().kind == "euclidean"
+        assert BoxMetric(u_scale=0.5, p_scale=2.0).kind == "weighted"
+        assert BoxMetric(u_scale=1.0, p_scale=2.0).kind == "weighted"
+
+    def test_default_distance_is_the_euclidean_length(self):
+        rng = np.random.default_rng(11)
+        z1, z2 = rng.normal(size=(2, 50, 16))
+        assert np.array_equal(BoxMetric().distance(z1, z2),
+                              np.sqrt(np.sum((z1 - z2) ** 2, axis=-1)))
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("key", ["u_scale", "p_scale"])
+    def test_scale_must_be_positive(self, key, scale):
+        with pytest.raises(ValueError, match="must be positive"):
+            BoxMetric(**{key: scale})
+
+
 class TestProjectToBox:
     def test_interior_identity(self):
         box = CompactBox.cube(4, 1.0)
@@ -185,7 +204,7 @@ class TestProjectToBox:
         assert rho == pytest.approx(d.min(), abs=5e-3)
 
     def test_weighted_metric_distance(self):
-        metric = BoxMetric(kind="weighted", u_scale=2.0, p_scale=0.5)
+        metric = BoxMetric(u_scale=2.0, p_scale=0.5)
         box = CompactBox.cube(4, 1.0, metric=metric)
         z = np.array([3.0, 0.0, 0.0, -2.0])
         zbar, rho = project_to_box(z, box)
@@ -327,7 +346,7 @@ def normalized_tanh_hamiltonian(dim_u, metric, n_pairs, seed):
     return normalize_to_one_lipschitz(h_raw, est), box
 
 
-METRICS = [BoxMetric(), BoxMetric("weighted", u_scale=0.5, p_scale=2.0)]
+METRICS = [BoxMetric(), BoxMetric(u_scale=0.5, p_scale=2.0)]
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.kind)

@@ -62,12 +62,53 @@ MUTANTS = [
             "test_csv_bytes_equal_the_per_cell_formula",),
            "orjson's tokens of floats below 1e-4 or from 1e16 are not str's"),
     Mutant("csv-no-fallback", "runio.py",
-           "and 4 * _FEW_HITS * len(b) > done * len(row)):",
+           'and 4 * _FEW_HITS * len(b) > done * (b.count(b",") + 1)):',
            "and False):",
            ("tests/test_cli.py::TestCsvRowFormat::"
             "test_rows_dense_in_tiny_floats_are_joined_by_str",),
            "a row dense in tiny floats is rewritten token by token, about "
            "2.7 times slower than the str join"),
+    Mutant("csv-fallback-any-hit", "runio.py",
+           "if (len(parts) == 2 * _FEW_HITS",
+           "if (len(parts) >= 0",
+           ("tests/test_cli.py::TestCsvRowFormat::"
+            "test_in_range_floats_take_the_orjson_path",
+            "tests/test_cli.py::TestCsvRowFormat::"
+            "test_in_range_array_rows_take_the_orjson_path"),
+           "a row with one tiny float is joined by str, cell by cell"),
+    Mutant("csv-always-str", "runio.py",
+           "    scan = False  # whether a float may be written unlike str\n",
+           "    return _str_line(row)\n",
+           ("tests/test_cli.py::TestCsvRowFormat::"
+            "test_in_range_array_rows_take_the_orjson_path",),
+           "every row is joined by str and orjson is never used"),
+    Mutant("csv-no-e-search", "runio.py",
+           'e, z = b.find(b"e"), b.find(b"0.0000")',
+           'e, z = -1, b.find(b"0.0000")',
+           ("tests/test_cli.py::TestCsvRowFormat::"
+            "test_one_tiny_or_huge_value_is_rewritten",),
+           "orjson's exponent tokens (9.6e-6, 1e16) are left unlike str's"),
+    Mutant("csv-array-value-test", "runio.py",
+           "if not scan:\n                mag = np.abs(cell)",
+           "if False:\n                mag = np.abs(cell)",
+           ("tests/test_cli.py::TestCsvRowFormat::"
+            "test_one_tiny_or_huge_value_is_rewritten",),
+           "a tiny or huge element of an array cell is left as orjson "
+           "writes it"),
+    Mutant("csv-float32-arrays", "runio.py",
+           "if (cell.dtype != np.float64 or not cell.flags.c_contiguous",
+           "if (not cell.flags.c_contiguous",
+           ("tests/test_cli.py::TestCsvRowFormat::"
+            "test_other_arrays_take_the_str_path[float32]",),
+           "orjson writes a float32 array's elements as float32, 0.1 where "
+           "str writes 0.10000000149011612"),
+    Mutant("rate-negation", "geometry.py",
+           "np.subtract(1.0, t, out=t)\n        t *= -a\n",
+           "t -= 1.0\n        t *= a\n",
+           ("tests/test_dynamics.py::TestBufferedMarch::"
+            "test_phase_step_equals_the_expression_form[tanh-negative]",),
+           "the tanh rate folds its negation into a (t^2 - 1), so a zero "
+           "momentum at a saturated u changes its sign"),
     Mutant("metric-kind", "lipschitz.py",
            'return ("euclidean" if self.u_scale == self.p_scale == 1.0\n'
            '                else "weighted")',

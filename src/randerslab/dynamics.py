@@ -187,20 +187,14 @@ def rk4_march(rate: Callable, y: np.ndarray, dt: float, n_steps: int,
 def _phase_march(field: RandersField, y: np.ndarray, dt: float, n_steps: int,
                  speed_at: Callable[[float], float]):
     """``rk4_march`` of Hamilton's equations on the phase state ``y``, the
-    (2, dim) array of ``u`` over ``p``; its rate writes ``beta(u)`` over
-    ``-J^T p`` into its argument.  The u-subsystem is autonomous; p follows
-    the linear cotangent equation through the field's ``vjp``.  While p is
-    all zero it stays so and only u is marched, keeping p's signed zeros."""
+    (2, dim) array of ``u`` over ``p``, by the field's in-place ``rate``,
+    which writes ``beta(u)`` over ``-J^T p`` into its argument.  The
+    u-subsystem is autonomous; p follows the linear cotangent equation.
+    While p is all zero it stays so and only u is marched by ``beta``,
+    keeping p's signed zeros."""
     if not np.any(y[1]):
         return rk4_march(field.beta, y[0], dt, n_steps, speed_at)
-
-    def rate(z):
-        q = field.vjp(z[0], z[1])
-        z[0] = field.beta(z[0])
-        np.negative(q, out=z[1])
-        return z
-
-    return rk4_march(rate, y, dt, n_steps, speed_at)
+    return rk4_march(field.rate, y, dt, n_steps, speed_at)
 
 
 def _hamiltonian(field, schedule, t, u, p) -> tuple:
@@ -293,8 +287,8 @@ def _phase_header(dim: int) -> list:
 
 
 def _phase_row(t, tau, cycle, u, p, h) -> list:
-    """One CSV row of the phase columns, u and p as Python floats."""
-    return [t, tau, cycle] + u.tolist() + p.tolist() + [h]
+    """One CSV row of the phase columns, u and p as array cells."""
+    return [t, tau, cycle, u, p, h]
 
 
 def snapshots_to_csv(snapshots, path) -> None:
@@ -343,7 +337,9 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     snapshots = []
 
     def rows():
-        """March, check and record the snapshots; yield the stored rows."""
+        """March, check and record the snapshots; yield the stored rows,
+        whose u and p are views of the marched state, used before the next
+        row is pulled."""
         y = np.stack((initial.point.u, initial.point.p))
         u, p = y
         h_val, g0, summary.randers_margin = _hamiltonian(field, schedule,
@@ -383,7 +379,7 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
     table = np.empty((total // stride + 1 if store_trajectory else 0,
                       2 * dim + 4))
     for i, row in enumerate(rows()):
-        table[i] = row
+        table[i] = np.hstack(row)
     if not store_trajectory:
         return summary, snapshots
     return FlowTrajectory(

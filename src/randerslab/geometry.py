@@ -47,19 +47,21 @@ class RandersField:
     """Drift field beta with a certified componentwise bound.
 
     ``beta`` must accept arrays of shape ``(..., dim)`` and return the same
-    shape.  ``vjp`` (analytic) maps a single point ``u`` and covector ``p``
-    to ``J(u)^T p`` with ``J[k, i] = d beta_k / d u_i``, never forming
-    ``J``.  ``scalar_map`` is set exactly by the componentwise families
-    (drift acting coordinate by coordinate) and lets ensemble code apply the
-    drift to arbitrarily shaped coordinate arrays: ``scalar_map(x)``
-    overwrites the float array ``x`` with ``beta(x)`` and returns it, so a
-    march needs no fresh array per drift call; ``beta`` keeps its argument.
+    shape.  ``rate`` is Hamilton's rate on one phase point: ``rate(z)``
+    overwrites the (2, dim) array ``z`` of ``u`` over ``p`` with
+    ``beta(u)`` over ``-J(u)^T p``, ``J[k, i] = d beta_k / d u_i``, and
+    returns ``z``, never forming ``J``.  ``scalar_map`` is set exactly by
+    the componentwise families (drift acting coordinate by coordinate) and
+    lets ensemble code apply the drift to arbitrarily shaped coordinate
+    arrays: ``scalar_map(x)`` overwrites the float array ``x`` with
+    ``beta(x)`` and returns it, so a march needs no fresh array per drift
+    call; ``beta`` keeps its argument.
     """
 
     beta: Callable
     beta_bound: float
     dim: int
-    vjp: Callable
+    rate: Callable
     scalar_map: Callable | None = None
 
     def __post_init__(self):
@@ -68,7 +70,7 @@ class RandersField:
 
     def jacobian_at(self, u: np.ndarray) -> np.ndarray:
         """Central-difference Jacobian ``J[k, i] = d beta_k / d u_i``, the
-        reference the analytic ``vjp`` is checked against."""
+        reference the momentum half of ``rate`` is checked against."""
         u = np.asarray(u, dtype=float)
         h = 1e-6 * (1.0 + np.linalg.norm(u))
         eye = np.eye(self.dim)
@@ -93,11 +95,16 @@ def constant_field(value: float, dim: int) -> RandersField:
         x.fill(c)
         return x
 
+    def rate(z):
+        z[0].fill(c)
+        z[1].fill(-0.0)  # -J^T p with J = 0
+        return z
+
     return RandersField(
         beta=lambda x: np.full_like(np.asarray(x, dtype=float), c),
         beta_bound=max(abs(c), 1e-12),
         dim=dim,
-        vjp=lambda u, p: np.zeros_like(p),
+        rate=rate,
         scalar_map=fill,
     )
 
@@ -113,15 +120,23 @@ def tanh_field(dim: int, amplitude: float) -> RandersField:
         t *= a
         return t
 
-    def vjp(u, p):
-        t = np.tanh(np.asarray(u, dtype=float))
-        return a * (1.0 - t * t) * p
+    def rate(z):
+        # one tanh for both halves; p times -(a (1 - t^2)) rounds as
+        # -(a (1 - t^2) p), signs of zeros included
+        u, p = z
+        t = np.tanh(u)
+        np.multiply(t, a, out=u)
+        t *= t
+        np.subtract(1.0, t, out=t)
+        t *= -a
+        p *= t
+        return z
 
     return RandersField(
         beta=drift,
         beta_bound=abs(a),
         dim=dim,
-        vjp=vjp,
+        rate=rate,
         scalar_map=lambda x: drift(x, out=x),
     )
 
@@ -133,9 +148,16 @@ def linear_field(matrix: np.ndarray) -> RandersField:
     dim = a.shape[0]
     if a.shape != (dim, dim):
         raise ValueError("matrix must be square")
+
+    def rate(z):
+        q = a.T @ z[1]
+        z[0] = z[0] @ a.T
+        np.negative(q, out=z[1])
+        return z
+
     return RandersField(
         beta=lambda u: np.asarray(u, dtype=float) @ a.T,
         beta_bound=0.9,
         dim=dim,
-        vjp=lambda u, p: a.T @ p,
+        rate=rate,
     )

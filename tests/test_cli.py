@@ -1189,6 +1189,124 @@ class TestCsvRowFormat:
             want = "".join(",".join(map(str, row)) + "\n" for row in rows)
             assert path.read_text() == "c\n" + want
 
+    def test_array_cells_give_the_str_join_of_their_elements(self, tmp_path):
+        # float64 array cells, 1-d and 2-d, of random bit patterns, values
+        # from 1e-330 to 1e308, and the edges (signed zeros, subnormals,
+        # the exponent-form bounds, and in half of those rows NaN and
+        # infinities), mixed with int and float cells, give the str join of
+        # the flattened elements
+        rng = np.random.default_rng(20183)
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-4,
+                          math.nextafter(1e-4, 0), 1e16,
+                          math.nextafter(1e16, 0), 10.00001, math.nan,
+                          math.inf, -math.inf])
+        rows = []
+        for i in range(400):
+            bits = rng.integers(0, 2**64, 96, dtype=np.uint64).view(np.float64)
+            if i % 2:
+                bits[~np.isfinite(bits)] = 1.0
+            spread = (rng.choice([-1.0, 1.0], (4, 6))
+                      * 10.0 ** rng.uniform(-330, 308.25, (4, 6)))
+            normals = rng.standard_normal(40) * 10.0 ** rng.integers(-3, 4)
+            cells = [[i, i / 7, bits, 3], [spread, -2.5, normals],
+                     [i / 3, normals, normals.reshape(5, 8), 0.75],
+                     [rng.permutation(np.concatenate(
+                         (edges[:10 if i % 8 == 3 else None], normals))), 1]]
+            rows.append(cells[i % 4])
+        path = tmp_path / "a.csv"
+        atomic_write_csv(path, ["c"], iter(rows))
+        assert path.read_text() == "c\n" + _flat_join(rows)
+
+    @pytest.mark.parametrize("value", [3e-5, -9.6e-6, 5e-324, 1e16, -2.5e17,
+                                       1e300])
+    def test_one_tiny_or_huge_value_is_rewritten(self, tmp_path, value):
+        # rows of in-range values with one value below 1e-4 or from 1e16
+        # at a random place: an element of an array cell, 1-d or 2-d, or
+        # a scalar cell
+        rng = np.random.default_rng(20184)
+        rows = []
+        for i in range(60):
+            u = rng.choice([-1.0, 1.0], 64) * rng.uniform(1e-3, 1e3, 64)
+            p = rng.uniform(1e-3, 1e3, (4, 16))
+            row = [0.5, 1.25, 1, u, p, 0.3]
+            kind = i % 3
+            if kind == 0:
+                u[rng.integers(64)] = value
+            elif kind == 1:
+                p[rng.integers(4), rng.integers(16)] = value
+            else:
+                row[rng.choice([0, 1, 5])] = value
+            rows.append(row)
+        path = tmp_path / "v.csv"
+        atomic_write_csv(path, ["c"], iter(rows))
+        assert path.read_text() == "c\n" + _flat_join(rows)
+
+    @pytest.mark.parametrize("cell", [
+        np.array([0.1, 1e-5, 3.0], dtype=np.float32),
+        (np.arange(8.0) / 3)[::2],
+        np.asfortranarray(np.arange(6.0).reshape(2, 3) / 7),
+        np.arange(3),
+        np.array([], dtype=float),
+        np.array(2.5)],
+        ids=["float32", "strided", "fortran", "int64", "empty", "0-d"])
+    def test_other_arrays_take_the_str_path(self, tmp_path, monkeypatch,
+                                           cell):
+        # orjson writes float32 as float32 (0.1 where str of the element
+        # writes 0.10000000149011612) and refuses a non-contiguous array,
+        # so such a row is joined by str, one call per flattened cell
+        calls = []
+
+        def counted(x=""):
+            calls.append(x)
+            return str(x)
+
+        monkeypatch.setattr(runio, "str", counted, raising=False)
+        rows = [[1.5, cell, 2], [cell]]
+        path = tmp_path / "o.csv"
+        atomic_write_csv(path, ["c"], iter(rows))
+        assert len(calls) == 1 + 2 + 2 * cell.size
+        monkeypatch.undo()
+        assert path.read_text() == "c\n" + _flat_join(rows)
+        if cell.dtype == np.float32:
+            assert "0.10000000149011612" in path.read_text()
+
+    def test_in_range_array_rows_take_the_orjson_path(self, tmp_path,
+                                                      monkeypatch):
+        # the phase rows' shape, [t, tau, cycle, u, p, H] with u and p
+        # arrays: str is called once per element below 1e-4 (one in each
+        # of half the rows here) and never otherwise; the header is
+        # joined by str
+        calls = []
+
+        def counted(x=""):
+            calls.append(x)
+            return str(x)
+
+        monkeypatch.setattr(runio, "str", counted, raising=False)
+        rng = np.random.default_rng(4)
+        rows = []
+        for i in range(50):
+            u, p = rng.choice([-1.0, 1.0], (2, 1024)) * rng.uniform(
+                1e-3, 1e3, (2, 1024))
+            if i % 2:
+                u[7] = 3e-5
+            rows.append([i * 0.02, 0.5 + i * 0.01, 1, u, p, 1.75])
+        path = tmp_path / "t.csv"
+        atomic_write_csv(path, ["c"], iter(rows))
+        assert len(calls) == 1 + len(rows) // 2
+        monkeypatch.undo()
+        assert path.read_text() == "c\n" + _flat_join(rows)
+
+
+def _flat_join(rows):
+    """The CSV text of rows joined by str, each ndarray cell flattened to
+    its Python scalars."""
+    def cells(row):
+        for c in row:
+            yield from (np.ravel(c).tolist() if isinstance(c, np.ndarray)
+                        else (c,))
+    return "".join(",".join(map(str, cells(row))) + "\n" for row in rows)
+
 
 def _paths(node, path=()):
     """Key paths of every value nested in objects of node."""
@@ -1458,7 +1576,7 @@ FAMILY_SPECS = {"zero": {}, "constant": {"value": -0.99},
 @pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
 def test_every_cli_field_is_componentwise_and_bounded(family):
     """Every family the CLI builds acts coordinate by coordinate, has an
-    analytic vjp, and keeps |beta_i| within its bound below one.  Each
+    analytic rate, and keeps |beta_i| within its bound below one.  Each
     family is constant or monotone in each coordinate, so the sup of
     |beta_i| is its value at u_i = +-inf."""
     assert set(FAMILY_SPECS) == set(cli.FIELD)
@@ -1467,7 +1585,7 @@ def test_every_cli_field_is_componentwise_and_bounded(family):
     cfg["parameters"]["field"] = spec
     assert cli.validate_config(cfg) == []
     field = cli.build_field(spec, 16, seed=0)
-    assert field.scalar_map is not None and field.vjp is not None
+    assert field.scalar_map is not None and field.rate is not None
     ends = np.tile([np.inf, -np.inf], 8)
     sup = float(np.max(np.abs(field.beta(ends))))
     assert sup <= field.beta_bound < 1.0
@@ -1475,7 +1593,9 @@ def test_every_cli_field_is_componentwise_and_bounded(family):
     assert np.abs(field.beta(grid)).max() <= sup
     rng = np.random.default_rng(2)
     u, p = rng.standard_normal(16), rng.standard_normal(16)
-    assert np.allclose(field.vjp(u, p), field.jacobian_at(u).T @ p, atol=1e-8)
+    z = np.stack((u, p))
+    assert np.allclose(field.rate(z)[1], -field.jacobian_at(u).T @ p,
+                       atol=1e-8)
 
 
 @settings(max_examples=60, deadline=None)

@@ -411,7 +411,7 @@ class TestClosedFormFlow:
 
     def test_componentwise_products_conserved_along_trajectory(self):
         # d/dt [beta_k(u) p_k] = s g' g p - s g g' p = 0 for componentwise
-        # fields, so this checks the momentum path through the field's vjp
+        # fields, so this checks the momentum path through the field's rate
         a = 0.8
         field = tanh_field(16, a)
         sched = sin_squared_schedule(1.0)
@@ -428,6 +428,22 @@ def _read_only(fn):
         out.setflags(write=False)
         return out
     return wrapped
+
+
+def _tanh_vjp(a):
+    """J(u)^T p of a tanh field of amplitude a, in the expression form."""
+    def vjp(u, p):
+        t = np.tanh(u)
+        return a * (1.0 - t * t) * p
+    return vjp
+
+
+def _zero_vjp(u, p):
+    return np.zeros_like(p)
+
+
+def _matrix_vjp(a):
+    return lambda u, p: a.T @ p
 
 
 class TestBufferedMarch:
@@ -468,50 +484,54 @@ class TestBufferedMarch:
         # a full march yields the grid index reached after each step
         assert steps == list(range(1, 24))
 
-    @pytest.mark.parametrize("field", [tanh_field(8, 0.9),
-                                       constant_field(-0.4, 8), zero_field(8),
-                                       linear_field(_stable_matrix(8))],
-                             ids=["tanh", "constant", "zero", "linear"])
-    def test_phase_step_equals_the_expression_form(self, field):
-        # The phase march advances (u, p) as one stacked array; each step
-        # must equal the expression form on separate fresh u and p arrays
-        # byte for byte, signs of zeros included.  beta and vjp hand out
-        # read-only arrays, so a march writing into one raises.  Signed
-        # zeros, a subnormal and saturated tanh arguments make the slopes
-        # zero, subnormal or +-a.  The march calls beta once per stage on
-        # one u, which the tracer's drift counters rely on.
-        field = dataclasses.replace(field, beta=_read_only(field.beta),
-                                    vjp=_read_only(field.vjp))
-        drift_calls = []
+    @pytest.mark.parametrize("field, vjp", [
+        (tanh_field(8, 0.9), _tanh_vjp(0.9)),
+        (tanh_field(8, -0.9), _tanh_vjp(-0.9)),
+        (constant_field(-0.4, 8), _zero_vjp),
+        (zero_field(8), _zero_vjp),
+        (linear_field(_stable_matrix(8)), _matrix_vjp(_stable_matrix(8)))],
+        ids=["tanh", "tanh-negative", "constant", "zero", "linear"])
+    def test_phase_step_equals_the_expression_form(self, field, vjp):
+        # The phase march advances (u, p) as one stacked array by the
+        # field's in-place rate; each step must equal the expression form
+        # on separate fresh u and p arrays, from the pure beta and the
+        # former vjp formulas, byte for byte, signs of zeros included.
+        # Signed zeros, a subnormal and saturated tanh arguments make the
+        # slopes zero, subnormal or +-a; at saturation 1 - t^2 is +0.0, so
+        # a zero momentum there keeps the sign the expression gives it
+        # (a (1 - t^2) is -0.0 for a < 0).  The march calls the rate once
+        # per stage on one (2, dim) phase point.
+        rate_calls = []
 
-        def counted(x):
-            drift_calls.append(x.shape)
-            return field.beta(x)
+        def counted(z):
+            rate_calls.append(z.shape)
+            return field.rate(z)
 
         sched = sin_squared_schedule(1.0)
         speed_at = lambda t: speed(sched, t)
         dt, h = 0.1, 0.05
         y = np.random.default_rng(29).normal(size=(2, 8))
-        y[:, 3:] = [[0.0, -0.0, 5e-324, 30.0, -30.0],
-                    [-0.0, 0.0, -5e-324, -30.0, 30.0]]
+        y[:, 2:] = [[0.0, -0.0, 5e-324, 30.0, -30.0, 30.0],
+                    [-0.0, 0.0, -5e-324, -30.0, -0.0, 0.0]]
         u, p = y[0].copy(), y[1].copy()
-        march = _phase_march(dataclasses.replace(field, beta=counted), y, dt,
+        march = _phase_march(dataclasses.replace(field, rate=counted), y, dt,
                              23, speed_at)
+        beta = field.beta
         for k in march:
-            assert drift_calls == [(8,)] * (4 * k), k
+            assert rate_calls == [(2, 8)] * (4 * k), k
             t = (k - 1) * dt
             s1, s2, s4 = speed_at(t), speed_at(t + h), speed_at(t + dt)
-            k1 = s1 * field.beta(u)
-            m1 = -s1 * field.vjp(u, p)
+            k1 = s1 * beta(u)
+            m1 = -s1 * vjp(u, p)
             u2 = u + h * k1
-            k2 = s2 * field.beta(u2)
-            m2 = -s2 * field.vjp(u2, p + h * m1)
+            k2 = s2 * beta(u2)
+            m2 = -s2 * vjp(u2, p + h * m1)
             u3 = u + h * k2
-            k3 = s2 * field.beta(u3)
-            m3 = -s2 * field.vjp(u3, p + h * m2)
+            k3 = s2 * beta(u3)
+            m3 = -s2 * vjp(u3, p + h * m2)
             u4 = u + dt * k3
-            k4 = s4 * field.beta(u4)
-            m4 = -s4 * field.vjp(u4, p + dt * m3)
+            k4 = s4 * beta(u4)
+            m4 = -s4 * vjp(u4, p + dt * m3)
             p += (dt / 6) * (m1 + 2 * m2 + 2 * m3 + m4)
             u += (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             assert y[0].tobytes() == u.tobytes(), k

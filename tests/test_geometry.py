@@ -33,7 +33,7 @@ class TestFieldInvariants:
     def test_beta_bound_range_enforced(self):
         with pytest.raises(ValueError):
             RandersField(beta=lambda u: u, beta_bound=1.0, dim=2,
-                         vjp=lambda u, p: p)
+                         rate=lambda z: z)
 
     @pytest.mark.parametrize("value", [1.0, -1.5, math.nan])
     def test_constant_field_outside_the_randers_bound_rejected(self, value):
@@ -64,10 +64,13 @@ class TestVectorJacobianProduct:
         lambda: linear_field(np.random.default_rng(3).normal(size=(16, 16))),
     ])
     def test_analytic_vjp_matches_finite_difference_jacobian(self, make):
+        # the rate's momentum half is the analytic -J(u)^T p, written over
+        # p in place; its position half is beta(u)
         field = make()
         rng = np.random.default_rng(4)
         u, p = rng.normal(size=16), rng.normal(size=16)
-        got = field.vjp(u, p)
-        assert got.shape == (16,)
-        assert np.allclose(got, field.jacobian_at(u).T @ p, atol=1e-8)
+        z = np.stack((u, p))
+        assert field.rate(z) is z
+        assert z[0].tobytes() == field.beta(u).tobytes()
+        assert np.allclose(z[1], -field.jacobian_at(u).T @ p, atol=1e-8)
 

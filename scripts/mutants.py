@@ -55,53 +55,52 @@ MUTANTS = [
             "test_equals_np_median_bit_for_bit",),
            "a kth list without numpy's -1 can leave -0.0 for 0.0 in the "
            "middle, or miss a NaN"),
-    Mutant("csv-no-rewrite", "runio.py",
-           'str(float(b[first:end])).encode("ascii"))',
-           "b[first:end])",
-           ("tests/test_cli.py::TestAtomicity::"
-            "test_csv_bytes_equal_the_per_cell_formula",),
-           "orjson's tokens of floats below 1e-4 or from 1e16 are not str's"),
-    Mutant("csv-no-fallback", "runio.py",
-           'and 4 * _FEW_HITS * len(b) > done * (b.count(b",") + 1)):',
-           "and False):",
+    Mutant("csv-tiny-bound", "runio.py",
+           "odd = (mag < 1e-4)", "odd = (mag < 1e-5)",
            ("tests/test_cli.py::TestCsvRowFormat::"
-            "test_rows_dense_in_tiny_floats_are_joined_by_str",),
-           "a row dense in tiny floats is rewritten token by token, about "
-           "2.7 times slower than the str join"),
-    Mutant("csv-fallback-any-hit", "runio.py",
-           "if (len(parts) == 2 * _FEW_HITS",
-           "if (len(parts) >= 0",
+            "test_one_tiny_or_huge_value_is_rewritten",),
+           "orjson writes 3e-5 as 0.00003 where str writes 3e-05"),
+    Mutant("csv-huge-bound", "runio.py",
+           "| ~(mag < 1e16)", "| (mag > 1e16)",
            ("tests/test_cli.py::TestCsvRowFormat::"
-            "test_in_range_floats_take_the_orjson_path",
+            "test_one_tiny_or_huge_value_is_rewritten",
             "tests/test_cli.py::TestCsvRowFormat::"
-            "test_in_range_array_rows_take_the_orjson_path"),
-           "a row with one tiny float is joined by str, cell by cell"),
-    Mutant("csv-always-str", "runio.py",
-           "    scan = False  # whether a float may be written unlike str\n",
-           "    return _str_line(row)\n",
+            "test_odd_runs_of_any_share_are_written_by_str"),
+           "1e16 and NaN go to orjson, which writes 1e16 and null where str "
+           "writes 1e+16 and nan"),
+    Mutant("csv-cut-offset", "runio.py",
+           "np.flatnonzero(odd[1:] != odd[:-1]) + 1)",
+           "np.flatnonzero(odd[1:] != odd[:-1]))",
            ("tests/test_cli.py::TestCsvRowFormat::"
-            "test_in_range_array_rows_take_the_orjson_path",),
-           "every row is joined by str and orjson is never used"),
-    Mutant("csv-no-e-search", "runio.py",
-           'e, z = b.find(b"e"), b.find(b"0.0000")',
-           'e, z = -1, b.find(b"0.0000")',
-           ("tests/test_cli.py::TestCsvRowFormat::"
-            "test_one_tiny_or_huge_value_is_rewritten",),
-           "orjson's exponent tokens (9.6e-6, 1e16) are left unlike str's"),
+            "test_odd_runs_of_any_share_are_written_by_str",),
+           "each run is cut one element early, so an odd element's "
+           "neighbour goes to str and the odd element to orjson"),
     Mutant("csv-array-value-test", "runio.py",
-           "if not scan:\n                mag = np.abs(cell)",
-           "if False:\n                mag = np.abs(cell)",
+           "if mag.min() >= 1e-4 and mag.max() < 1e16:",
+           "if mag.min() >= 1e-4:",
            ("tests/test_cli.py::TestCsvRowFormat::"
             "test_one_tiny_or_huge_value_is_rewritten",),
-           "a tiny or huge element of an array cell is left as orjson "
+           "an array whose only odd elements are huge is left as orjson "
            "writes it"),
     Mutant("csv-float32-arrays", "runio.py",
-           "if (cell.dtype != np.float64 or not cell.flags.c_contiguous",
-           "if (not cell.flags.c_contiguous",
+           "if flat.dtype != np.float64 or not flat.size:",
+           "if not flat.size:",
            ("tests/test_cli.py::TestCsvRowFormat::"
             "test_other_arrays_take_the_str_path[float32]",),
            "orjson writes a float32 array's elements as float32, 0.1 where "
            "str writes 0.10000000149011612"),
+    Mutant("csv-no-rewrite", "runio.py",
+           "if by_str else", "if False else",
+           ("tests/test_cli.py::TestCsvRowFormat::"
+            "test_one_tiny_or_huge_value_is_rewritten",),
+           "the odd runs are written by orjson too: 0.00003, 1e16 and null "
+           "where str writes 3e-05, 1e+16 and nan"),
+    Mutant("csv-always-str", "runio.py",
+           "    return memoryview(text)[1:-1]\n",
+           '    return ",".join(map(str, flat.tolist())).encode()\n',
+           ("tests/test_cli.py::TestCsvRowFormat::"
+            "test_in_range_array_rows_take_the_orjson_path",),
+           "every element is written by str and orjson is never used"),
     Mutant("rate-negation", "geometry.py",
            "np.subtract(1.0, t, out=t)\n        t *= -a\n",
            "t -= 1.0\n        t *= a\n",

@@ -286,16 +286,11 @@ def _phase_header(dim: int) -> list:
             + [f"p_{i}" for i in range(dim)] + ["H"])
 
 
-def _phase_row(t, tau, cycle, u, p, h) -> list:
-    """One CSV row of the phase columns, u and p as array cells."""
-    return [t, tau, cycle, u, p, h]
-
-
 def snapshots_to_csv(snapshots, path) -> None:
     if not snapshots:
         raise ValueError("no snapshots to export")
-    rows = (_phase_row(s.t, float(s.cycle), s.cycle, s.point.u, s.point.p,
-                       s.h_value) for s in snapshots)
+    rows = ([s.t, float(s.cycle), s.cycle, s.point.u, s.point.p, s.h_value]
+            for s in snapshots)
     atomic_write_csv(path, _phase_header(snapshots[0].point.dim), rows)
 
 
@@ -345,7 +340,7 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
         h_val, g0, summary.randers_margin = _hamiltonian(field, schedule,
                                                          0.0, u, p)
         if store_trajectory:
-            yield _phase_row(0.0, tau_of_t(0.0, schedule), 1, u, p, h_val)
+            yield [0.0, tau_of_t(0.0, schedule), 1, u, p, h_val]
         march = _phase_march(field, y, dt, total, lambda t: speed(schedule, t))
         for step in march:
             t = step * dt
@@ -370,7 +365,7 @@ def run_cycles(field: RandersField, schedule: CycleSchedule, initial: FlowState,
                         f"instant t = {t!r} exceeds {H_BOUND:.1e} * (1 + |p|)")
             if stored:
                 cycle = min(step // (2 * steps_per_T) + 1, n_cycles)
-                yield _phase_row(t, tau_of_t(t, schedule), cycle, u, p, h_val)
+                yield [t, tau_of_t(t, schedule), cycle, u, p, h_val]
         summary.final_h = h_val
 
     if csv_path is not None:

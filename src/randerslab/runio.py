@@ -71,85 +71,54 @@ def atomic_write_text(path, text: str) -> None:
     _atomic_write(path, (text.encode("utf-8"),))
 
 
-_FEW_HITS = 8  # the hits after which _csv_line picks a row's path
-_ROW_OPTIONS = orjson.OPT_PASSTHROUGH_SUBCLASS | orjson.OPT_SERIALIZE_NUMPY
-
-
-def _str_line(row) -> bytes:
-    """``",".join(map(str, cells))`` and a newline in UTF-8, where the
-    cells are the row's cells with each ndarray flattened to its Python
-    scalars."""
-    if np.ndarray in map(type, row):
-        row = itertools.chain.from_iterable(
-            c.ravel().tolist() if type(c) is np.ndarray else (c,) for c in row)
-    return (",".join(map(str, row)) + "\n").encode("utf-8")
-
-
 def _csv_line(row) -> bytes:
-    """``_str_line(row)``, by orjson where it can.
+    """The cells' texts joined by commas, and a newline, in UTF-8.
 
-    orjson writes an int as ``str`` does, and a float, or an element of a
-    float64 array, with the same shortest round-trip digits (Ryu), so for
-    a row of plain ints, finite floats and nonempty C-contiguous float64
-    arrays its text without brackets is the line, except the tokens of
-    floats with 0 < |x| < 1e-4 or |x| >= 1e16: orjson writes ``0.00005``,
-    ``9.6e-6`` or ``1e16`` where ``str`` writes ``5e-05``, ``9.6e-06`` or
-    ``1e+16``.  A row whose values (one ``np.abs`` min and max per array)
-    hold no such float is taken as it is.  In any other row, each token
-    that holds ``e`` or ``0.0000`` is widened to its commas and replaced
-    by the ``str`` of its float, the same double (a hit such as
-    ``10.00001`` is rewritten to itself).  From about a quarter of the
-    cells the rewrites cost more than the join, so a row whose first
-    ``_FEW_HITS`` hits project to more is joined by ``str``.  So is any
-    other row: cells of other types (strings, bools, None, numpy scalars,
-    subclasses), arrays of another dtype (orjson writes float32 as
-    float32), empty or non-contiguous arrays, ints beyond 64 bits, which
-    orjson refuses, and rows holding NaN or an infinity, which orjson
-    writes as null.
+    A cell is written as its ``str``, an ndarray cell as the ``str`` of
+    each element, flattened, as a Python scalar.  orjson writes a float64
+    element with the same shortest round-trip digits (Ryu) except where
+    ``str`` switches to exponent form, 0 < |x| < 1e-4 and |x| >= 1e16, and
+    NaN and the infinities, which it writes as null.  So a float64 array
+    goes to orjson whole when one ``np.abs`` min and max show no such odd
+    element, and is otherwise cut into runs, the odd runs written by
+    ``str``.  Arrays of other dtypes go to ``str``: orjson writes float32
+    as float32 (``0.1`` where ``str`` of the element writes
+    ``0.10000000149011612``).
     """
-    scan = False  # whether a float may be written unlike str
+    texts = []  # each followed by a comma
+    strs = []  # the str texts since the last float64 array
     for cell in row:
-        kind = type(cell)
-        if kind is float:
-            scan = scan or not (1e-4 <= abs(cell) < 1e16 or cell == 0.0)
-        elif kind is np.ndarray:
-            if (cell.dtype != np.float64 or not cell.flags.c_contiguous
-                    or not cell.size):
-                return _str_line(row)
-            if not scan:
-                mag = np.abs(cell)
-                scan = not (mag.min() >= 1e-4 and mag.max() < 1e16)
-        elif kind is not int:
-            return _str_line(row)
-    try:
-        b = orjson.dumps(row, option=_ROW_OPTIONS)
-    except orjson.JSONEncodeError:
-        return _str_line(row)
-    b = b.replace(b"[", b"").replace(b"]", b"")
-    if not scan:
-        return b + b"\n"
-    if b"l" in b:  # null
-        return _str_line(row)
-    parts = []
-    done = 0  # b[:done] is copied or replaced
-    e, z = b.find(b"e"), b.find(b"0.0000")
-    while e >= 0 or z >= 0:
-        if (len(parts) == 2 * _FEW_HITS
-                and 4 * _FEW_HITS * len(b) > done * (b.count(b",") + 1)):
-            return _str_line(row)
-        hit = z if e < 0 or 0 <= z < e else e
-        first = b.rfind(b",", 0, hit) + 1
-        end = b.find(b",", hit)
-        if end < 0:
-            end = len(b)
-        parts += (b[done:first], str(float(b[first:end])).encode("ascii"))
-        done = end
-        if 0 <= e < end:
-            e = b.find(b"e", end)
-        if 0 <= z < end:
-            z = b.find(b"0.0000", end)
-    parts += (b[done:], b"\n")
-    return b"".join(parts)
+        if type(cell) is not np.ndarray:
+            strs.append(str(cell))
+            continue
+        flat = cell.ravel()  # C-contiguous, as orjson needs
+        if flat.dtype != np.float64 or not flat.size:
+            strs += map(str, flat.tolist())
+            continue
+        if strs:
+            texts += (",".join(strs).encode("utf-8"), b",")
+            strs = []
+        mag = np.abs(flat)
+        if mag.min() >= 1e-4 and mag.max() < 1e16:
+            texts += (_orjson_join(flat), b",")
+            continue
+        odd = (mag < 1e-4) & (flat != 0) | ~(mag < 1e16)
+        starts = [0, *(np.flatnonzero(odd[1:] != odd[:-1]) + 1).tolist()]
+        ends = [*starts[1:], flat.size]
+        for a, b, by_str in zip(starts, ends, odd[starts].tolist()):
+            run = flat[a:b]
+            texts += (",".join(map(str, run.tolist())).encode("ascii")
+                      if by_str else _orjson_join(run), b",")
+    if strs:
+        texts += (",".join(strs).encode("utf-8"), b",")
+    texts[-1:] = [b"\n"]  # in place of the last comma, if any
+    return b"".join(texts)
+
+
+def _orjson_join(flat) -> memoryview:
+    """orjson's text of a nonempty float64 array, brackets removed."""
+    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
+    return memoryview(text)[1:-1]
 
 
 def atomic_write_csv(path, header, rows) -> None:

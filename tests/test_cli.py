@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from randerslab import cli, concentration, lipschitz, runio
 from randerslab.runio import (NumericError, atomic_write_csv, atomic_write_json,
@@ -546,8 +547,6 @@ PROBES = [
                  "parameters.field.family", id="flow-linear-field"),
     pytest.param("lipschitz", {"field": {"family": "linear"}},
                  "parameters.field.family", id="lipschitz-linear-field"),
-    pytest.param("lipschitz", {"metric": {"kind": "bogus"}},
-                 "parameters.metric.kind", id="metric-kind"),
     pytest.param("lipschitz", {"box_half_width": float("inf")},
                  "parameters.box_half_width", id="box_half_width"),
     # a removed key is unknown, also with the one value it took
@@ -971,11 +970,19 @@ CSV_CELLS = st.one_of(
     st.booleans(), st.text(alphabet="abc xyz_-.", max_size=8),
     st.integers(-2**63, 2**63 - 1).map(np.int64))
 
-# rows of these alone take the orjson path, and the floats below 1e-4 and
-# from 1e16 reach its token rewrite
+# finite floats, with values on both sides of the bounds where str turns to
+# exponent form (1e-4, 1e16)
 PLAIN_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([3e-5, -9.6e-6, 1e-300, 5e-324, 1e16, -2.5e20]))
+# float64 array cells, which the writer hands to orjson in the runs between
+# the elements that str writes in exponent form: 1-d, 2-d, and strided,
+# transposed and 0-d views
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6),
+    elements=_FLOAT_BITS | PLAIN_FLOATS).flatmap(
+        lambda a: st.sampled_from([a, a.T, a[::2], a[..., ::-3]] if a.ndim
+                                  else [a]))
 
 
 class TestAtomicity:
@@ -1008,15 +1015,18 @@ class TestAtomicity:
             atomic_write_json(tmp_path / "report.json", {"a": [1.0, value]})
         assert os.listdir(tmp_path) == []
 
-    # ndarray rows are joined by str, lists of floats formatted by orjson
-    @pytest.mark.parametrize("as_lists", [False, True],
-                             ids=["ndarray", "float-lists"])
-    def test_csv_is_written_row_by_row(self, tmp_path, as_lists):
+    # rows of np.float64 and of float cells are joined by str, array
+    # cells formatted by orjson
+    @pytest.mark.parametrize("shape", [
+        lambda data: data, lambda data: data.tolist(),
+        lambda data: ([r[:250], 1, r[250:]] for r in data)],
+        ids=["ndarray", "float-lists", "array-cells"])
+    def test_csv_is_written_row_by_row(self, tmp_path, shape):
         # while a row is joined its cells are separate str objects, about
         # 4 rows' worth of text, so the bound allows 8 rows; a writer that
         # holds the whole file peaks at thousands of rows
         data = np.random.default_rng(0).standard_normal((2000, 500))
-        rows = data.tolist() if as_lists else data
+        rows = shape(data)
         header = [f"c{i}" for i in range(500)]
         path = tmp_path / "big.csv"
         tracemalloc.start()
@@ -1049,19 +1059,26 @@ class TestAtomicity:
         assert path.read_bytes().splitlines()[1] == b"0.1"
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(st.lists(CSV_CELLS, min_size=1, max_size=12)
+    @given(rows=st.lists(st.lists(CSV_CELLS | FLOAT_ARRAYS, min_size=1,
+                                  max_size=12)
                          | st.lists(PLAIN_FLOATS, min_size=1, max_size=12),
                          min_size=1, max_size=6))
     def test_csv_bytes_equal_the_per_cell_formula(self, tmp_path_factory, rows):
         # Reference: the writer's former per-cell formula, repr of the
-        # float for every Python or numpy float and str of anything else.
+        # float for every Python or numpy float and str of anything else,
+        # with each array cell flattened to its elements.
         def cell(v):
             return (repr(float(v)) if isinstance(v, (float, np.floating))
                     else str(v))
 
+        def cells(row):
+            for c in row:
+                yield from (c.ravel() if isinstance(c, np.ndarray) else (c,))
+
         path = tmp_path_factory.mktemp("csv") / "cells.csv"
         atomic_write_csv(str(path), ["c"], iter(rows))
-        want = "c\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
+        want = "c\n" + "".join(",".join(map(cell, cells(row))) + "\n"
+                               for row in rows)
         assert path.read_bytes() == want.encode("utf-8")
 
 
@@ -1120,75 +1137,6 @@ class TestCsvRowFormat:
             cells += sum(map(len, rows))
         assert cells >= 10**6
 
-    def test_in_range_floats_take_the_orjson_path(self, tmp_path,
-                                                  monkeypatch):
-        # every str call made by the writer is counted: a row joined by
-        # str calls it once per cell, the orjson path once per float below
-        # 1e-4 (the one such cell in each data row here) and never
-        # otherwise; the header is joined by str
-        calls = []
-
-        def counted(x=""):
-            calls.append(x)
-            return str(x)
-
-        monkeypatch.setattr(runio, "str", counted, raising=False)
-        rng = np.random.default_rng(3)
-        data = rng.choice([-1.0, 1.0], (50, 2052)) * rng.uniform(1e-3, 1e3,
-                                                                 (50, 2052))
-        data[:, 7] = 3e-5
-        rows = data.tolist()
-        for row in rows:
-            row[2] = 1  # an int, as in the flow trajectories
-        path = tmp_path / "t.csv"
-        atomic_write_csv(path, ["c"], iter(rows))
-        assert len(calls) == 1 + len(rows)
-        monkeypatch.undo()
-        want = "".join(",".join(map(str, r)) + "\n" for r in rows)
-        assert path.read_text() == "c\n" + want
-
-    @pytest.mark.parametrize("every, joined", [(1, True), (20, False)])
-    def test_rows_dense_in_tiny_floats_are_joined_by_str(
-            self, tmp_path, monkeypatch, every, joined):
-        # every str call is recorded: the str join passes it the row's own
-        # cells, a token rewrite a float parsed from the orjson text; a row
-        # of tiny floats only is joined, one with a tiny float in every 20
-        # cells is rewritten hit by hit
-        calls = []
-
-        def recorded(x=""):
-            calls.append(x)
-            return str(x)
-
-        monkeypatch.setattr(runio, "str", recorded, raising=False)
-        rng = np.random.default_rng(5)
-        row = rng.uniform(1e-3, 1e3, 2055)
-        hits = row[::every].size
-        row[::every] = rng.uniform(1e-9, 9e-5, hits)
-        row = row.tolist()
-        path = tmp_path / "t.csv"
-        atomic_write_csv(path, ["c"], iter([row]))
-        tail = calls[-len(row):]
-        assert all(a is b for a, b in zip(tail, row)) == joined
-        # the header's call, then the hits seen before the row's path is set
-        assert len(calls) == 1 + (runio._FEW_HITS + len(row) if joined
-                                  else hits)
-        monkeypatch.undo()
-        assert path.read_text() == "c\n" + ",".join(map(str, row)) + "\n"
-
-    def test_rewriting_every_hit_equals_the_str_join(self, tmp_path,
-                                                     monkeypatch):
-        # the sample rows are mostly dense in hits, which the writer joins
-        # by str; with the fallback out of reach every hit is rewritten
-        monkeypatch.setattr(runio, "_FEW_HITS", 10**9)
-        rng = np.random.default_rng(20182)
-        for k in range(10):
-            rows = [*CSV_EDGE_ROWS, *_csv_sample_rows(rng, 200, 100)]
-            path = tmp_path / f"rows{k}.csv"
-            atomic_write_csv(path, ["c"], iter(rows))
-            want = "".join(",".join(map(str, row)) + "\n" for row in rows)
-            assert path.read_text() == "c\n" + want
-
     def test_array_cells_give_the_str_join_of_their_elements(self, tmp_path):
         # float64 array cells, 1-d and 2-d, of random bit patterns, values
         # from 1e-330 to 1e308, and the edges (signed zeros, subnormals,
@@ -1241,19 +1189,20 @@ class TestCsvRowFormat:
         atomic_write_csv(path, ["c"], iter(rows))
         assert path.read_text() == "c\n" + _flat_join(rows)
 
-    @pytest.mark.parametrize("cell", [
-        np.array([0.1, 1e-5, 3.0], dtype=np.float32),
-        (np.arange(8.0) / 3)[::2],
-        np.asfortranarray(np.arange(6.0).reshape(2, 3) / 7),
-        np.arange(3),
-        np.array([], dtype=float),
-        np.array(2.5)],
+    @pytest.mark.parametrize("cell, by_str", [
+        (np.array([0.1, 1e-5, 3.0], dtype=np.float32), True),
+        ((np.arange(8.0) / 3)[::2], False),
+        (np.asfortranarray(np.arange(6.0).reshape(2, 3) / 7), False),
+        (np.arange(3), True),
+        (np.array([], dtype=float), True),
+        (np.array(2.5), False)],
         ids=["float32", "strided", "fortran", "int64", "empty", "0-d"])
     def test_other_arrays_take_the_str_path(self, tmp_path, monkeypatch,
-                                           cell):
+                                           cell, by_str):
         # orjson writes float32 as float32 (0.1 where str of the element
-        # writes 0.10000000149011612) and refuses a non-contiguous array,
-        # so such a row is joined by str, one call per flattened cell
+        # writes 0.10000000149011612), so arrays of other dtypes are
+        # written by str, one call per element; a float64 array flattened
+        # to a contiguous copy goes to orjson whatever its layout
         calls = []
 
         def counted(x=""):
@@ -1264,7 +1213,7 @@ class TestCsvRowFormat:
         rows = [[1.5, cell, 2], [cell]]
         path = tmp_path / "o.csv"
         atomic_write_csv(path, ["c"], iter(rows))
-        assert len(calls) == 1 + 2 + 2 * cell.size
+        assert len(calls) == 1 + 2 + (2 * cell.size if by_str else 0)
         monkeypatch.undo()
         assert path.read_text() == "c\n" + _flat_join(rows)
         if cell.dtype == np.float32:
@@ -1273,8 +1222,8 @@ class TestCsvRowFormat:
     def test_in_range_array_rows_take_the_orjson_path(self, tmp_path,
                                                       monkeypatch):
         # the phase rows' shape, [t, tau, cycle, u, p, H] with u and p
-        # arrays: str is called once per element below 1e-4 (one in each
-        # of half the rows here) and never otherwise; the header is
+        # arrays: str is called once per scalar cell and once per element
+        # below 1e-4 (one in each of half the rows here); the header is
         # joined by str
         calls = []
 
@@ -1293,8 +1242,54 @@ class TestCsvRowFormat:
             rows.append([i * 0.02, 0.5 + i * 0.01, 1, u, p, 1.75])
         path = tmp_path / "t.csv"
         atomic_write_csv(path, ["c"], iter(rows))
-        assert len(calls) == 1 + len(rows) // 2
+        assert len(calls) == 1 + 4 * len(rows) + len(rows) // 2
         monkeypatch.undo()
+        assert path.read_text() == "c\n" + _flat_join(rows)
+
+    def test_odd_runs_of_any_share_are_written_by_str(self, tmp_path,
+                                                       monkeypatch):
+        # array cells whose elements are odd (0 < |x| < 1e-4, |x| >= 1e16,
+        # NaN, infinities) in shares from 0 to 1, at random places, and in
+        # runs at both ends, single-element runs and whole arrays: str is
+        # called once per odd element and never for another element
+        calls = []
+
+        def counted(x=""):
+            calls.append(x)
+            return str(x)
+
+        rng = np.random.default_rng(20185)
+        odd_values = np.array([3e-5, -9.6e-6, 5e-324, -2.2e-308, 1e16,
+                               -2.5e17, 1e300, math.nan, math.inf,
+                               -math.inf])
+        rows = []
+        for share in np.linspace(0.0, 1.0, 41):
+            a = rng.choice([-1.0, 1.0], 300) * rng.uniform(1e-4, 1e3, 300)
+            hit = rng.random(300) < share
+            a[hit] = rng.choice(odd_values, hit.sum())
+            a[rng.random(300) < share / 4] = 0.0  # zeros are not odd
+            rows.append([share, a])
+        ends = rng.uniform(1e-3, 1e3, 20)
+        ends[:3], ends[-2:] = 3e-5, 1e16
+        alternate = rng.uniform(1e-3, 1e3, 21)
+        alternate[::2] = rng.choice(odd_values, 11)
+        rows += [[ends], [alternate], [rng.choice(odd_values, 30)],
+                 [np.array([math.nan] * 5 + [1.0] + [math.inf] * 4)],
+                 [np.array([1e-5]), np.array([0.5])]]
+        monkeypatch.setattr(runio, "str", counted, raising=False)
+        path = tmp_path / "r.csv"
+        atomic_write_csv(path, ["c"], iter(rows))
+        monkeypatch.undo()
+        scalars = sum(type(c) is not np.ndarray for row in rows for c in row)
+        elements = np.concatenate([c.ravel() for row in rows for c in row
+                                   if type(c) is np.ndarray])
+        mag = np.abs(elements)
+        odd = (mag < 1e-4) & (elements != 0) | ~(mag < 1e16)
+        assert 0 < odd.sum() < elements.size
+        passed = np.array([x for x in calls if type(x) is float])
+        assert not ((np.abs(passed) >= 1e-4) & (np.abs(passed) < 1e16)).any()
+        assert passed.size == odd.sum()
+        assert len(calls) == 1 + scalars + odd.sum()
         assert path.read_text() == "c\n" + _flat_join(rows)
 
 
